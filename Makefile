@@ -9,11 +9,14 @@ test:
 	dune runtest
 
 # Every span/counter name the trace export must mention for the engine
-# workload (tools/trace_check validates the JSON and greps for these;
-# counter:NAME additionally requires the name on a "ph":"C" event).
+# workload (tools/trace_check parses the JSON and looks for an event of
+# each name; counter:NAME requires a "ph":"C" event of that name).
 TRACE_SPANS = engine.enforce engine.incremental engine.prepare \
   engine.execute engine.job checker.prepare checker.execute smt.solve \
-  concolic.run oracle.infer engine.report_cache engine.smt_cache \
+  concolic.run oracle.infer counter:engine.report_hits \
+  counter:engine.report_misses counter:smt.memo.hits \
+  counter:smt.memo.misses counter:smt.solve_calls counter:core.intern.hits \
+  counter:core.intern.misses counter:core.intern.size \
   counter:smt.assume.push counter:smt.assume.pop counter:smt.propagations \
   counter:smt.learned counter:smt.trie.nodes counter:smt.trie.shared \
   counter:core.shard.contention counter:smt.memo.local_hits \

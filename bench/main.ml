@@ -589,14 +589,15 @@ let run_solver () =
      fast path is pinned off here; it gets its own off/on legs below *)
   let fp_was = Smt.Solver.fastpath_enabled () in
   Smt.Solver.set_fastpath_enabled false;
-  let push0 = Smt.Solver.assume_push_count ()
-  and prop0 = Smt.Solver.propagation_count ()
-  and learn0 = Smt.Solver.learned_count () in
+  let count = Telemetry.Metrics.value in
+  let push0 = count Smt.Solver.assume_pushes
+  and prop0 = count Smt.Solver.propagations
+  and learn0 = count Smt.Solver.learned_conflicts in
   let scratch_verdicts, t_scratch = best run_scratch in
   let (trie, inc_verdicts), t_inc = best run_incremental in
-  let pushes = Smt.Solver.assume_push_count () - push0
-  and props = Smt.Solver.propagation_count () - prop0
-  and learned = Smt.Solver.learned_count () - learn0 in
+  let pushes = count Smt.Solver.assume_pushes - push0
+  and props = count Smt.Solver.propagations - prop0
+  and learned = count Smt.Solver.learned_conflicts - learn0 in
   Smt.Solver.set_fastpath_enabled fp_was;
   fresh_state ();
   (* fast path off vs on: one counted incremental pass each way.  The
@@ -610,9 +611,9 @@ let run_solver () =
   Smt.Solver.set_fastpath_enabled false;
   let (_, fp_off_verdicts), t_fp_off, full_off = count_full run_incremental in
   Smt.Solver.set_fastpath_enabled true;
-  let saved0 = Smt.Solver.fastpath_saved_count () in
+  let saved0 = count Smt.Solver.fastpath_saved in
   let (_, fp_on_verdicts), t_fp_on, full_on = count_full run_incremental in
-  let fp_saved = Smt.Solver.fastpath_saved_count () - saved0 in
+  let fp_saved = count Smt.Solver.fastpath_saved - saved0 in
   Smt.Solver.set_fastpath_enabled fp_was;
   fresh_state ();
   let fp_reduction =
@@ -1314,13 +1315,13 @@ let run_scale () =
                 ~finally:(fun () -> Smt.Solver.set_fastpath_enabled was)
               @@ fun () ->
               let f0 = Smt.Solver.full_solve_count ()
-              and s0 = Smt.Solver.fastpath_saved_count () in
+              and s0 = Telemetry.Metrics.value Smt.Solver.fastpath_saved in
               let t0 = now () in
               let results_fp, _ = scan ~jobs:1 reg in
               let t = now () -. t0 in
               ( Lisa.System_scan.print results_fp,
                 Smt.Solver.full_solve_count () - f0,
-                Smt.Solver.fastpath_saved_count () - s0,
+                Telemetry.Metrics.value Smt.Solver.fastpath_saved - s0,
                 t )
             in
             let out_off, full_off, _, t_off = fp_leg false in

@@ -21,9 +21,9 @@ let shard_mask = shard_count - 1
 (* Lock acquisitions that found the shard mutex already held, across
    every table in the process — the telemetry signal that shard count
    (or the lock-free read path) is no longer absorbing parallelism. *)
-let contention = Atomic.make 0
-
-let contention_total () = Atomic.get contention
+let contention =
+  Telemetry.Metrics.counter "core.shard.contention"
+    ~doc:"hash-cons shard-lock acquisitions that had to wait (0 at jobs=1)"
 
 (* Buckets store (hkey, elt) pairs: the hash rides along so a resize can
    rehash without asking the element for it, and scans reject non-equal
@@ -133,7 +133,7 @@ let intern t ~hkey node =
   | None ->
       (* miss (or stale snapshot): take the shard lock and re-probe *)
       if not (Mutex.try_lock sh.sh_lock) then begin
-        Atomic.incr contention;
+        Telemetry.Metrics.bump contention;
         Mutex.lock sh.sh_lock
       end;
       let arr = Atomic.get sh.sh_buckets in

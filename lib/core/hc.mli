@@ -56,9 +56,3 @@ val stats : _ t -> stats
 
 (** Hit/miss/size of every table created so far, in creation order. *)
 val registry : unit -> (string * stats) list
-
-(** Shard-lock acquisitions that found the mutex already held, summed
-    over every table in the process — the backpressure signal surfaced
-    as the [core.shard.contention] telemetry counter.  0 under a serial
-    schedule. *)
-val contention_total : unit -> int

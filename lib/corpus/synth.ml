@@ -1108,6 +1108,9 @@ let case_at ~seed k : Case.t =
 
 let systems_per_scale = 4
 
+let cases_generated =
+  Telemetry.Metrics.counter "corpus.synth.cases" ~doc:"synthetic cases generated"
+
 let registry ?(seed = 42) ~scale () : Registry.t =
   Telemetry.Trace.with_span ~cat:"corpus"
     ~args:[ ("seed", string_of_int seed); ("scale", string_of_int scale) ]
@@ -1116,9 +1119,8 @@ let registry ?(seed = 42) ~scale () : Registry.t =
       let n_systems = systems_per_scale * scale in
       let providers = List.init n_systems (fun i -> system ~seed i) in
       let n_cases = n_systems * cases_per_system in
-      Telemetry.Metrics.incr ~by:n_cases "corpus.synth.cases";
-      Telemetry.Trace.counter ~cat:"corpus" "corpus.synth.cases"
-        [ ("cases", float_of_int n_cases) ];
+      Telemetry.Metrics.bump ~by:n_cases cases_generated;
+      Telemetry.Metrics.trace_counter ~cat:"corpus" cases_generated;
       Registry.make
         ~name:(sf "synth:seed=%d:scale=%d" seed scale)
         providers)

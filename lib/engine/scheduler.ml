@@ -24,13 +24,35 @@
 
     Telemetry: every phase runs under a [Telemetry.Trace] span
     ([engine.enforce] > [engine.incremental] / [engine.prepare] /
-    [engine.execute] > [engine.job]), counts accumulate through the
-    {!Stats} recorder into [Telemetry.Metrics], and all wall time is
-    read from [Telemetry.Clock]. *)
+    [engine.execute] > [engine.job]), the engine's own counters are
+    declared in [Telemetry.Metrics] below, the {!Stats} recorder takes
+    every registry counter's delta across each enforcement, and all wall
+    time is read from [Telemetry.Clock]. *)
 
 open Minilang
 module Trace = Telemetry.Trace
 module Clock = Telemetry.Clock
+module Metrics = Telemetry.Metrics
+
+let enforcements = Metrics.counter "engine.enforcements" ~doc:"enforce calls served"
+
+let jobs_run = Metrics.counter "engine.jobs_run" ~doc:"dynamic phases actually executed"
+
+let report_hits =
+  Metrics.counter "engine.report_hits" ~doc:"jobs answered from the report cache"
+
+let report_misses =
+  Metrics.counter "engine.report_misses" ~doc:"jobs the report cache could not answer"
+
+let incremental_reuses =
+  Metrics.counter "engine.incremental_reuses"
+    ~doc:"jobs skipped by the diff-based incremental pre-pass"
+
+let retries = Metrics.counter "engine.retries" ~doc:"failed jobs re-run after backoff"
+
+let degraded_jobs =
+  Metrics.counter "engine.degraded_jobs"
+    ~doc:"jobs whose report carries a degradation reason"
 
 type config = {
   jobs : int;  (** worker domains; 1 = serial on the calling domain *)
@@ -43,8 +65,6 @@ type config = {
   retry_backoff_ms : int;
       (** base backoff before a retry round, doubled per attempt and
           capped at 8x; 0 = retry immediately (what tests use) *)
-  job_times_cap : int;
-      (** ring capacity for per-job wall times kept in {!Stats} *)
 }
 
 let default_config =
@@ -56,7 +76,6 @@ let default_config =
     checker = Checker.default_config;
     max_retries = 2;
     retry_backoff_ms = 5;
-    job_times_cap = 1024;
   }
 
 (** The cold, serial configuration: every layer off — including the
@@ -91,7 +110,7 @@ type t = {
 let create ?(config = default_config) () : t =
   {
     config;
-    recorder = Stats.recorder ~job_times_cap:config.job_times_cap ();
+    recorder = Stats.recorder ();
     reports = Cache.create ~name:"reports" ();
     last = None;
   }
@@ -117,87 +136,13 @@ let backoff_ms (cfg : config) ~(attempt : int) : int =
     let factor = 1 lsl min 3 (max 0 (attempt - 1)) in
     min (cfg.retry_backoff_ms * factor) (8 * cfg.retry_backoff_ms)
 
-(* trace-only counter snapshots of the two cache tiers *)
-let trace_cache_counters t =
-  if Trace.enabled () then begin
-    let s = Stats.snapshot t.recorder in
-    Trace.counter "engine.report_cache"
-      [
-        ("hits", float_of_int s.Stats.report_hits);
-        ("misses", float_of_int s.Stats.report_misses);
-        ("entries", float_of_int (Cache.size t.reports));
-      ];
-    Trace.counter "engine.smt_cache"
-      [
-        ("hits", float_of_int s.Stats.smt_hits);
-        ("misses", float_of_int s.Stats.smt_misses);
-        ("solver_calls", float_of_int s.Stats.solver_calls);
-      ];
-    Trace.counter "engine.intern"
-      [
-        ("hits", float_of_int s.Stats.intern_hits);
-        ("misses", float_of_int s.Stats.intern_misses);
-        ("size", float_of_int s.Stats.intern_size);
-      ];
-    (* the incremental solver core's counters *)
-    Trace.counter "smt.assume.push"
-      [ ("count", float_of_int s.Stats.assume_pushes) ];
-    Trace.counter "smt.assume.pop"
-      [ ("count", float_of_int s.Stats.assume_pops) ];
-    Trace.counter "smt.propagations"
-      [ ("count", float_of_int s.Stats.propagations) ];
-    Trace.counter "smt.learned"
-      [ ("count", float_of_int s.Stats.learned_conflicts) ];
-    (* contention-free hot-path counters: shard-lock waits, zero-lock
-       front-cache hits, batched clause publications *)
-    Trace.counter "core.shard.contention"
-      [ ("count", float_of_int s.Stats.shard_contention) ];
-    Trace.counter "smt.memo.local_hits"
-      [ ("count", float_of_int s.Stats.memo_local_hits) ];
-    Trace.counter "smt.learned.batched"
-      [ ("count", float_of_int s.Stats.learned_batched) ];
-    Trace.counter "smt.trie.nodes"
-      [ ("count", float_of_int s.Stats.trie_nodes) ];
-    Trace.counter "smt.trie.shared"
-      [ ("count", float_of_int s.Stats.trie_shared) ];
-    (* pre-solver fast-path ladder: abstract-domain refutations, root
-       BCP conflicts, trie-subtree subsumptions, total searches saved *)
-    Trace.counter "smt.fastpath.interval"
-      [ ("count", float_of_int s.Stats.fastpath_interval) ];
-    Trace.counter "smt.fastpath.bcp"
-      [ ("count", float_of_int s.Stats.fastpath_bcp) ];
-    Trace.counter "smt.fastpath.subsumed"
-      [ ("count", float_of_int s.Stats.fastpath_subsumed) ];
-    Trace.counter "smt.fastpath.saved"
-      [ ("count", float_of_int s.Stats.fastpath_saved) ];
-    Trace.counter "smt.memo.local_evict"
-      [ ("count", float_of_int s.Stats.memo_local_evict) ]
-  end
-
 (** Enforce a rulebook against a program version through the engine. *)
 let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
     Checker.rule_report list =
   Trace.with_span ~cat:"engine" "engine.enforce" @@ fun () ->
   let cfg = t.config in
   let t0 = Clock.now () in
-  let smt_hits0 = Smt.Memo.hits () and smt_misses0 = Smt.Memo.misses () in
-  let intern_hits0 = Smt.Formula.intern_hits ()
-  and intern_misses0 = Smt.Formula.intern_misses () in
-  let solver0 = Smt.Solver.solve_count () in
-  let push0 = Smt.Solver.assume_push_count ()
-  and pop0 = Smt.Solver.assume_pop_count ()
-  and propagations0 = Smt.Solver.propagation_count ()
-  and learned0 = Smt.Solver.learned_count () in
-  let contention0 = Core.Hc.contention_total ()
-  and local_hits0 = Smt.Memo.local_hits ()
-  and batched0 = Smt.Solver.learned_batch_count () in
-  let trie_nodes0 = Smt.Pctrie.nodes_total ()
-  and trie_shared0 = Smt.Pctrie.shared_total () in
-  let fp_interval0 = Smt.Solver.fastpath_interval_count ()
-  and fp_bcp0 = Smt.Solver.fastpath_bcp_count ()
-  and fp_subsumed0 = Smt.Solver.fastpath_subsumed_count ()
-  and fp_saved0 = Smt.Solver.fastpath_saved_count ()
-  and local_evict0 = Smt.Memo.local_evictions () in
+  let before = Metrics.sample () in
   let memo_was = Smt.Memo.enabled () in
   Smt.Memo.set_enabled cfg.smt_cache;
   Fun.protect ~finally:(fun () -> Smt.Memo.set_enabled memo_was) @@ fun () ->
@@ -222,7 +167,7 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
           rules
     | _ -> ([], rules)
   in
-  Stats.bump ~by:(List.length reused) t.recorder Stats.Incremental_reuses;
+  Metrics.bump ~by:(List.length reused) incremental_reuses;
   (* layer 2: prepare the rest and consult the report cache *)
   let prepared_rules =
     Trace.with_span ~cat:"engine" "engine.prepare" @@ fun () ->
@@ -244,8 +189,8 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
         | None -> Either.Right (job, region))
       prepared_rules
   in
-  Stats.bump ~by:(List.length cached) t.recorder Stats.Report_hits;
-  Stats.bump ~by:(List.length to_run) t.recorder Stats.Report_misses;
+  Metrics.bump ~by:(List.length cached) report_hits;
+  Metrics.bump ~by:(List.length to_run) report_misses;
   (* layer 3: execute the misses on the worker pool, expensive first.
      The pool collects per-slot results instead of re-raising: failed
      jobs are retried with capped deterministic backoff, and jobs still
@@ -284,7 +229,7 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
                    reason = Printexc.to_string e;
                  }))
           failed;
-        Stats.bump ~by:(List.length failed) t.recorder Stats.Retries;
+        Metrics.bump ~by:(List.length failed) retries;
         if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.);
         let slots = Array.of_list (List.map fst failed) in
         let rerun =
@@ -337,9 +282,8 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
            must not poison later healthy enforcements *)
         if cfg.report_cache && not (Checker.is_degraded report) then
           Cache.add t.reports job.Job.key report;
-        if Checker.is_degraded report then
-          Stats.bump t.recorder Stats.Degraded_jobs;
-        Stats.bump t.recorder Stats.Jobs_run;
+        if Checker.is_degraded report then Metrics.bump degraded_jobs;
+        Metrics.bump jobs_run;
         Stats.add_job_time t.recorder
           {
             Stats.jt_job_id = job.Job.job_id;
@@ -368,63 +312,12 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
   in
   t.last <-
     Some { mem_program = p; mem_fp = program_fp; mem_entries = durable_entries };
-  (* bookkeeping *)
-  Stats.bump t.recorder Stats.Enforcements;
-  Stats.bump ~by:(Smt.Memo.hits () - smt_hits0) t.recorder Stats.Smt_hits;
-  Stats.bump ~by:(Smt.Memo.misses () - smt_misses0) t.recorder Stats.Smt_misses;
-  Stats.bump
-    ~by:(Smt.Formula.intern_hits () - intern_hits0)
-    t.recorder Stats.Intern_hits;
-  Stats.bump
-    ~by:(Smt.Formula.intern_misses () - intern_misses0)
-    t.recorder Stats.Intern_misses;
-  Stats.bump
-    ~by:(Smt.Solver.solve_count () - solver0)
-    t.recorder Stats.Solver_calls;
-  Stats.bump
-    ~by:(Smt.Solver.assume_push_count () - push0)
-    t.recorder Stats.Assume_pushes;
-  Stats.bump
-    ~by:(Smt.Solver.assume_pop_count () - pop0)
-    t.recorder Stats.Assume_pops;
-  Stats.bump
-    ~by:(Smt.Solver.propagation_count () - propagations0)
-    t.recorder Stats.Propagations;
-  Stats.bump
-    ~by:(Smt.Solver.learned_count () - learned0)
-    t.recorder Stats.Learned_conflicts;
-  Stats.bump
-    ~by:(Core.Hc.contention_total () - contention0)
-    t.recorder Stats.Shard_contention;
-  Stats.bump
-    ~by:(Smt.Memo.local_hits () - local_hits0)
-    t.recorder Stats.Memo_local_hits;
-  Stats.bump
-    ~by:(Smt.Solver.learned_batch_count () - batched0)
-    t.recorder Stats.Learned_batched;
-  Stats.bump
-    ~by:(Smt.Pctrie.nodes_total () - trie_nodes0)
-    t.recorder Stats.Trie_nodes;
-  Stats.bump
-    ~by:(Smt.Pctrie.shared_total () - trie_shared0)
-    t.recorder Stats.Trie_shared;
-  Stats.bump
-    ~by:(Smt.Solver.fastpath_interval_count () - fp_interval0)
-    t.recorder Stats.Fastpath_interval;
-  Stats.bump
-    ~by:(Smt.Solver.fastpath_bcp_count () - fp_bcp0)
-    t.recorder Stats.Fastpath_bcp;
-  Stats.bump
-    ~by:(Smt.Solver.fastpath_subsumed_count () - fp_subsumed0)
-    t.recorder Stats.Fastpath_subsumed;
-  Stats.bump
-    ~by:(Smt.Solver.fastpath_saved_count () - fp_saved0)
-    t.recorder Stats.Fastpath_saved;
-  Stats.bump
-    ~by:(Smt.Memo.local_evictions () - local_evict0)
-    t.recorder Stats.Memo_local_evict;
-  Stats.add_wall t.recorder (Clock.now () -. t0);
-  trace_cache_counters t;
+  (* bookkeeping: every registry counter's delta, and one trace
+     counter event per declared metric *)
+  Metrics.bump enforcements;
+  let after = Metrics.sample () in
+  Stats.record t.recorder ~wall:(Clock.now () -. t0) before after;
+  Metrics.trace ~cat:"engine" after;
   reports_in_order
 
 (** The reports that carry violations. *)

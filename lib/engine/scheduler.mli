@@ -21,8 +21,6 @@ type config = {
   retry_backoff_ms : int;
       (** base backoff before a retry round, doubled per attempt and
           capped at 8x; 0 = retry immediately *)
-  job_times_cap : int;
-      (** ring capacity for per-job wall times kept in {!Stats} *)
 }
 
 (** jobs = 1, all layers on. *)
@@ -38,7 +36,8 @@ val create : ?config:config -> unit -> t
 
 val config : t -> config
 
-(** A point-in-time snapshot of the engine's telemetry counters. *)
+(** A point-in-time snapshot of the engine's statistics: every registry
+    counter's total over this engine's enforcements. *)
 val stats : t -> Stats.t
 
 val report_cache_size : t -> int

@@ -1,11 +1,12 @@
 (** Engine run statistics.
 
-    The engine owns a {!recorder} per {!Scheduler.t}; every count lands
-    in the process-global [Telemetry.Metrics] registry under a
-    per-recorder namespace ("engine.<id>.<field>"), so an engine run is
-    observable through telemetry snapshots and traces with no second
-    bookkeeping path.  {!snapshot} materialises the namespace back into
-    the plain record consumers have always read.
+    The engine owns a {!recorder} per {!Scheduler.t}.  Counts are not
+    kept here: every counter lives once in the [Telemetry.Metrics]
+    registry, declared by the module that bumps it.  The recorder takes
+    one registry sample before an enforcement and one after and adds the
+    difference, so every declared counter — including ones added after
+    this module was written — reaches {!snapshot} with no per-counter
+    code.
 
     "Solver calls saved" counts SMT verdict cache hits — each one is a
     {!Smt.Solver.solve} invocation that did not happen — plus nothing
@@ -34,32 +35,8 @@ type t = {
       (** live interned nodes (terms + formulas + strings) at snapshot
           time — process-global, monotone: hashcons tables never evict *)
   solver_calls : int;  (** {!Smt.Solver.solve} calls during our runs *)
-  assume_pushes : int;  (** incremental-context assertions during our runs *)
-  assume_pops : int;
-  propagations : int;  (** literals implied by unit propagation *)
-  learned_conflicts : int;  (** theory conflict sets learned *)
-  shard_contention : int;
-      (** hash-cons shard-lock acquisitions that had to wait, during
-          our runs (0 at [jobs <= 1]) *)
-  memo_local_hits : int;
-      (** SMT verdict-cache hits answered by a domain-local front
-          cache (zero-lock hits; a subset of [smt_hits]) *)
-  learned_batched : int;
-      (** learned clauses published through batch flushes during our
-          runs *)
-  trie_nodes : int;  (** path-condition trie nodes built during our runs *)
-  trie_shared : int;  (** trie nodes shared by >= 2 path conditions *)
-  fastpath_interval : int;
-      (** solver queries retired by the abstract-domain pre-solver *)
-  fastpath_bcp : int;  (** queries retired by the root-BCP-only check *)
-  fastpath_subsumed : int;
-      (** trie leaf queries answered by prefix-Unsat subtree pruning *)
   fastpath_saved : int;
       (** full DPLL(T) searches avoided (sum of the fast-path rungs) *)
-  memo_local_evict : int;
-      (** domain-local SMT front-cache resets forced by the cap *)
-  memo_fill_ratio : float;
-      (** global SMT memo store occupancy at snapshot time, 0..1 *)
   wall_s : float;  (** total [enforce] wall time *)
   job_times : job_time list;  (** newest first, bounded by the ring *)
   retries : int;  (** failed jobs re-run after backoff *)
@@ -68,120 +45,64 @@ type t = {
           runs, undecided verdicts, quarantine placeholders) *)
   quarantined : string list;
       (** rule ids whose jobs exhausted their retries, newest first *)
+  counters : (string * int) list;
+      (** every registry metric's total over our runs, in declaration
+          order *)
 }
 
-type counter =
-  | Enforcements
-  | Jobs_run
-  | Report_hits
-  | Report_misses
-  | Incremental_reuses
-  | Smt_hits
-  | Smt_misses
-  | Intern_hits
-  | Intern_misses
-  | Solver_calls
-  | Assume_pushes
-  | Assume_pops
-  | Propagations
-  | Learned_conflicts
-  | Shard_contention
-  | Memo_local_hits
-  | Learned_batched
-  | Trie_nodes
-  | Trie_shared
-  | Fastpath_interval
-  | Fastpath_bcp
-  | Fastpath_subsumed
-  | Fastpath_saved
-  | Memo_local_evict
-  | Retries
-  | Degraded_jobs
-
-let counter_name = function
-  | Enforcements -> "enforcements"
-  | Jobs_run -> "jobs_run"
-  | Report_hits -> "report_hits"
-  | Report_misses -> "report_misses"
-  | Incremental_reuses -> "incremental_reuses"
-  | Smt_hits -> "smt_hits"
-  | Smt_misses -> "smt_misses"
-  | Intern_hits -> "intern_hits"
-  | Intern_misses -> "intern_misses"
-  | Solver_calls -> "solver_calls"
-  | Assume_pushes -> "assume_pushes"
-  | Assume_pops -> "assume_pops"
-  | Propagations -> "propagations"
-  | Learned_conflicts -> "learned_conflicts"
-  | Shard_contention -> "shard_contention"
-  | Memo_local_hits -> "memo_local_hits"
-  | Learned_batched -> "learned_batched"
-  | Trie_nodes -> "trie_nodes"
-  | Trie_shared -> "trie_shared"
-  | Fastpath_interval -> "fastpath_interval"
-  | Fastpath_bcp -> "fastpath_bcp"
-  | Fastpath_subsumed -> "fastpath_subsumed"
-  | Fastpath_saved -> "fastpath_saved"
-  | Memo_local_evict -> "memo_local_evict"
-  | Retries -> "retries"
-  | Degraded_jobs -> "degraded_jobs"
-
 type recorder = {
-  ns : string;  (** metric namespace, "engine.<id>" *)
   cap : int;  (** ring capacity for job times *)
   lock : Mutex.t;
+  mutable totals : int array;  (** per registry metric, declaration order *)
+  mutable wall : float;
   ring : job_time option array;
   mutable head : int;  (** next write slot *)
   mutable total : int;  (** job times ever recorded *)
   mutable quarantined_ids : string list;  (** newest first *)
 }
 
-let next_recorder_id = Atomic.make 0
-
-let default_job_times_cap = 1024
-
-let recorder ?(job_times_cap = default_job_times_cap) () =
+let recorder ?(job_times_cap = 1024) () =
   let cap = max 1 job_times_cap in
   {
-    ns = Printf.sprintf "engine.%d" (Atomic.fetch_and_add next_recorder_id 1);
     cap;
     lock = Mutex.create ();
+    totals = [||];
+    wall = 0.;
     ring = Array.make cap None;
     head = 0;
     total = 0;
     quarantined_ids = [];
   }
 
-let namespace r = r.ns
+let with_lock r f =
+  Mutex.lock r.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
 
-let key r c = r.ns ^ "." ^ counter_name c
+(* a metric declared after a sample was taken reads 0 in it *)
+let at (a : int array) i = if i < Array.length a then a.(i) else 0
 
-let bump ?(by = 1) r c = Telemetry.Metrics.incr ~by (key r c)
-
-let read r c = Telemetry.Metrics.get (key r c)
-
-let add_wall r dt = Telemetry.Metrics.addf (r.ns ^ ".wall_s") dt
+let record r ~wall (before : int array) (after : int array) =
+  with_lock r (fun () ->
+      r.totals <- Array.mapi (fun i v -> at r.totals i + v - at before i) after;
+      r.wall <- r.wall +. wall)
 
 let add_job_time r jt =
-  Mutex.lock r.lock;
-  r.ring.(r.head) <- Some jt;
-  r.head <- (r.head + 1) mod r.cap;
-  r.total <- r.total + 1;
-  Mutex.unlock r.lock
+  with_lock r (fun () ->
+      r.ring.(r.head) <- Some jt;
+      r.head <- (r.head + 1) mod r.cap;
+      r.total <- r.total + 1)
 
 let quarantine r rule_id =
-  Mutex.lock r.lock;
-  r.quarantined_ids <- rule_id :: r.quarantined_ids;
-  Mutex.unlock r.lock
+  with_lock r (fun () -> r.quarantined_ids <- rule_id :: r.quarantined_ids)
 
 let reset r =
-  Telemetry.Metrics.reset_prefix (r.ns ^ ".");
-  Mutex.lock r.lock;
-  Array.fill r.ring 0 r.cap None;
-  r.head <- 0;
-  r.total <- 0;
-  r.quarantined_ids <- [];
-  Mutex.unlock r.lock
+  with_lock r (fun () ->
+      r.totals <- [||];
+      r.wall <- 0.;
+      Array.fill r.ring 0 r.cap None;
+      r.head <- 0;
+      r.total <- 0;
+      r.quarantined_ids <- [])
 
 (* newest first, at most [cap] entries *)
 let job_times_of r =
@@ -197,54 +118,38 @@ let job_times_of r =
   collect 0 []
 
 let snapshot r : t =
-  Mutex.lock r.lock;
-  let job_times = job_times_of r in
-  let quarantined = r.quarantined_ids in
-  Mutex.unlock r.lock;
+  let totals, wall_s, job_times, quarantined =
+    with_lock r (fun () -> (r.totals, r.wall, job_times_of r, r.quarantined_ids))
+  in
+  let counters =
+    List.mapi (fun i (name, _) -> (name, at totals i)) (Telemetry.Metrics.declared ())
+  in
+  let count name = Option.value ~default:0 (List.assoc_opt name counters) in
   {
-    enforcements = read r Enforcements;
-    jobs_run = read r Jobs_run;
-    report_hits = read r Report_hits;
-    report_misses = read r Report_misses;
-    incremental_reuses = read r Incremental_reuses;
-    smt_hits = read r Smt_hits;
-    smt_misses = read r Smt_misses;
-    intern_hits = read r Intern_hits;
-    intern_misses = read r Intern_misses;
+    enforcements = count "engine.enforcements";
+    jobs_run = count "engine.jobs_run";
+    report_hits = count "engine.report_hits";
+    report_misses = count "engine.report_misses";
+    incremental_reuses = count "engine.incremental_reuses";
+    smt_hits = count "smt.memo.hits";
+    smt_misses = count "smt.memo.misses";
+    intern_hits = count "core.intern.hits";
+    intern_misses = count "core.intern.misses";
     intern_size = Smt.Formula.intern_size ();
-    solver_calls = read r Solver_calls;
-    assume_pushes = read r Assume_pushes;
-    assume_pops = read r Assume_pops;
-    propagations = read r Propagations;
-    learned_conflicts = read r Learned_conflicts;
-    shard_contention = read r Shard_contention;
-    memo_local_hits = read r Memo_local_hits;
-    learned_batched = read r Learned_batched;
-    trie_nodes = read r Trie_nodes;
-    trie_shared = read r Trie_shared;
-    fastpath_interval = read r Fastpath_interval;
-    fastpath_bcp = read r Fastpath_bcp;
-    fastpath_subsumed = read r Fastpath_subsumed;
-    fastpath_saved = read r Fastpath_saved;
-    memo_local_evict = read r Memo_local_evict;
-    memo_fill_ratio = Smt.Memo.fill_ratio ();
-    wall_s = Telemetry.Metrics.getf (r.ns ^ ".wall_s");
+    solver_calls = count "smt.solve_calls";
+    fastpath_saved = count "smt.fastpath.saved";
+    wall_s;
     job_times;
-    retries = read r Retries;
-    degraded_jobs = read r Degraded_jobs;
+    retries = count "engine.retries";
+    degraded_jobs = count "engine.degraded_jobs";
     quarantined;
+    counters;
   }
+
+let counters (s : t) = s.counters
 
 (** SMT verdict-cache hits: solver invocations that never happened. *)
 let solver_calls_saved (s : t) : int = s.smt_hits
-
-(* Memo-pressure reporting is opt-in so the default [to_string] stays
-   byte-identical across configurations and PRs. *)
-let memo_pressure_flag = Atomic.make false
-
-let set_memo_pressure b = Atomic.set memo_pressure_flag b
-
-let memo_pressure_enabled () = Atomic.get memo_pressure_flag
 
 let to_string (s : t) : string =
   let base =
@@ -255,12 +160,6 @@ let to_string (s : t) : string =
       s.enforcements s.jobs_run s.report_hits s.report_misses
       s.incremental_reuses s.smt_hits s.smt_misses s.solver_calls
       (solver_calls_saved s) s.wall_s
-  in
-  let base =
-    if not (memo_pressure_enabled ()) then base
-    else
-      Fmt.str "%s, memo pressure %d local evict(s) %.3f fill" base
-        s.memo_local_evict s.memo_fill_ratio
   in
   (* Resilience counters only appear once something went wrong, so the
      healthy-run string is byte-identical to the pre-resilience engine. *)

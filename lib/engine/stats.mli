@@ -2,9 +2,10 @@
     reuses, solver calls (and calls saved by the verdict cache), wall
     time overall and per job.
 
-    Counts live in [Telemetry.Metrics] under a per-recorder namespace
-    ("engine.<id>.<field>"); {!snapshot} materialises them into the
-    plain record below. *)
+    Counts live once, in [Telemetry.Metrics]; a recorder adds each
+    enforcement's registry deltas ({!record}), and {!snapshot}
+    materialises them into the plain record below plus the full
+    name-keyed list {!counters}. *)
 
 type job_time = {
   jt_job_id : string;
@@ -28,102 +29,46 @@ type t = {
       (** live interned nodes (terms + formulas + strings) at snapshot
           time; process-global and monotone *)
   solver_calls : int;
-  assume_pushes : int;  (** incremental-context assertions during our runs *)
-  assume_pops : int;
-  propagations : int;  (** literals implied by unit propagation *)
-  learned_conflicts : int;  (** theory conflict sets learned *)
-  shard_contention : int;
-      (** hash-cons shard-lock waits during our runs (0 at [jobs <= 1]) *)
-  memo_local_hits : int;
-      (** verdict-cache hits answered lock-free by a domain-local front
-          cache; a subset of [smt_hits] *)
-  learned_batched : int;  (** learned clauses published via batch flushes *)
-  trie_nodes : int;  (** path-condition trie nodes built during our runs *)
-  trie_shared : int;  (** trie nodes shared by >= 2 path conditions *)
-  fastpath_interval : int;
-      (** solver queries retired by the abstract-domain pre-solver *)
-  fastpath_bcp : int;  (** queries retired by the root-BCP-only check *)
-  fastpath_subsumed : int;
-      (** trie leaf queries answered by prefix-Unsat subtree pruning *)
   fastpath_saved : int;
       (** full DPLL(T) searches avoided (sum of the fast-path rungs) *)
-  memo_local_evict : int;
-      (** domain-local SMT front-cache resets forced by the cap *)
-  memo_fill_ratio : float;
-      (** global SMT memo store occupancy at snapshot time, 0..1 *)
   wall_s : float;
   job_times : job_time list;  (** newest first, bounded by the ring *)
   retries : int;  (** failed jobs re-run after backoff *)
   degraded_jobs : int;  (** jobs whose report carries a degradation *)
   quarantined : string list;
       (** rule ids whose jobs exhausted their retries, newest first *)
+  counters : (string * int) list;  (** see {!counters} *)
 }
 
-type counter =
-  | Enforcements
-  | Jobs_run
-  | Report_hits
-  | Report_misses
-  | Incremental_reuses
-  | Smt_hits
-  | Smt_misses
-  | Intern_hits
-  | Intern_misses
-  | Solver_calls
-  | Assume_pushes
-  | Assume_pops
-  | Propagations
-  | Learned_conflicts
-  | Shard_contention
-  | Memo_local_hits
-  | Learned_batched
-  | Trie_nodes
-  | Trie_shared
-  | Fastpath_interval
-  | Fastpath_bcp
-  | Fastpath_subsumed
-  | Fastpath_saved
-  | Memo_local_evict
-  | Retries
-  | Degraded_jobs
-
-(** The engine's accumulation handle: telemetry-backed counters plus a
-    bounded ring of per-job wall times. *)
+(** The engine's accumulation handle: registry deltas plus a bounded
+    ring of per-job wall times. *)
 type recorder
 
 (** [job_times_cap] bounds the per-job wall-time ring (default 1024);
     older entries are overwritten. *)
 val recorder : ?job_times_cap:int -> unit -> recorder
 
-(** The recorder's metric namespace ("engine.<id>"). *)
-val namespace : recorder -> string
-
-val bump : ?by:int -> recorder -> counter -> unit
-
-val read : recorder -> counter -> int
-
-val add_wall : recorder -> float -> unit
+(** [record r ~wall before after] adds one enforcement: the difference
+    of two {!Telemetry.Metrics.sample}s taken around it, and its wall
+    time. *)
+val record : recorder -> wall:float -> int array -> int array -> unit
 
 val add_job_time : recorder -> job_time -> unit
 
 (** Record a quarantined rule id (newest first in the snapshot). *)
 val quarantine : recorder -> string -> unit
 
-(** Zero the recorder: drops its metric namespace, ring, quarantines. *)
+(** Zero the recorder: its totals, wall time, ring, quarantines. *)
 val reset : recorder -> unit
 
 val snapshot : recorder -> t
 
+(** Every declared registry metric's total over the recorder's
+    enforcements, as [(name, value)] in declaration order. *)
+val counters : t -> (string * int) list
+
 (** SMT verdict-cache hits: solver invocations that never happened. *)
 val solver_calls_saved : t -> int
-
-(** Opt-in memo-pressure reporting: when enabled, {!to_string} appends
-    the front-cache eviction count and global-store fill ratio.  Off by
-    default so the healthy-run string stays byte-identical across
-    configurations. *)
-val set_memo_pressure : bool -> unit
-
-val memo_pressure_enabled : unit -> bool
 
 val to_string : t -> string
 

@@ -61,6 +61,30 @@ let cross_check_rule (config : config) (patched : Minilang.Ast.program)
         Error "no trace verifies the rule: the fixed path must act as sanity check"
       else Ok rule
 
+(* Run [f], retrying an injected fault twice (one [Job_retry] event per
+   retry); a third fault answers [degrade ~attempts fault] instead, with
+   [fault] describing the last one. *)
+let with_fault_retries ~(job : string) (f : unit -> 'a)
+    ~(degrade : attempts:int -> string -> 'a) : 'a =
+  let rec attempt n =
+    match f () with
+    | v -> v
+    | exception Resilience.Fault.Injected (point, kind) ->
+        let fault =
+          Fmt.str "injected %s fault at %s"
+            (Resilience.Fault.kind_to_string kind)
+            (Resilience.Fault.point_to_string point)
+        in
+        if n >= 2 then degrade ~attempts:(n + 1) fault
+        else begin
+          Resilience.Events.emit
+            (Resilience.Events.Job_retry
+               { job; attempt = n + 1; backoff_ms = 0; reason = fault });
+          attempt (n + 1)
+        end
+  in
+  attempt 0
+
 (** Learn rules from one ticket: inference, optional generalization, and
     cross-checking against the ticket's own patched version. *)
 let learn ?(config = default_config) (ticket : Oracle.Ticket.t) : outcome =
@@ -79,29 +103,12 @@ let learn ?(config = default_config) (ticket : Oracle.Ticket.t) : outcome =
      transients a couple of times, then settle for a degraded (empty)
      inference so learning continues with the remaining tickets *)
   let inference =
-    let rec attempt n =
-      match Oracle.Inference.infer ~noise:config.noise ticket with
-      | inf -> inf
-      | exception Resilience.Fault.Injected (point, kind) ->
-          if n >= 2 then
-            Oracle.Inference.degraded_inference ticket
-              (Fmt.str "oracle unavailable after %d attempt(s)" (n + 1))
-          else begin
-            Resilience.Events.emit
-              (Resilience.Events.Job_retry
-                 {
-                   job = "infer:" ^ ticket.Oracle.Ticket.ticket_id;
-                   attempt = n + 1;
-                   backoff_ms = 0;
-                   reason =
-                     Fmt.str "injected %s fault at %s"
-                       (Resilience.Fault.kind_to_string kind)
-                       (Resilience.Fault.point_to_string point);
-                 });
-            attempt (n + 1)
-          end
-    in
-    attempt 0
+    with_fault_retries
+      ~job:("infer:" ^ ticket.Oracle.Ticket.ticket_id)
+      (fun () -> Oracle.Inference.infer ~noise:config.noise ticket)
+      ~degrade:(fun ~attempts _ ->
+        Oracle.Inference.degraded_inference ticket
+          (Fmt.str "oracle unavailable after %d attempt(s)" attempts))
   in
   push "infer"
     (Fmt.str "high-level: %s; %d candidate low-level semantics"
@@ -123,44 +130,18 @@ let learn ?(config = default_config) (ticket : Oracle.Ticket.t) : outcome =
          couple of times, then reject the rule as unverifiable rather
          than let the fault escape learning *)
       let cross_check_with_retries rule =
-        let rec attempt n =
-          match cross_check_rule config patched rule with
-          | outcome -> outcome
-          | exception Resilience.Fault.Injected (point, kind) ->
-              let job =
-                "cross-check:" ^ rule.Semantics.Rule.rule_id
-              in
-              if n >= 2 then begin
-                Resilience.Events.emit
-                  (Resilience.Events.Component_degraded
-                     {
-                       component = job;
-                       reason = "cross-check unavailable, rule rejected";
-                     });
-                Error
-                  (Fmt.str
-                     "cross-check unavailable after %d attempt(s) (injected \
-                      %s fault at %s): rule cannot be verified"
-                     (n + 1)
-                     (Resilience.Fault.kind_to_string kind)
-                     (Resilience.Fault.point_to_string point))
-              end
-              else begin
-                Resilience.Events.emit
-                  (Resilience.Events.Job_retry
-                     {
-                       job;
-                       attempt = n + 1;
-                       backoff_ms = 0;
-                       reason =
-                         Fmt.str "injected %s fault at %s"
-                           (Resilience.Fault.kind_to_string kind)
-                           (Resilience.Fault.point_to_string point);
-                     });
-                attempt (n + 1)
-              end
-        in
-        attempt 0
+        let job = "cross-check:" ^ rule.Semantics.Rule.rule_id in
+        with_fault_retries ~job
+          (fun () -> cross_check_rule config patched rule)
+          ~degrade:(fun ~attempts fault ->
+            Resilience.Events.emit
+              (Resilience.Events.Component_degraded
+                 { component = job; reason = "cross-check unavailable, rule rejected" });
+            Error
+              (Fmt.str
+                 "cross-check unavailable after %d attempt(s) (%s): rule cannot \
+                  be verified"
+                 attempts fault))
       in
       List.fold_left
         (fun (acc, rej) rule ->

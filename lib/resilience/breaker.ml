@@ -1,106 +1,34 @@
-(** Per-component circuit breakers.
+(** Per-component circuit breakers: one process-global {!Kbreaker}
+    keyed by {!Fault.point}.
 
     A component that keeps tripping is skipped instead of retried
-    forever: after [threshold] {e consecutive} failures the breaker
-    opens, the next [cooldown] guarded calls are skipped outright (the
-    component answers with its degraded value — [Unknown] for the
-    solver, a skipped run for concolic, an empty inference for the
-    oracle), then one probe call is let through (half-open); a success
-    closes the breaker, a failure re-opens it.
+    forever: the breaker answers with the component's degraded value —
+    [Unknown] for the solver, a skipped run for concolic, an empty
+    inference for the oracle — until its cooldown (counted in calls, so
+    breaker behaviour is deterministic for a fixed fault plan) lets a
+    half-open probe through.  Transitions are reported as
+    {!Events.Breaker_opened} / {!Events.Breaker_closed}. *)
 
-    The cooldown is counted in {e calls}, not wall time, so breaker
-    behaviour is deterministic for a fixed fault plan.  State is
-    per-point, global, and mutex-protected (worker domains share it). *)
+let table : Fault.point Kbreaker.t =
+  Kbreaker.create
+    ~on_open:(fun point consecutive ->
+      Events.emit (Events.Breaker_opened { point; consecutive }))
+    ~on_close:(fun point -> Events.emit (Events.Breaker_closed { point }))
+    ()
 
-type state = Closed | Open_remaining of int  (** calls still to skip *)
+let configure ?threshold ?cooldown () =
+  Kbreaker.configure table ?threshold ?cooldown ()
 
-type cell = {
-  mutable st : state;
-  mutable consecutive : int;  (** consecutive failures while closed *)
-  mutable trips : int;  (** total times this breaker opened *)
-}
+let proceed p = Kbreaker.proceed table p
 
-let threshold = Atomic.make 5
+let success p = Kbreaker.success table p
 
-let cooldown = Atomic.make 20
+let failure p = ignore (Kbreaker.failure table p)
 
-let configure ?threshold:t ?cooldown:c () =
-  Option.iter (fun v -> Atomic.set threshold (max 1 v)) t;
-  Option.iter (fun v -> Atomic.set cooldown (max 1 v)) c
+let is_open p = Kbreaker.is_open table p
 
-let lock = Mutex.create ()
+let trips p = Kbreaker.trips table p
 
-let cells : cell array =
-  Array.init Fault.n_points (fun _ -> { st = Closed; consecutive = 0; trips = 0 })
+let total_trips () = Kbreaker.total_trips table
 
-let cell p = cells.(Fault.point_index p)
-
-let with_lock f =
-  Mutex.lock lock;
-  let r = f () in
-  Mutex.unlock lock;
-  r
-
-(** [proceed p]: may the component at [p] run?  [false] means the
-    breaker is open and the caller must answer degraded.  Decrements the
-    open cooldown; the call after the cooldown expires is the half-open
-    probe and is allowed through. *)
-let proceed (p : Fault.point) : bool =
-  with_lock (fun () ->
-      let c = cell p in
-      match c.st with
-      | Closed -> true
-      | Open_remaining n when n > 0 ->
-          c.st <- Open_remaining (n - 1);
-          false
-      | Open_remaining _ -> true (* half-open probe *))
-
-let success (p : Fault.point) : unit =
-  let closed =
-    with_lock (fun () ->
-        let c = cell p in
-        let was_open = c.st <> Closed in
-        c.st <- Closed;
-        c.consecutive <- 0;
-        was_open)
-  in
-  if closed then Events.emit (Events.Breaker_closed { point = p })
-
-let failure (p : Fault.point) : unit =
-  let opened =
-    with_lock (fun () ->
-        let c = cell p in
-        c.consecutive <- c.consecutive + 1;
-        match c.st with
-        | Open_remaining _ ->
-            (* failed half-open probe: re-open for a full cooldown *)
-            c.st <- Open_remaining (Atomic.get cooldown);
-            c.trips <- c.trips + 1;
-            Some c.consecutive
-        | Closed when c.consecutive >= Atomic.get threshold ->
-            c.st <- Open_remaining (Atomic.get cooldown);
-            c.trips <- c.trips + 1;
-            Some c.consecutive
-        | Closed -> None)
-  in
-  match opened with
-  | Some consecutive -> Events.emit (Events.Breaker_opened { point = p; consecutive })
-  | None -> ()
-
-let is_open (p : Fault.point) : bool =
-  with_lock (fun () ->
-      match (cell p).st with Closed -> false | Open_remaining _ -> true)
-
-let trips (p : Fault.point) : int = with_lock (fun () -> (cell p).trips)
-
-let total_trips () =
-  with_lock (fun () -> Array.fold_left (fun n c -> n + c.trips) 0 cells)
-
-let reset_all () =
-  with_lock (fun () ->
-      Array.iter
-        (fun c ->
-          c.st <- Closed;
-          c.consecutive <- 0;
-          c.trips <- 0)
-        cells)
+let reset_all () = Kbreaker.reset table

@@ -49,7 +49,7 @@ type t = {
   engines : (string, Engine.Scheduler.t) Hashtbl.t;  (** per system *)
   books : (string, Semantics.Rulebook.t) Hashtbl.t;  (** per scope key *)
   responses : (string, Protocol.summary) Hashtbl.t;  (** the verdict cache *)
-  breaker : Resilience.Kbreaker.t;
+  breaker : string Resilience.Kbreaker.t;
   mutable warm : (string * string) list;  (** per-snapshot load outcome *)
   served : int Atomic.t;
   cache_hits : int Atomic.t;

@@ -88,10 +88,15 @@ let parse_string st =
                 if st.pos + 4 > String.length st.src then
                   error st "truncated \\u escape";
                 let hex = String.sub st.src st.pos 4 in
-                let cp =
-                  try int_of_string ("0x" ^ hex)
-                  with _ -> error st "bad \\u escape"
+                (* exactly four hex digits: [int_of_string] alone would
+                   also take '_' separators *)
+                let is_hex = function
+                  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                  | _ -> false
                 in
+                if not (String.for_all is_hex hex) then
+                  error st "bad \\u escape";
+                let cp = int_of_string ("0x" ^ hex) in
                 st.pos <- st.pos + 4;
                 add_utf8 buf cp
             | _ -> error st (Printf.sprintf "bad escape '\\%c'" c));
@@ -118,8 +123,9 @@ let parse_number st =
   | Some i -> Int i
   | None -> (
       match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> error st (Printf.sprintf "bad number %S" text))
+      (* 1e400 overflows to inf, which has no JSON rendering *)
+      | Some f when Float.is_finite f -> Float f
+      | _ -> error st (Printf.sprintf "bad number %S" text))
 
 let rec parse_value st =
   skip_ws st;

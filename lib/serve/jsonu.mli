@@ -1,6 +1,6 @@
-(** Minimal JSON document type, parser, and printer for the serve
-    protocol — no external dependency; complements
-    [Telemetry.Json_check] (which validates without building a value).
+(** Minimal JSON document type, parser, and printer — no external
+    dependency.  The serve protocol speaks it, and [tools/trace_check]
+    validates exported traces with it.
 
     The printer is deterministic: fields render in the order given, with
     no whitespace, so protocol responses are stable byte-for-byte (the
@@ -16,7 +16,9 @@ type t =
   | Obj of (string * t) list
 
 (** [parse s]: the single JSON value in [s] (trailing whitespace
-    allowed).  Numbers without fraction/exponent parse as [Int]. *)
+    allowed).  Numbers without fraction/exponent parse as [Int]; a
+    number that overflows to a non-finite float is an error, as is a
+    [\u] escape that is not exactly four hex digits. *)
 val parse : string -> (t, string) result
 
 (** Compact rendering (no spaces, object fields in given order). *)

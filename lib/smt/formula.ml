@@ -519,3 +519,11 @@ let intern_misses () =
 let intern_size () =
   let s = intern_stats () in
   s.term_stats.Core.Hc.size + s.formula_stats.Core.Hc.size + s.string_stats.Core.Hc.size
+
+let () =
+  let gauge = Telemetry.Metrics.gauge in
+  gauge "core.intern.hits" intern_hits
+    ~doc:"hash-cons hits over the term, formula and string tables";
+  gauge "core.intern.misses" intern_misses ~doc:"fresh nodes interned";
+  gauge "core.intern.size" intern_size
+    ~doc:"live interned nodes (process-global, monotone: tables never evict)"

@@ -60,26 +60,24 @@ let shard_of key = shards.(key land shard_mask)
    instead of cold-starting every domain at once. *)
 let max_entries_per_shard = 1 lsl 13
 
-(* global hits are probes answered by a shard; local hits are probes
-   answered by the domain's front cache.  [hits] sums both, so one
-   query still records exactly one hit or one miss. *)
-let global_hit_count = Atomic.make 0
+module Metrics = Telemetry.Metrics
 
-let local_hit_count = Atomic.make 0
+(* One query records exactly one hit (answered by a shard or by the
+   domain's front cache) or one miss; [local_hits] is the front-cache
+   subset of [hits]. *)
+let hits = Metrics.counter "smt.memo.hits" ~doc:"SMT verdict-cache hits"
 
-let miss_count = Atomic.make 0
+let misses = Metrics.counter "smt.memo.misses" ~doc:"SMT verdict-cache misses"
 
-let hits () = Atomic.get global_hit_count + Atomic.get local_hit_count
+let local_hits =
+  Metrics.counter "smt.memo.local_hits"
+    ~doc:"verdict-cache hits answered lock-free by a domain-local front cache"
 
-let misses () = Atomic.get miss_count
-
-let local_hits () = Atomic.get local_hit_count
-
-(* Front-cache resets forced by the per-domain cap — eviction pressure:
-   a hot workload whose working set exceeds [local_cap] churns here. *)
-let local_evict_count = Atomic.make 0
-
-let local_evictions () = Atomic.get local_evict_count
+(* eviction pressure: a hot workload whose working set exceeds
+   [local_cap] churns here *)
+let local_evictions =
+  Metrics.counter "smt.memo.local_evict"
+    ~doc:"domain-local SMT front-cache resets forced by the cap"
 
 let size () =
   Array.fold_left
@@ -90,13 +88,9 @@ let size () =
       acc + n)
     0 shards
 
-(* Global store occupancy in [0, 1]: live entries over total capacity
-   across all shards.  A ratio pinned near 1.0 under a growing workload
-   means the store is insert-saturated and cold formulas can no longer
-   be admitted. *)
-let fill_ratio () =
-  float_of_int (size ())
-  /. float_of_int (Array.length shards * max_entries_per_shard)
+let () =
+  Metrics.gauge "smt.memo.entries" size
+    ~doc:"formulas in the global verdict store (capacity 16 x 8192)"
 
 (* ------------------------------------------------------------------ *)
 (* Domain-local front cache                                            *)
@@ -131,7 +125,7 @@ let local () =
 
 let store_local (l : local) (key : int) (v : Solver.verdict) : unit =
   if Hashtbl.length l.l_tbl >= local_cap then begin
-    Atomic.incr local_evict_count;
+    Metrics.bump local_evictions;
     Hashtbl.reset l.l_tbl
   end;
   Hashtbl.replace l.l_tbl key v
@@ -148,9 +142,9 @@ let reset () =
       Hashtbl.reset sh.sh_tbl;
       Mutex.unlock sh.sh_lock)
     shards;
-  Atomic.set global_hit_count 0;
-  Atomic.set local_hit_count 0;
-  Atomic.set miss_count 0;
+  Metrics.reset hits;
+  Metrics.reset local_hits;
+  Metrics.reset misses;
   (* invalidate every domain's front cache lazily *)
   Atomic.incr epoch
 
@@ -180,7 +174,8 @@ let with_cache (f : Formula.t) (solve_miss : Formula.t -> Solver.verdict) :
   let l = local () in
   match Hashtbl.find_opt l.l_tbl key with
   | Some v ->
-      Atomic.incr local_hit_count;
+      Metrics.bump hits;
+      Metrics.bump local_hits;
       v
   | None -> (
       let sh = shard_of key in
@@ -192,11 +187,11 @@ let with_cache (f : Formula.t) (solve_miss : Formula.t -> Solver.verdict) :
       in
       match cached with
       | Some (_, v) ->
-          Atomic.incr global_hit_count;
+          Metrics.bump hits;
           store_local l key v;
           v
       | None -> (
-          Atomic.incr miss_count;
+          Metrics.bump misses;
           let v = solve_miss simplified in
           match v with
           | Solver.Unknown _ -> v

@@ -9,7 +9,7 @@
     process-global store sharded 16 ways by key, so worker domains only
     contend on a shard mutex for cold formulas that hash alike.
     Exactly one hit or miss is recorded per enabled query
-    ([hits () = global hits + local hits]), so counter totals — and the
+    ({!local_hits} is a subset of {!hits}), so counter totals — and the
     engine statistics derived from them — match the historic
     single-mutex design at any jobs count.  Disabled by default — when
     disabled every call passes straight through to {!Solver}. *)
@@ -64,28 +64,20 @@ val restore : (Formula.t * Solver.verdict) list -> int
 
 (** {1 Counters} *)
 
-val hits : unit -> int
+val hits : Telemetry.Metrics.counter
 
-val misses : unit -> int
+val misses : Telemetry.Metrics.counter
 
 (** Queries answered by the calling side's domain-local front cache
-    (zero-lock hits); a subset of {!hits}.  Surfaced by the engine as
-    the [smt.memo.local_hits] telemetry counter. *)
-val local_hits : unit -> int
+    (zero-lock hits); a subset of {!hits}. *)
+val local_hits : Telemetry.Metrics.counter
 
 (** Domain-local front-cache resets forced by the per-domain cap —
-    eviction pressure.  Surfaced as the [smt.memo.local_evict]
-    telemetry counter and in [Stats.to_string] behind the
-    memo-pressure flag. *)
-val local_evictions : unit -> int
+    eviction pressure. *)
+val local_evictions : Telemetry.Metrics.counter
 
 (** Number of formulas currently cached in the global store. *)
 val size : unit -> int
-
-(** Global store occupancy in [0, 1]: {!size} over the total capacity
-    across all shards.  Pinned near 1.0 means the store is
-    insert-saturated for the current workload. *)
-val fill_ratio : unit -> float
 
 (** Clear the global store, zero the counters, and lazily invalidate
     every domain's front cache (epoch bump — a domain drops its local

@@ -31,15 +31,13 @@ type 'a t = {
   mutable t_leaves : int;
 }
 
-(* Process-wide totals, read by the engine's stats and emitted as
-   telemetry counter events. *)
-let nodes_ctr = Atomic.make 0
+(* Process-wide totals across all tries *)
+let nodes_ctr =
+  Telemetry.Metrics.counter "smt.trie.nodes" ~doc:"path-condition trie nodes built"
 
-let shared_ctr = Atomic.make 0
-
-let nodes_total () = Atomic.get nodes_ctr
-
-let shared_total () = Atomic.get shared_ctr
+let shared_ctr =
+  Telemetry.Metrics.counter "smt.trie.shared"
+    ~doc:"trie nodes shared by >= 2 path conditions"
 
 let fresh_node form =
   {
@@ -74,13 +72,13 @@ let add (t : 'a t) ~(pc : Formula.t list) (payload : 'a) : unit =
               Hashtbl.replace node.nd_index (Formula.id f) c;
               node.nd_children <- c :: node.nd_children;
               t.t_nodes <- t.t_nodes + 1;
-              Atomic.incr nodes_ctr;
+              Telemetry.Metrics.bump nodes_ctr;
               c
         in
         child.nd_passes <- child.nd_passes + 1;
         if child.nd_passes = 2 then begin
           t.t_shared <- t.t_shared + 1;
-          Atomic.incr shared_ctr
+          Telemetry.Metrics.bump shared_ctr
         end;
         go child rest
   in

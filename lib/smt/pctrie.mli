@@ -52,8 +52,3 @@ val node_count : 'a t -> int
 val shared_count : 'a t -> int
 
 val leaf_count : 'a t -> int
-
-(** Process-wide cumulative totals across all tries (telemetry). *)
-val nodes_total : unit -> int
-
-val shared_total : unit -> int

@@ -34,32 +34,21 @@ type verdict = Sat of (Formula.atom * bool) list | Unsat | Unknown of string
 
 let verdict_is_sat = function Sat _ -> true | Unsat | Unknown _ -> false
 
-(* Calls to [solve] since the last reset.  Atomic so the engine's worker
-   domains can share the counter; the enforcement engine reads it to
-   report how many solver invocations a cached run saved. *)
-let solve_calls = Atomic.make 0
+module Metrics = Telemetry.Metrics
 
-let solve_count () = Atomic.get solve_calls
+let solve_calls = Metrics.counter "smt.solve_calls" ~doc:"Solver.solve invocations"
 
-let reset_solve_count () = Atomic.set solve_calls 0
+(* Incremental-core counters *)
+let assume_pushes =
+  Metrics.counter "smt.assume.push" ~doc:"incremental-context assertions"
 
-(* Incremental-core counters, read by the engine's stats and emitted as
-   telemetry counter events. *)
-let assume_pushes = Atomic.make 0
+let assume_pops = Metrics.counter "smt.assume.pop" ~doc:"incremental-context retractions"
 
-let assume_pops = Atomic.make 0
+let propagations =
+  Metrics.counter "smt.propagations" ~doc:"literals implied by unit propagation"
 
-let propagations = Atomic.make 0
-
-let learned_conflicts = Atomic.make 0
-
-let assume_push_count () = Atomic.get assume_pushes
-
-let assume_pop_count () = Atomic.get assume_pops
-
-let propagation_count () = Atomic.get propagations
-
-let learned_count () = Atomic.get learned_conflicts
+let learned_conflicts =
+  Metrics.counter "smt.learned" ~doc:"theory conflict sets learned"
 
 (* ------------------------------------------------------------------ *)
 (* Pre-solver fast path (Absdom / BCP / trie subsumption)              *)
@@ -78,31 +67,30 @@ let fastpath_enabled () = Atomic.get fastpath_flag
 (* Queries retired per rung of the ladder, plus the total of full
    DPLL(T) searches actually run ([full_solves]) — the bench's
    reduction metric is full_solves(on) vs full_solves(off). *)
-let fastpath_interval = Atomic.make 0
+let fastpath_interval =
+  Metrics.counter "smt.fastpath.interval"
+    ~doc:"queries retired by the abstract-domain pre-solver"
 
-let fastpath_bcp = Atomic.make 0
+let fastpath_bcp =
+  Metrics.counter "smt.fastpath.bcp" ~doc:"queries retired by the root-BCP-only check"
 
-let fastpath_subsumed = Atomic.make 0
+let fastpath_subsumed =
+  Metrics.counter "smt.fastpath.subsumed"
+    ~doc:"trie leaf queries answered by prefix-Unsat subtree pruning"
 
-let fastpath_saved = Atomic.make 0
+let fastpath_saved =
+  Metrics.counter "smt.fastpath.saved"
+    ~doc:"full DPLL(T) searches avoided (sum of the fast-path rungs)"
 
-let full_solves = Atomic.make 0
+let full_solves = Metrics.counter "smt.full_solves" ~doc:"full DPLL(T) searches run"
 
-let fastpath_interval_count () = Atomic.get fastpath_interval
-
-let fastpath_bcp_count () = Atomic.get fastpath_bcp
-
-let fastpath_subsumed_count () = Atomic.get fastpath_subsumed
-
-let fastpath_saved_count () = Atomic.get fastpath_saved
-
-let full_solve_count () = Atomic.get full_solves
+let full_solve_count () = Metrics.value full_solves
 
 (* The checker reports trie-subtree prunes here so all fast-path
    counters live in one place. *)
 let note_trie_subsumed () =
-  Atomic.incr fastpath_subsumed;
-  Atomic.incr fastpath_saved
+  Metrics.bump fastpath_subsumed;
+  Metrics.bump fastpath_saved
 
 let lits_of_assign (assign : (Formula.atom * bool) list) : Theory.lit list =
   List.map (fun (a, sign) -> Theory.lit sign a) assign
@@ -210,9 +198,9 @@ let learning_enabled () = Atomic.get learning_flag
    same search trees, same learned counts, same verdicts. *)
 let flush_threshold = 64
 
-let learned_batched = Atomic.make 0
-
-let learned_batch_count () = Atomic.get learned_batched
+let learned_batched =
+  Metrics.counter "smt.learned.batched"
+    ~doc:"learned clauses published through batch flushes"
 
 (* Bumped by [reset_learned] so every domain lazily discards clauses it
    learned against the pre-reset store. *)
@@ -302,7 +290,7 @@ let flush_learned () =
               end)
         clauses;
       Mutex.unlock theory_memo_lock;
-      ignore (Atomic.fetch_and_add learned_batched n)
+      Metrics.bump ~by:n learned_batched
 
 (* Minimize and record a theory conflict.  The [Theory.conflict_core]
    calls run lock-free (they are theory solves), and so does the store
@@ -326,7 +314,7 @@ let learn_conflict (assign : (Formula.atom * bool) list) : unit =
         let p = pending () in
         p.p_clauses <- ckeys :: p.p_clauses;
         p.p_count <- p.p_count + 1;
-        Atomic.incr learned_conflicts;
+        Metrics.bump learned_conflicts;
         if p.p_count >= flush_threshold then flush_learned ()
   end
 
@@ -631,7 +619,7 @@ let rec propagate (pr : prop) (queue : int list) : bool =
                     false
                 | 0 ->
                     assign_lit pr c.(0);
-                    Atomic.incr propagations;
+                    Metrics.bump propagations;
                     visit ws (c.(0) :: queue)
                 | _ -> visit ws queue
               end
@@ -767,7 +755,7 @@ let search_compiled ~(budget : int) (pr : prop) (cp : compiled) :
    injector, simplification) behaves exactly like a full solve. *)
 let solve_untraced ?node_budget ?(prefix_unsat = false) (f : Formula.t) :
     verdict =
-  Atomic.incr solve_calls;
+  Metrics.bump solve_calls;
   if not (Resilience.Breaker.proceed Resilience.Fault.Solver) then
     Unknown "solver circuit open"
   else
@@ -796,8 +784,8 @@ let solve_untraced ?node_budget ?(prefix_unsat = false) (f : Formula.t) :
             (* rung 1: the abstract domain proved the conjunct facts
                refute the formula — Unsat carries no payload, so the
                short-circuit is byte-identical to the search's answer *)
-            Atomic.incr fastpath_interval;
-            Atomic.incr fastpath_saved;
+            Metrics.bump fastpath_interval;
+            Metrics.bump fastpath_saved;
             Resilience.Breaker.success Resilience.Fault.Solver;
             Unsat
         | _ ->
@@ -807,13 +795,13 @@ let solve_untraced ?node_budget ?(prefix_unsat = false) (f : Formula.t) :
               (* rung 2: root BCP over the clausal NNF view hit a
                  conflict; the clause set is entailed by [f], so a root
                  conflict proves Unsat without searching *)
-              Atomic.incr fastpath_bcp;
-              Atomic.incr fastpath_saved;
+              Metrics.bump fastpath_bcp;
+              Metrics.bump fastpath_saved;
               Resilience.Breaker.success Resilience.Fault.Solver;
               Unsat
             end
             else begin
-              Atomic.incr full_solves;
+              Metrics.bump full_solves;
               let v =
                 match search_compiled ~budget pr cp with
                 | Some model ->
@@ -832,17 +820,14 @@ let solve_untraced ?node_budget ?(prefix_unsat = false) (f : Formula.t) :
               v
             end)
 
-(* The traced wrapper only pays for the span and the latency histogram
-   while tracing is on; the healthy fast path is one atomic load. *)
+(* The traced wrapper only pays for the span while tracing is on; the
+   healthy fast path is one atomic load. *)
 let solve_traced ?node_budget ?prefix_unsat (f : Formula.t) : verdict =
   if not (Telemetry.Trace.enabled ()) then
     solve_untraced ?node_budget ?prefix_unsat f
   else
     Telemetry.Trace.with_span ~cat:"smt" "smt.solve" @@ fun () ->
-    let t0 = Telemetry.Clock.now () in
-    let v = solve_untraced ?node_budget ?prefix_unsat f in
-    Telemetry.Metrics.observe "smt.solve_s" (Telemetry.Clock.now () -. t0);
-    v
+    solve_untraced ?node_budget ?prefix_unsat f
 
 let solve ?node_budget (f : Formula.t) : verdict = solve_traced ?node_budget f
 
@@ -923,7 +908,7 @@ let rec insert_key_dedup (k : lit_id) = function
       else k' :: insert_key_dedup k rest
 
 let push (ctx : context) (f : Formula.t) : unit =
-  Atomic.incr assume_pushes;
+  Metrics.bump assume_pushes;
   let parent_ok = assumptions_consistent ctx in
   let saved_lits = ctx.ctx_lits and saved_keys = ctx.ctx_keys in
   let new_lits, bool_false = literal_conjuncts f in
@@ -945,7 +930,7 @@ let push (ctx : context) (f : Formula.t) : unit =
   ctx.ctx_keys <- keys
 
 let pop (ctx : context) : unit =
-  Atomic.incr assume_pops;
+  Metrics.bump assume_pops;
   (* context-pop epoch: the trie walk is leaving a prefix, so publish
      the conflicts its subtree learned before a sibling re-explores *)
   flush_learned ();

@@ -24,13 +24,6 @@ type verdict =
 
 val verdict_is_sat : verdict -> bool
 
-(** Number of [solve] invocations since the last {!reset_solve_count}.
-    Shared (atomically) across domains; the enforcement engine uses the
-    delta to report solver calls saved by caching. *)
-val solve_count : unit -> int
-
-val reset_solve_count : unit -> unit
-
 (** DPLL search-node budget used when [solve] is not given one
     explicitly.  Defaults to 200k nodes — far above the checker-formula
     fragment, so [Unknown] only appears under adversarial formulas or
@@ -68,8 +61,8 @@ val reset_theory_memo : unit -> unit
     so batching is result-preserving too; under a serial schedule the
     visible clause set matches immediate publication step for step. *)
 
-(** Number of conflict sets learned since the last {!reset_learned}. *)
-val learned_count : unit -> int
+(** Conflict sets learned ([smt.learned]). *)
+val learned_conflicts : Telemetry.Metrics.counter
 
 val reset_learned : unit -> unit
 
@@ -79,10 +72,9 @@ val reset_learned : unit -> unit
     buffer. *)
 val flush_learned : unit -> unit
 
-(** Learned clauses published through batch flushes since process start
-    (monotone; surfaced as the [smt.learned.batched] telemetry
-    counter). *)
-val learned_batch_count : unit -> int
+(** Learned clauses published through batch flushes
+    ([smt.learned.batched]). *)
+val learned_batched : Telemetry.Metrics.counter
 
 (** Toggle conflict learning (tests pin that verdicts are identical with
     learning disabled).  Enabled by default. *)
@@ -92,15 +84,16 @@ val learning_enabled : unit -> bool
 
 (** {2 Incremental-core counters}
 
-    Cumulative, process-wide, atomically shared across domains; the
-    engine reads deltas into its stats and telemetry counter events. *)
+    Registry counters ([smt.assume.push], [smt.assume.pop],
+    [smt.propagations]); the engine's stats recorder reads their deltas
+    per enforcement. *)
 
-val assume_push_count : unit -> int
+val assume_pushes : Telemetry.Metrics.counter
 
-val assume_pop_count : unit -> int
+val assume_pops : Telemetry.Metrics.counter
 
 (** Literals implied by two-watched-literal unit propagation. *)
-val propagation_count : unit -> int
+val propagations : Telemetry.Metrics.counter
 
 (** {2 Pre-solver fast path}
 
@@ -118,18 +111,10 @@ val set_fastpath_enabled : bool -> unit
 
 val fastpath_enabled : unit -> bool
 
-(** Queries retired by the abstract domain (rung 1). *)
-val fastpath_interval_count : unit -> int
-
-(** Queries retired by root BCP alone (rung 2). *)
-val fastpath_bcp_count : unit -> int
-
-(** Leaf queries answered by trie-subtree subsumption (rung 3; bumped by
-    the engine checker via {!note_trie_subsumed}). *)
-val fastpath_subsumed_count : unit -> int
-
-(** Total full DPLL(T) searches avoided (sum of the rungs). *)
-val fastpath_saved_count : unit -> int
+(** Total full DPLL(T) searches avoided ([smt.fastpath.saved], the sum
+    of the per-rung counters [smt.fastpath.interval], [smt.fastpath.bcp]
+    and [smt.fastpath.subsumed]). *)
+val fastpath_saved : Telemetry.Metrics.counter
 
 (** Full DPLL(T) searches actually run.  The bench's reduction metric is
     this counter's delta with the fast path on vs off. *)

@@ -1,124 +1,59 @@
-(** Process-global metric registry: integer counters, float
-    accumulators, and fixed-bucket histograms, keyed by dotted names
-    (see DESIGN.md for the naming conventions).
+(** Process-global metric registry: every counter in the tree is
+    declared here exactly once, by the module that bumps it, under a
+    dotted name (see DESIGN.md for the naming conventions).
 
-    One mutex guards all three tables — metrics are updated from the
-    engine's worker domains as well as the main domain.  The registry is
-    passive: nothing is exported unless a caller asks for a
-    {!snapshot}, so recording is cheap enough for per-job (though not
-    per-solver-node) frequencies. *)
+    A counter is an [Atomic] cell, so bumping it from the engine's
+    worker domains takes no lock.  A gauge is a value computed when read
+    (intern-table totals, say) over an accessor the owning module
+    already has.  The registry itself only changes at declaration time,
+    which takes a mutex; {!sample} reads every metric without one.  It
+    is passive: nothing is exported unless a caller samples it (the
+    engine's stats recorder and its trace counter events do). *)
+
+type metric = { name : string; doc : string; read : unit -> int }
+
+type counter = { c_name : string; cell : int Atomic.t }
 
 let lock = Mutex.create ()
 
-let locked f =
+(* declaration order; replaced wholesale on each declaration *)
+let metrics : metric array Atomic.t = Atomic.make [||]
+
+let register name doc read =
   Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+  let ms = Atomic.get metrics in
+  if Array.exists (fun m -> m.name = name) ms then begin
+    Mutex.unlock lock;
+    invalid_arg ("Metrics: metric " ^ name ^ " declared twice")
+  end;
+  Atomic.set metrics (Array.append ms [| { name; doc; read } |]);
+  Mutex.unlock lock
 
-let counters : (string, int ref) Hashtbl.t = Hashtbl.create 64
+let counter ~doc name =
+  let cell = Atomic.make 0 in
+  register name doc (fun () -> Atomic.get cell);
+  { c_name = name; cell }
 
-let fcounters : (string, float ref) Hashtbl.t = Hashtbl.create 16
+let gauge ~doc name read = register name doc read
 
-type hist = {
-  h_buckets : float array;  (** upper bounds, ascending; +inf implied *)
-  h_counts : int array;  (** length = buckets + 1 (overflow bucket) *)
-  mutable h_sum : float;
-  mutable h_n : int;
-}
+let bump ?(by = 1) c = ignore (Atomic.fetch_and_add c.cell by)
 
-let hists : (string, hist) Hashtbl.t = Hashtbl.create 16
+let value c = Atomic.get c.cell
 
-(** Latency buckets in seconds: 1µs … 10s, one decade per bucket. *)
-let default_buckets = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10. |]
+let reset c = Atomic.set c.cell 0
 
-let incr ?(by = 1) name =
-  locked (fun () ->
-      match Hashtbl.find_opt counters name with
-      | Some r -> r := !r + by
-      | None -> Hashtbl.replace counters name (ref by))
+let declared () =
+  Array.to_list (Array.map (fun m -> (m.name, m.doc)) (Atomic.get metrics))
 
-let get name =
-  locked (fun () ->
-      match Hashtbl.find_opt counters name with Some r -> !r | None -> 0)
+let sample () = Array.map (fun m -> m.read ()) (Atomic.get metrics)
 
-let addf name v =
-  locked (fun () ->
-      match Hashtbl.find_opt fcounters name with
-      | Some r -> r := !r +. v
-      | None -> Hashtbl.replace fcounters name (ref v))
+let trace ?cat (values : int array) =
+  if Trace.enabled () then begin
+    let ms = Atomic.get metrics in
+    Array.iteri
+      (fun i v -> Trace.counter ?cat ms.(i).name [ ("count", float_of_int v) ])
+      values
+  end
 
-let getf name =
-  locked (fun () ->
-      match Hashtbl.find_opt fcounters name with Some r -> !r | None -> 0.)
-
-let observe ?(buckets = default_buckets) name v =
-  locked (fun () ->
-      let h =
-        match Hashtbl.find_opt hists name with
-        | Some h -> h
-        | None ->
-            let h =
-              {
-                h_buckets = buckets;
-                h_counts = Array.make (Array.length buckets + 1) 0;
-                h_sum = 0.;
-                h_n = 0;
-              }
-            in
-            Hashtbl.replace hists name h;
-            h
-      in
-      let rec slot i =
-        if i >= Array.length h.h_buckets then i
-        else if v <= h.h_buckets.(i) then i
-        else slot (i + 1)
-      in
-      let i = slot 0 in
-      h.h_counts.(i) <- h.h_counts.(i) + 1;
-      h.h_sum <- h.h_sum +. v;
-      h.h_n <- h.h_n + 1)
-
-(** [(upper_bound, count)] pairs (infinity for the overflow bucket),
-    plus the observation sum and count; [None] if never observed. *)
-let histogram name : ((float * int) list * float * int) option =
-  locked (fun () ->
-      Hashtbl.find_opt hists name
-      |> Option.map (fun h ->
-             let rows =
-               Array.to_list
-                 (Array.mapi
-                    (fun i c ->
-                      ( (if i < Array.length h.h_buckets then h.h_buckets.(i)
-                         else infinity),
-                        c ))
-                    h.h_counts)
-             in
-             (rows, h.h_sum, h.h_n)))
-
-(** Every counter and float accumulator as [(name, value)], sorted by
-    name (histograms are reported via {!histogram}). *)
-let snapshot () : (string * float) list =
-  locked (fun () ->
-      let ints =
-        Hashtbl.fold (fun k r acc -> (k, float_of_int !r) :: acc) counters []
-      in
-      let floats = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) fcounters [] in
-      List.sort compare (ints @ floats))
-
-let reset () =
-  locked (fun () ->
-      Hashtbl.reset counters;
-      Hashtbl.reset fcounters;
-      Hashtbl.reset hists)
-
-(** Drop every metric whose name starts with [prefix] (a recorder
-    resetting its own namespace without touching anyone else's). *)
-let reset_prefix prefix =
-  let starts k = String.length k >= String.length prefix
-                 && String.sub k 0 (String.length prefix) = prefix in
-  locked (fun () ->
-      let victims tbl =
-        Hashtbl.fold (fun k _ acc -> if starts k then k :: acc else acc) tbl []
-      in
-      List.iter (Hashtbl.remove counters) (victims counters);
-      List.iter (Hashtbl.remove fcounters) (victims fcounters);
-      List.iter (Hashtbl.remove hists) (victims hists))
+let trace_counter ?cat c =
+  Trace.counter ?cat c.c_name [ ("count", float_of_int (value c)) ]

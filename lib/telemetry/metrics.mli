@@ -1,31 +1,40 @@
-(** Process-global metric registry: integer counters, float
-    accumulators, and fixed-bucket histograms keyed by dotted names.
-    Mutex-protected (worker domains record too); passive until a caller
-    takes a {!snapshot}. *)
+(** Process-global metric registry.  Each counter is declared once, by
+    the module that bumps it; readers (the engine's stats recorder, its
+    trace counter events) find every metric here without per-counter
+    plumbing. *)
 
-(** Latency buckets in seconds: 1µs … 10s, one decade per bucket. *)
-val default_buckets : float array
+(** An [Atomic]-backed integer counter. *)
+type counter
 
-val incr : ?by:int -> string -> unit
+(** [counter ~doc name] declares a counter starting at 0.
+    @raise Invalid_argument if [name] is already declared. *)
+val counter : doc:string -> string -> counter
 
-val get : string -> int
+(** [gauge ~doc name read] declares a value computed when read, over an
+    accessor the owning module already has.  Recorders treat it like a
+    counter (they take its delta across an enforcement).
+    @raise Invalid_argument if [name] is already declared. *)
+val gauge : doc:string -> string -> (unit -> int) -> unit
 
-val addf : string -> float -> unit
+val bump : ?by:int -> counter -> unit
 
-val getf : string -> float
+val value : counter -> int
 
-(** Record one observation into the named histogram (buckets are fixed
-    on first use). *)
-val observe : ?buckets:float array -> string -> float -> unit
+(** Zero the counter (for owners whose [reset] clears their counts). *)
+val reset : counter -> unit
 
-(** [(upper_bound, count)] per bucket (infinity = overflow), the
-    observation sum, and the observation count. *)
-val histogram : string -> ((float * int) list * float * int) option
+(** Every declared metric as [(name, doc)], in declaration order. *)
+val declared : unit -> (string * string) list
 
-(** Every counter and float accumulator, sorted by name. *)
-val snapshot : unit -> (string * float) list
+(** Every declared metric's current value, in declaration order.  The
+    registry only grows, so an earlier sample is a prefix of a later
+    one. *)
+val sample : unit -> int array
 
-val reset : unit -> unit
+(** One Chrome counter ("C") event per metric of a {!sample}, named
+    after the metric, with its value as ["count"].  No-op while tracing
+    is disabled. *)
+val trace : ?cat:string -> int array -> unit
 
-(** Drop every metric whose name starts with [prefix]. *)
-val reset_prefix : string -> unit
+(** The same event for one counter, with its current value. *)
+val trace_counter : ?cat:string -> counter -> unit

@@ -43,11 +43,17 @@ let tier_of_string = function
   | "likely-fp" -> Some Likely_fp
   | _ -> None
 
-(* counter-friendly spelling (dots and dashes don't mix in metric names) *)
-let tier_metric = function
-  | Witnessed -> "witnessed"
-  | Consistent -> "consistent"
-  | Likely_fp -> "likely_fp"
+(* findings per tier; counter-friendly spelling (dots and dashes don't
+   mix in metric names) *)
+let tier_counters =
+  let declare name =
+    Telemetry.Metrics.counter ("triage.tier." ^ name)
+      ~doc:("findings triaged as " ^ name)
+  in
+  let witnessed = declare "witnessed" in
+  let consistent = declare "consistent" in
+  let likely_fp = declare "likely_fp" in
+  [ (Witnessed, witnessed); (Consistent, consistent); (Likely_fp, likely_fp) ]
 
 type config = {
   enabled : bool;
@@ -821,35 +827,17 @@ let triage_report ?(config = default_config) (p : Ast.program)
       @ List.map (triage_lock r) r.Engine.Checker.rep_lock_findings
     in
     List.iter
-      (fun f ->
-        Telemetry.Metrics.incr ("triage.tier." ^ tier_metric f.f_tier))
+      (fun f -> Telemetry.Metrics.bump (List.assoc f.f_tier tier_counters))
       fs;
     { t_report = r; t_findings = fs }
-
-let tier_counts (ts : triaged list) : int * int * int =
-  List.fold_left
-    (fun (w, c, l) t ->
-      List.fold_left
-        (fun (w, c, l) f ->
-          match f.f_tier with
-          | Witnessed -> (w + 1, c, l)
-          | Consistent -> (w, c + 1, l)
-          | Likely_fp -> (w, c, l + 1))
-        (w, c, l) t.t_findings)
-    (0, 0, 0) ts
 
 let triage_reports ?(config = default_config) (p : Ast.program)
     (rs : Engine.Checker.rule_report list) : triaged list =
   let ts = List.map (triage_report ~config p) rs in
-  if config.enabled then begin
-    let w, c, l = tier_counts ts in
-    Telemetry.Trace.counter ~cat:"triage" "triage.tier.witnessed"
-      [ ("count", float_of_int w) ];
-    Telemetry.Trace.counter ~cat:"triage" "triage.tier.consistent"
-      [ ("count", float_of_int c) ];
-    Telemetry.Trace.counter ~cat:"triage" "triage.tier.likely_fp"
-      [ ("count", float_of_int l) ]
-  end;
+  if config.enabled then
+    List.iter
+      (fun (_, c) -> Telemetry.Metrics.trace_counter ~cat:"triage" c)
+      tier_counters;
   ts
 
 (** The report-level tier: the best tier among the rule's findings (a

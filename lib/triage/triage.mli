@@ -101,7 +101,4 @@ val has_blocking_findings : triaged list -> bool
 (** Rule ids with findings, all of which triage ranked Likely-FP. *)
 val demoted_ids : triaged list -> string list
 
-(** (witnessed, consistent, likely-fp) finding counts. *)
-val tier_counts : triaged list -> int * int * int
-
 val finding_to_string : finding -> string

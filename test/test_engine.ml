@@ -256,7 +256,7 @@ let test_memo_disabled_passthrough () =
   ignore (Memo.solve Formula.tru);
   ignore (Memo.solve Formula.tru);
   Alcotest.(check int) "no entries when disabled" 0 (Memo.size ());
-  Alcotest.(check int) "no hits when disabled" 0 (Memo.hits ())
+  Alcotest.(check int) "no hits when disabled" 0 (Telemetry.Metrics.value Memo.hits)
 
 (* id-keyed hit regression: a structurally equal formula built from
    scratch must land on the same cache entry — interning collapses the
@@ -276,7 +276,7 @@ let test_memo_id_keyed_hit_on_fresh_construction () =
       Alcotest.(check bool) "separate constructions share the node" true (f == g);
       ignore (Memo.solve f);
       ignore (Memo.solve g);
-      Alcotest.(check int) "second construction hits" 1 (Memo.hits ());
+      Alcotest.(check int) "second construction hits" 1 (Telemetry.Metrics.value Memo.hits);
       Alcotest.(check int) "one entry" 1 (Memo.size ());
       Memo.reset ())
 
@@ -286,8 +286,8 @@ let test_memo_hit_counting () =
       let f = Formula.gt (Formula.tvar "x") (Formula.tint 0) in
       ignore (Memo.solve f);
       ignore (Memo.solve f);
-      Alcotest.(check int) "one miss" 1 (Memo.misses ());
-      Alcotest.(check int) "one hit" 1 (Memo.hits ());
+      Alcotest.(check int) "one miss" 1 (Telemetry.Metrics.value Memo.misses);
+      Alcotest.(check int) "one hit" 1 (Telemetry.Metrics.value Memo.hits);
       Memo.reset ())
 
 (* the two-level store: a repeat query on the same domain is answered by
@@ -300,14 +300,14 @@ let test_memo_local_front_cache () =
       ignore (Memo.solve f);
       ignore (Memo.solve f);
       Alcotest.(check int) "repeat on the same domain hits locally" 1
-        (Memo.local_hits ());
-      Alcotest.(check int) "local hits count into hits" 1 (Memo.hits ());
+        (Telemetry.Metrics.value Memo.local_hits);
+      Alcotest.(check int) "local hits count into hits" 1 (Telemetry.Metrics.value Memo.hits);
       Domain.join (Domain.spawn (fun () -> ignore (Memo.solve f)));
       Alcotest.(check int) "a fresh domain hits the global store" 2
-        (Memo.hits ());
+        (Telemetry.Metrics.value Memo.hits);
       Alcotest.(check int) "without touching the local counter" 1
-        (Memo.local_hits ());
-      Alcotest.(check int) "and without a miss" 1 (Memo.misses ());
+        (Telemetry.Metrics.value Memo.local_hits);
+      Alcotest.(check int) "and without a miss" 1 (Telemetry.Metrics.value Memo.misses);
       Memo.reset ())
 
 (* restore seeds the global store in one lock hold per shard: entries
@@ -326,10 +326,10 @@ let test_memo_restore_batch () =
       Alcotest.(check int) "all 20 restored" 20 (Memo.restore entries);
       Alcotest.(check int) "restore adds no duplicates" 0 (Memo.restore entries);
       Alcotest.(check int) "size matches" 20 (Memo.size ());
-      Alcotest.(check int) "restore records no hits" 0 (Memo.hits ());
-      Alcotest.(check int) "restore records no misses" 0 (Memo.misses ());
+      Alcotest.(check int) "restore records no hits" 0 (Telemetry.Metrics.value Memo.hits);
+      Alcotest.(check int) "restore records no misses" 0 (Telemetry.Metrics.value Memo.misses);
       ignore (Memo.solve (mk 7));
-      Alcotest.(check int) "a warm query hits" 1 (Memo.hits ());
+      Alcotest.(check int) "a warm query hits" 1 (Telemetry.Metrics.value Memo.hits);
       Memo.reset ())
 
 (* ------------------------------------------------------------------ *)
@@ -459,7 +459,7 @@ let test_trie_equals_per_trace_jobs1 () =
   Alcotest.(check (list string))
     "identical reports, trie vs per-trace, jobs=1" per_trace trie;
   Alcotest.(check bool) "trie actually shared prefixes" true
-    (stats.Engine.Stats.trie_shared > 0)
+    (List.assoc "smt.trie.shared" (Engine.Stats.counters stats) > 0)
 
 let test_trie_equals_per_trace_jobs4 () =
   let jobs4 = { Engine.Scheduler.default_config with Engine.Scheduler.jobs = 4 } in

@@ -85,6 +85,29 @@ let test_render_deterministic () =
   | Error e -> Alcotest.failf "rendered response is not JSON: %s" e
   | Ok _ -> ()
 
+(* \uXXXX takes exactly four hex digits: [int_of_string "0x1_23"] alone
+   would read "\u1_23" as U+0123 *)
+let test_json_unicode_escape_strict () =
+  (match Serve.Jsonu.parse "\"\\u1_23\"" with
+  | Error _ -> ()
+  | Ok v -> Alcotest.failf "accepted \\u1_23 as %s" (Serve.Jsonu.to_string v));
+  match Serve.Jsonu.parse "\"\\u0041\\u00e9\"" with
+  | Ok (Serve.Jsonu.Str s) -> Alcotest.(check string) "hex escapes decode" "A\xc3\xa9" s
+  | _ -> Alcotest.fail "valid \\u escapes rejected"
+
+(* 1e400 overflows to inf, whose rendering "inf" is not JSON: reject it
+   at parse time *)
+let test_json_rejects_non_finite () =
+  List.iter
+    (fun text ->
+      match Serve.Jsonu.parse text with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "accepted %s as %s" text (Serve.Jsonu.to_string v))
+    [ "1e400"; "-1e400"; "[1,1e999]" ];
+  match Serve.Jsonu.parse "1.5e300" with
+  | Ok (Serve.Jsonu.Float f) -> Alcotest.(check (float 0.)) "finite float" 1.5e300 f
+  | _ -> Alcotest.fail "finite float rejected"
+
 let test_signature_ignores_timings () =
   let mk ~cached ~queue_ms =
     Serve.Protocol.Ok_enforce
@@ -588,6 +611,10 @@ let suite =
     ( "serve.protocol",
       [
         Alcotest.test_case "parse fills defaults" `Quick test_parse_defaults;
+        Alcotest.test_case "json \\u escape takes four hex digits" `Quick
+          test_json_unicode_escape_strict;
+        Alcotest.test_case "json rejects non-finite numbers" `Quick
+          test_json_rejects_non_finite;
         Alcotest.test_case "parse rejects malformed requests" `Quick
           test_parse_rejects;
         Alcotest.test_case "render is deterministic" `Quick

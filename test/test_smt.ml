@@ -2,6 +2,7 @@
    paper's complement-based trace check. *)
 
 open Smt
+module Metrics = Telemetry.Metrics
 
 let v = Formula.tvar
 
@@ -500,8 +501,8 @@ let test_learned_batched_publication () =
   Solver.set_fastpath_enabled false;
   Fun.protect ~finally:(fun () -> Solver.set_fastpath_enabled true)
   @@ fun () ->
-  let batched0 = Solver.learned_batch_count () in
-  let learned0 = Solver.learned_count () in
+  let batched0 = Metrics.value Solver.learned_batched in
+  let learned0 = Metrics.value Solver.learned_conflicts in
   (* x > 5 && x < 3 is boolean-satisfiable but theory-inconsistent:
      the search must call the theory, conflict, and learn *)
   let f =
@@ -514,22 +515,22 @@ let test_learned_batched_publication () =
   (match Solver.solve f with
   | Solver.Unsat -> ()
   | _ -> Alcotest.fail "expected unsat");
-  let learned = Solver.learned_count () - learned0 in
+  let learned = Metrics.value Solver.learned_conflicts - learned0 in
   Alcotest.(check bool) "the solve learned at least one conflict" true
     (learned > 0);
   Alcotest.(check int) "every learned clause was published in a batch"
     learned
-    (Solver.learned_batch_count () - batched0);
-  let batched1 = Solver.learned_batch_count () in
+    (Metrics.value Solver.learned_batched - batched0);
+  let batched1 = Metrics.value Solver.learned_batched in
   Solver.flush_learned ();
   Alcotest.(check int) "flushing a drained buffer publishes nothing"
-    batched1 (Solver.learned_batch_count ());
+    batched1 (Metrics.value Solver.learned_batched);
   Solver.reset_learned ()
 
 let test_context_push_pop_depth () =
   let ctx = Solver.create_context () in
-  let pushes0 = Solver.assume_push_count () in
-  let pops0 = Solver.assume_pop_count () in
+  let pushes0 = Metrics.value Solver.assume_pushes in
+  let pops0 = Metrics.value Solver.assume_pops in
   Alcotest.(check int) "fresh context is empty" 0 (Solver.assumption_depth ctx);
   Solver.push ctx (Formula.eq (v "cx") (i 1));
   Solver.push ctx (Formula.gt (v "cy") (i 0));
@@ -542,9 +543,9 @@ let test_context_push_pop_depth () =
   Alcotest.(check int) "pop removes a frame" 1 (Solver.assumption_depth ctx);
   Solver.pop ctx;
   Alcotest.(check int) "push counter advanced" 2
-    (Solver.assume_push_count () - pushes0);
+    (Metrics.value Solver.assume_pushes - pushes0);
   Alcotest.(check int) "pop counter advanced" 2
-    (Solver.assume_pop_count () - pops0);
+    (Metrics.value Solver.assume_pops - pops0);
   Alcotest.check_raises "pop on empty stack rejected"
     (Invalid_argument "Solver.pop: empty assumption stack") (fun () ->
       Solver.pop ctx)

@@ -45,38 +45,39 @@ let test_mock_clock_per_domain () =
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_metrics_counters () =
-  Metrics.reset_prefix "t.";
-  Metrics.incr "t.a";
-  Metrics.incr ~by:4 "t.a";
-  Metrics.addf "t.w" 0.25;
-  Metrics.addf "t.w" 0.5;
-  Alcotest.(check int) "int counter" 5 (Metrics.get "t.a");
-  Alcotest.(check (float 1e-9)) "float accumulator" 0.75 (Metrics.getf "t.w");
-  Alcotest.(check int) "unknown counter is 0" 0 (Metrics.get "t.none");
-  let snap = Metrics.snapshot () in
-  Alcotest.(check bool) "snapshot carries the counter" true
-    (List.mem_assoc "t.a" snap);
-  Metrics.reset_prefix "t.";
-  Alcotest.(check int) "prefix reset dropped it" 0 (Metrics.get "t.a")
+let t_count = Metrics.counter "test.telemetry.count" ~doc:"test-only counter"
 
-let test_metrics_histogram () =
-  Metrics.reset_prefix "t.";
-  Metrics.observe ~buckets:[| 0.001; 0.1 |] "t.h" 0.0005;
-  Metrics.observe ~buckets:[| 0.001; 0.1 |] "t.h" 0.05;
-  Metrics.observe ~buckets:[| 0.001; 0.1 |] "t.h" 99.0;
-  (match Metrics.histogram "t.h" with
-  | None -> Alcotest.fail "histogram missing"
-  | Some (rows, sum, n) ->
-      Alcotest.(check int) "observation count" 3 n;
-      Alcotest.(check (float 1e-9)) "observation sum" 99.0505 sum;
-      Alcotest.(check (list int)) "bucket counts" [ 1; 1; 1 ]
-        (List.map snd rows);
-      Alcotest.(check bool) "overflow bound is infinite" true
-        (List.exists (fun (ub, _) -> ub = infinity) rows));
-  Metrics.reset_prefix "t.";
-  Alcotest.(check bool) "prefix reset dropped the histogram" true
-    (Metrics.histogram "t.h" = None)
+let t_gauge_cell = ref 7
+
+let () =
+  Metrics.gauge "test.telemetry.gauge" ~doc:"test-only gauge" (fun () ->
+      !t_gauge_cell)
+
+let sampled name =
+  let values = Metrics.sample () in
+  List.assoc name (List.mapi (fun i (n, _) -> (n, values.(i))) (Metrics.declared ()))
+
+let test_metrics_counters () =
+  Metrics.reset t_count;
+  Metrics.bump t_count;
+  Metrics.bump ~by:4 t_count;
+  Alcotest.(check int) "counter value" 5 (Metrics.value t_count);
+  Alcotest.(check int) "sample carries the counter" 5 (sampled "test.telemetry.count");
+  t_gauge_cell := 11;
+  Alcotest.(check int) "a gauge is read at sample time" 11
+    (sampled "test.telemetry.gauge");
+  Alcotest.(check bool) "declared with its doc" true
+    (List.mem ("test.telemetry.gauge", "test-only gauge") (Metrics.declared ()));
+  Metrics.reset t_count;
+  Alcotest.(check int) "reset zeroes" 0 (Metrics.value t_count)
+
+let test_metrics_duplicate_name () =
+  Alcotest.check_raises "a counter name is declared once"
+    (Invalid_argument "Metrics: metric test.telemetry.count declared twice")
+    (fun () -> ignore (Metrics.counter "test.telemetry.count" ~doc:"again"));
+  Alcotest.check_raises "gauges share the namespace"
+    (Invalid_argument "Metrics: metric smt.memo.hits declared twice") (fun () ->
+      Metrics.gauge "smt.memo.hits" ~doc:"again" (fun () -> 0))
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -127,8 +128,8 @@ let test_export_json_valid () =
               Trace.with_span "inner" ignore);
           Trace.counter "cache" [ ("hits", 3.); ("misses", 1.5) ]);
       let json = Trace.export_json () in
-      (match Telemetry.Json_check.validate json with
-      | Ok () -> ()
+      (match Serve.Jsonu.parse json with
+      | Ok _ -> ()
       | Error e -> Alcotest.failf "invalid JSON: %s" e);
       let has s = Astring_contains.contains json s in
       Alcotest.(check bool) "complete spans" true (has "\"ph\":\"X\"");
@@ -141,8 +142,8 @@ let test_export_json_valid () =
 let test_export_json_escaping () =
   with_tracing (fun () ->
       Trace.instant ~args:[ ("message", "a \"quoted\"\nline\ttab\\") ] "esc";
-      match Telemetry.Json_check.validate (Trace.export_json ()) with
-      | Ok () -> ()
+      match Serve.Jsonu.parse (Trace.export_json ()) with
+      | Ok _ -> ()
       | Error e -> Alcotest.failf "escaping broke the JSON: %s" e)
 
 let test_summary_aggregates () =
@@ -250,19 +251,21 @@ let test_slowest_jobs_matches_stable_sort () =
 
 let test_recorder_counters_via_metrics () =
   let r = Engine.Stats.recorder () in
-  Engine.Stats.bump r Engine.Stats.Jobs_run;
-  Engine.Stats.bump ~by:2 r Engine.Stats.Smt_hits;
-  Engine.Stats.add_wall r 0.5;
+  let before = Metrics.sample () in
+  Metrics.bump ~by:3 t_count;
+  Engine.Stats.record r ~wall:0.5 before (Metrics.sample ());
   let snap = Engine.Stats.snapshot r in
-  Alcotest.(check int) "jobs_run" 1 snap.Engine.Stats.jobs_run;
-  Alcotest.(check int) "smt_hits" 2 snap.Engine.Stats.smt_hits;
+  let counters = Engine.Stats.counters snap in
+  Alcotest.(check int) "the delta of a test counter" 3
+    (List.assoc "test.telemetry.count" counters);
   Alcotest.(check (float 1e-9)) "wall" 0.5 snap.Engine.Stats.wall_s;
-  (* the counts are visible in the shared metric registry too *)
-  Alcotest.(check int) "namespaced metric" 1
-    (Metrics.get (Engine.Stats.namespace r ^ ".jobs_run"));
+  Alcotest.(check (list string)) "every declared metric, declaration order"
+    (List.map fst (Metrics.declared ()))
+    (List.map fst counters);
   Engine.Stats.reset r;
   Alcotest.(check int) "reset zeroes" 0
-    (Engine.Stats.snapshot r).Engine.Stats.jobs_run
+    (List.assoc "test.telemetry.count"
+       (Engine.Stats.counters (Engine.Stats.snapshot r)))
 
 (* ------------------------------------------------------------------ *)
 (* Mock-clock scheduler determinism                                    *)
@@ -311,6 +314,50 @@ let test_mock_clock_jobs1_equals_jobs4 () =
   let parallel = scan_job_times ~jobs:4 () in
   Alcotest.check pair_list "bit-for-bit, jobs=1 vs jobs=4" serial parallel
 
+(* ------------------------------------------------------------------ *)
+(* One declaration reaches the stats and the trace                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The only edit this counter needs. *)
+let faults_in_jobs =
+  Metrics.counter "test.faults_in_jobs" ~doc:"test-only: solver faults drawn in jobs"
+
+(* A fault plan that fails every solver call, and a resilience event
+   sink (which runs on the emitting domain) that bumps the counter:
+   every bump happens inside a checker job of the enforcement. *)
+let test_one_declaration () =
+  let book = Lazy.force zk_book in
+  Lisa.Chaos.reset_shared_state ();
+  Resilience.Events.set_sink (function
+    | Resilience.Events.Fault_injected _ -> Metrics.bump faults_in_jobs
+    | _ -> ());
+  Resilience.Injector.arm
+    (Resilience.Plan.make ~points:[ Resilience.Fault.Solver ]
+       ~kinds:[ Resilience.Fault.Budget ] ~seed:1 ~rate:1.0 ());
+  Fun.protect
+    ~finally:(fun () ->
+      Lisa.Chaos.reset_shared_state ();
+      Lisa.Log.install_resilience_sink ())
+  @@ fun () ->
+  with_tracing (fun () ->
+      let engine = Engine.Scheduler.create ~config:Engine.Scheduler.cold_config () in
+      let p = Corpus.Registry.system_program "zookeeper" ~version:2 in
+      ignore (Engine.Scheduler.enforce engine p book);
+      let counters = Engine.Stats.counters (Engine.Scheduler.stats engine) in
+      let n = List.assoc "test.faults_in_jobs" counters in
+      Alcotest.(check bool) "bumped during the enforcement" true (n > 0);
+      Alcotest.(check int) "every bump is in the scheduler's stats"
+        (Metrics.value faults_in_jobs) n;
+      let is_counter_event ev =
+        let str k = Option.bind (Serve.Jsonu.member k ev) Serve.Jsonu.to_str in
+        str "name" = Some "test.faults_in_jobs" && str "ph" = Some "C"
+      in
+      match Serve.Jsonu.parse (Trace.export_json ()) with
+      | Ok (Serve.Jsonu.List evs) ->
+          Alcotest.(check bool) "a \"ph\":\"C\" event in the trace" true
+            (List.exists is_counter_event evs)
+      | _ -> Alcotest.fail "trace is not a JSON array")
+
 let suite =
   [
     ( "telemetry.clock",
@@ -322,9 +369,9 @@ let suite =
       ] );
     ( "telemetry.metrics",
       [
-        Alcotest.test_case "counters and accumulators" `Quick
-          test_metrics_counters;
-        Alcotest.test_case "histograms" `Quick test_metrics_histogram;
+        Alcotest.test_case "counters and gauges" `Quick test_metrics_counters;
+        Alcotest.test_case "duplicate name fails" `Quick
+          test_metrics_duplicate_name;
       ] );
     ( "telemetry.trace",
       [
@@ -357,6 +404,8 @@ let suite =
           test_slowest_jobs_matches_stable_sort;
         Alcotest.test_case "recorder counts through metrics" `Quick
           test_recorder_counters_via_metrics;
+        Alcotest.test_case "one declaration reaches stats and trace" `Quick
+          test_one_declaration;
       ] );
     ( "telemetry.determinism",
       [
