@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-smoke chaos trace serve-smoke triage scale scale-smoke clean
+.PHONY: all build test check bench chaos trace serve-smoke clean
 
 all: build
 
@@ -22,7 +22,8 @@ TRACE_SPANS = engine.enforce engine.incremental engine.prepare \
   counter:core.shard.contention counter:smt.memo.local_hits \
   counter:smt.learned.batched counter:smt.fastpath.interval \
   counter:smt.fastpath.bcp counter:smt.fastpath.subsumed \
-  counter:smt.fastpath.saved counter:smt.memo.local_evict
+  counter:smt.fastpath.saved counter:smt.memo.local_evict \
+  counter:corpus.synth.cases
 
 # Names the serve-daemon trace must mention (tools/serve_smoke.sh
 # passes these to trace_check after driving the daemon).
@@ -33,25 +34,16 @@ SERVE_TRACE_SPANS = serve.request counter:serve.queue
 TRIAGE_TRACE_SPANS = triage.witness counter:triage.tier.witnessed \
   counter:triage.tier.consistent counter:triage.tier.likely_fp
 
-# Names the scale trace must mention: the corpus-generator span and its
-# case counter (the scan/engine names are covered by TRACE_SPANS).
-SCALE_TRACE_SPANS = corpus.synth counter:corpus.synth.cases
-
-# The tier-1 gate plus the engine acceptance smokes: build, full test
-# suite, the serial/parallel/incremental equivalence checks (with a
-# trace-export smoke), the chaos fault-injection invariants — both on
-# the zookeeper slice of the E11 workload — the incremental-solver
-# smoke (verdict byte-identity plus the never-loses wall-time gate,
-# and the pre-solver fast-path leg asserting searches are actually
-# retired — saved > 0 with >= 25% fewer full solves — on byte-identical
-# verdicts),
-# the witness-replay triage smoke (zero-loss, injected-FP demotion,
-# determinism, triage.* trace names), and the serve-daemon smoke
+# The tier-1 gate plus the acceptance smokes: build, full test suite
+# (which holds the engine, solver, triage and synth equivalence gates
+# and the benchmark's --smoke rule), Chrome-trace exports of the engine
+# scan and the triaged scan validated against $(TRACE_SPANS) and
+# $(TRIAGE_TRACE_SPANS), the chaos fault-injection invariants on the
+# zookeeper slice of the E11 workload, and the serve-daemon smoke
 # (overload shed, warm-restart byte identity, corrupted-snapshot cold
-# fallback, serve.* trace names), and the synthetic-corpus scale smoke
-# (generator determinism, zero-loss detection, corpus.synth trace names).
+# fallback, serve.* trace names).
 check:
-	dune build && dune runtest && dune exec bench/main.exe -- --experiment engine --smoke --trace trace-smoke.json && dune exec tools/trace_check.exe -- trace-smoke.json $(TRACE_SPANS) && dune exec bench/main.exe -- --experiment chaos --smoke && dune exec bench/main.exe -- --experiment solver --smoke && dune exec bench/main.exe -- --experiment triage --smoke --trace trace-triage-smoke.json && dune exec tools/trace_check.exe -- trace-triage-smoke.json $(TRIAGE_TRACE_SPANS) && $(MAKE) bench-smoke && $(MAKE) serve-smoke && $(MAKE) scale-smoke
+	dune build && dune runtest && dune exec bin/lisa_cli.exe -- engine --trace trace-smoke.json && dune exec tools/trace_check.exe -- trace-smoke.json $(TRACE_SPANS) && dune exec bin/lisa_cli.exe -- engine --triage --trace trace-triage-smoke.json && dune exec tools/trace_check.exe -- trace-triage-smoke.json $(TRIAGE_TRACE_SPANS) && dune exec bench/main.exe -- --experiment chaos --smoke && $(MAKE) serve-smoke
 
 # Serve-daemon acceptance: drive `lisa serve` over stdin JSONL with a
 # queue-depth-2 overload (one request must shed), restart warm from
@@ -61,35 +53,14 @@ check:
 serve-smoke:
 	dune build bin/lisa_cli.exe tools/trace_check.exe && sh tools/serve_smoke.sh
 
-# Fast hash-consing benchmark: intern throughput, the id-keyed vs
-# string-keyed memo lookup comparison, and the jobs=1 vs jobs=N
-# scaling columns over the sharded tables (cross-domain physical
-# identity always gated; the >=4x-at-8-domains throughput gate only
-# fires on non-smoke runs with >= 8 cores).  Writes BENCH_formula.json.
-bench-smoke:
-	dune exec bench/main.exe -- --experiment formula --smoke
-
-# Record the full E11 engine workload through the telemetry tracer,
-# validate the Chrome-trace JSON, and check every pipeline stage shows
-# up.  Load trace.json in chrome://tracing or https://ui.perfetto.dev.
+# Record the E11 engine scan through the telemetry tracer, validate the
+# Chrome-trace JSON, and check every pipeline stage shows up.  Load
+# trace.json in chrome://tracing or https://ui.perfetto.dev.
 trace:
-	dune exec bench/main.exe -- --experiment engine --trace trace.json && dune exec tools/trace_check.exe -- trace.json $(TRACE_SPANS)
+	dune exec bin/lisa_cli.exe -- engine --trace trace.json && dune exec tools/trace_check.exe -- trace.json $(TRACE_SPANS)
 
-# Synthetic-corpus scaling acceptance, smoke version: scales 1x/2x,
-# every gate on (generator determinism, Case.validate, zero-loss planted
-# detection, jobs=2/4/8 byte identity to the jobs=1 reference, fast-path
-# off/on byte identity with >= 25% fewer full solves at 1x, CI
-# regression gating), with the corpus.synth span/counter validated in
-# the recorded trace.
-scale-smoke:
-	dune exec bench/main.exe -- --experiment scale --smoke --trace trace-scale-smoke.json && dune exec tools/trace_check.exe -- trace-scale-smoke.json $(SCALE_TRACE_SPANS)
-
-# Full version: scales 1x/10x/100x (>= 160 cases at 10x), CI leg capped
-# at 160 histories.  Writes BENCH_scale.json with throughput, cache-hit
-# rates and peak heap per scale point.
-scale:
-	dune exec bench/main.exe -- --experiment scale
-
+# Every paper-artifact experiment plus the full chaos suite.
+# Performance is measured by benchmark/run.sh (see BENCHMARK.json).
 bench:
 	dune exec bench/main.exe
 
@@ -97,14 +68,6 @@ bench:
 # and the post-chaos byte-identical re-run check.
 chaos:
 	dune exec bench/main.exe -- --experiment chaos
-
-# Witness-replay triage acceptance, full version: zero-loss on the
-# clean corpus, >= 70% injected-FP demotion under a fully hallucinating
-# oracle across three noise seeds, disabled-triage byte-identity, and
-# the determinism gates, with the triage.* trace names validated.
-# Writes BENCH_triage.json.
-triage:
-	dune exec bench/main.exe -- --experiment triage --trace trace-triage.json && dune exec tools/trace_check.exe -- trace-triage.json $(TRIAGE_TRACE_SPANS)
 
 clean:
 	dune clean

@@ -80,152 +80,3 @@ let map ?init ?finish ~(jobs : int) (f : 'a -> 'b) (items : 'a array) :
     'b array =
   let results = map_results ?init ?finish ~jobs f items in
   Array.map (function Ok v -> v | Error e -> raise e) results
-
-(** [map] over a list. *)
-let map_list ?init ?finish ~(jobs : int) (f : 'a -> 'b) (items : 'a list) :
-    'b list =
-  Array.to_list (map ?init ?finish ~jobs f (Array.of_list items))
-
-(* ------------------------------------------------------------------ *)
-(* Persistent pool                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Long-lived workers for benchmark loops: spawning a domain costs
-   ~milliseconds, which drowns sub-millisecond workloads when a fresh
-   pool is built per measurement (the jobs8-slower-than-jobs1 anomaly
-   in earlier BENCH_solver runs).  A [persistent] spawns its workers
-   once — the spawn cost is recorded separately in {!persistent_spawn_s}
-   — and each batch is handed over by a generation bump under a mutex;
-   workers block on a condition variable between batches.  Batches keep
-   [map]'s contract: a shared atomic index, results in input slots, the
-   caller draining alongside the workers. *)
-
-type persistent = {
-  ps_jobs : int;
-  ps_lock : Mutex.t;
-  ps_cond : Condition.t;
-  mutable ps_gen : int;  (* batch generation, bumped per batch *)
-  mutable ps_work : (int -> unit) option;  (* current batch body *)
-  mutable ps_total : int;  (* items in the current batch *)
-  ps_next : int Atomic.t;  (* shared claim index *)
-  mutable ps_done : int;  (* workers finished with the current batch *)
-  mutable ps_shutdown : bool;
-  mutable ps_domains : unit Domain.t list;
-  mutable ps_spawn_s : float;  (* one-time domain spawn cost *)
-  ps_finish : unit -> unit;  (* caller-side finish, run at shutdown *)
-}
-
-let persistent_spawn_s (t : persistent) = t.ps_spawn_s
-
-let create_persistent ?(init = noop) ?(finish = noop) ~(jobs : int) () :
-    persistent =
-  let jobs = max 1 jobs in
-  let t =
-    {
-      ps_jobs = jobs;
-      ps_lock = Mutex.create ();
-      ps_cond = Condition.create ();
-      ps_gen = 0;
-      ps_work = None;
-      ps_total = 0;
-      ps_next = Atomic.make 0;
-      ps_done = 0;
-      ps_shutdown = false;
-      ps_domains = [];
-      ps_spawn_s = 0.;
-      ps_finish = finish;
-    }
-  in
-  (* the caller counts as one worker: same lifecycle as the others *)
-  init ();
-  if jobs > 1 then begin
-    let worker () =
-      init ();
-      let seen = ref 0 in
-      let running = ref true in
-      while !running do
-        Mutex.lock t.ps_lock;
-        while t.ps_gen = !seen && not t.ps_shutdown do
-          Condition.wait t.ps_cond t.ps_lock
-        done;
-        if t.ps_shutdown then begin
-          Mutex.unlock t.ps_lock;
-          running := false
-        end
-        else begin
-          seen := t.ps_gen;
-          let work = Option.get t.ps_work and total = t.ps_total in
-          Mutex.unlock t.ps_lock;
-          let continue = ref true in
-          while !continue do
-            let i = Atomic.fetch_and_add t.ps_next 1 in
-            if i < total then work i else continue := false
-          done;
-          Mutex.lock t.ps_lock;
-          t.ps_done <- t.ps_done + 1;
-          if t.ps_done = t.ps_jobs - 1 then Condition.broadcast t.ps_cond;
-          Mutex.unlock t.ps_lock
-        end
-      done;
-      finish ()
-    in
-    let t0 = Unix.gettimeofday () in
-    t.ps_domains <- List.init (jobs - 1) (fun _ -> Domain.spawn worker);
-    t.ps_spawn_s <- Unix.gettimeofday () -. t0
-  end;
-  t
-
-(** Apply [f] to every item through the persistent pool; results in
-    input order, first failure (by input index) re-raised, exactly like
-    {!map}.  Not reentrant: one batch at a time per pool. *)
-let persistent_map (t : persistent) (f : 'a -> 'b) (items : 'a array) :
-    'b array =
-  let n = Array.length items in
-  let results : ('b, exn) result option array = Array.make n None in
-  let apply i =
-    results.(i) <-
-      Some (match f items.(i) with v -> Ok v | exception e -> Error e)
-  in
-  if t.ps_jobs <= 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      apply i
-    done
-  else begin
-    Mutex.lock t.ps_lock;
-    t.ps_work <- Some apply;
-    t.ps_total <- n;
-    Atomic.set t.ps_next 0;
-    t.ps_done <- 0;
-    t.ps_gen <- t.ps_gen + 1;
-    Condition.broadcast t.ps_cond;
-    Mutex.unlock t.ps_lock;
-    (* the caller drains the same index the workers do *)
-    let continue = ref true in
-    while !continue do
-      let i = Atomic.fetch_and_add t.ps_next 1 in
-      if i < n then apply i else continue := false
-    done;
-    Mutex.lock t.ps_lock;
-    while t.ps_done < t.ps_jobs - 1 do
-      Condition.wait t.ps_cond t.ps_lock
-    done;
-    t.ps_work <- None;
-    Mutex.unlock t.ps_lock
-  end;
-  Array.map
-    (function
-      | Some (Ok v) -> v
-      | Some (Error e) -> raise e
-      | None -> assert false (* every index below [n] was claimed *))
-    results
-
-(** Join the workers (running their [finish] hooks) and run the
-    caller-side [finish].  The pool must not be used afterwards. *)
-let shutdown (t : persistent) : unit =
-  Mutex.lock t.ps_lock;
-  t.ps_shutdown <- true;
-  Condition.broadcast t.ps_cond;
-  Mutex.unlock t.ps_lock;
-  List.iter Domain.join t.ps_domains;
-  t.ps_domains <- [];
-  t.ps_finish ()

@@ -38,45 +38,3 @@ val map :
   ('a -> 'b) ->
   'a array ->
   'b array
-
-val map_list :
-  ?init:(unit -> unit) ->
-  ?finish:(unit -> unit) ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-
-(** {1 Persistent pool}
-
-    Long-lived workers for measurement loops: domain spawn costs
-    milliseconds, which drowns sub-millisecond batches when a pool is
-    rebuilt per measurement.  A persistent pool spawns its workers once
-    at {!create_persistent} (cost recorded in {!persistent_spawn_s}) and
-    hands each {!persistent_map} batch over with a condition-variable
-    wakeup instead of a spawn.  Batch semantics match {!map}: shared
-    atomic claim index, results in input slots, caller drains too, first
-    failure by input index re-raised.  One batch at a time per pool. *)
-
-type persistent
-
-(** Spawn [jobs - 1] long-lived workers ([jobs <= 1] stays serial on
-    the caller).  [init] runs once per worker domain (and on the
-    caller); [finish] runs as each worker retires at {!shutdown} (and
-    on the caller after the join). *)
-val create_persistent :
-  ?init:(unit -> unit) ->
-  ?finish:(unit -> unit) ->
-  jobs:int ->
-  unit ->
-  persistent
-
-(** One-time domain spawn cost of this pool, in seconds — report it
-    separately instead of folding it into per-batch wall times. *)
-val persistent_spawn_s : persistent -> float
-
-val persistent_map : persistent -> ('a -> 'b) -> 'a array -> 'b array
-
-(** Join the workers (running their [finish] hooks, then the caller's).
-    The pool must not be used afterwards. *)
-val shutdown : persistent -> unit

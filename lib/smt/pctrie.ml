@@ -24,12 +24,7 @@ type 'a node = {
   mutable nd_passes : int;  (* pcs routed through this node *)
 }
 
-type 'a t = {
-  root : 'a node;
-  mutable t_nodes : int;
-  mutable t_shared : int;  (* nodes traversed by >= 2 pcs *)
-  mutable t_leaves : int;
-}
+type 'a t = { root : 'a node }
 
 (* Process-wide totals across all tries *)
 let nodes_ctr =
@@ -48,19 +43,11 @@ let fresh_node form =
     nd_passes = 0;
   }
 
-let create () : 'a t =
-  { root = fresh_node None; t_nodes = 0; t_shared = 0; t_leaves = 0 }
-
-let node_count (t : 'a t) = t.t_nodes
-
-let shared_count (t : 'a t) = t.t_shared
-
-let leaf_count (t : 'a t) = t.t_leaves
+let create () : 'a t = { root = fresh_node None }
 
 (** [add t ~pc payload] routes [payload] to the node reached by the pc
     snapshot (outermost decision first). *)
 let add (t : 'a t) ~(pc : Formula.t list) (payload : 'a) : unit =
-  t.t_leaves <- t.t_leaves + 1;
   let rec go node = function
     | [] -> node.nd_leaves <- payload :: node.nd_leaves
     | f :: rest ->
@@ -71,15 +58,11 @@ let add (t : 'a t) ~(pc : Formula.t list) (payload : 'a) : unit =
               let c = fresh_node (Some f) in
               Hashtbl.replace node.nd_index (Formula.id f) c;
               node.nd_children <- c :: node.nd_children;
-              t.t_nodes <- t.t_nodes + 1;
               Telemetry.Metrics.bump nodes_ctr;
               c
         in
         child.nd_passes <- child.nd_passes + 1;
-        if child.nd_passes = 2 then begin
-          t.t_shared <- t.t_shared + 1;
-          Telemetry.Metrics.bump shared_ctr
-        end;
+        if child.nd_passes = 2 then Telemetry.Metrics.bump shared_ctr;
         go child rest
   in
   go t.root pc
@@ -87,7 +70,7 @@ let add (t : 'a t) ~(pc : Formula.t list) (payload : 'a) : unit =
 (** Pruned depth-first walk: [enter f] returns whether to descend.  When
     it answers [false] the node's entire subtree is subsumed — every
     payload below it (own leaves first, then descendants, in the same
-    deterministic insertion order the plain walk would use) goes to
+    deterministic insertion order an unpruned walk would use) goes to
     [pruned] without any further [enter]/[leave], and only the pruned
     node's own [leave f] still runs so the caller can pop what it
     pushed. *)
@@ -108,15 +91,3 @@ let walk_pruned (t : 'a t) ~(enter : Formula.t -> bool)
     match node.nd_form with Some f -> leave f | None -> ()
   in
   visit t.root
-
-(** Depth-first walk: [enter f] when descending an edge, every leaf
-    payload at the node (insertion order), children (insertion order),
-    then [leave f] when ascending. *)
-let walk (t : 'a t) ~(enter : Formula.t -> unit) ~(leave : Formula.t -> unit)
-    ~(leaf : 'a -> unit) : unit =
-  walk_pruned t
-    ~enter:(fun f ->
-      enter f;
-      true)
-    ~leave ~leaf
-    ~pruned:(fun _ -> ())

@@ -6,7 +6,9 @@
     when they share a prefix of interned facts.  The engine's checker
     inserts every hit's decision-ordered pc snapshot, then walks the
     trie once with a {!Solver.context} — each shared prefix is pushed
-    exactly once and each leaf decides only its own suffix. *)
+    exactly once and each leaf decides only its own suffix.  Node and
+    sharing totals are the process counters [smt.trie.nodes] and
+    [smt.trie.shared]. *)
 
 type 'a t
 
@@ -16,25 +18,19 @@ val create : unit -> 'a t
     (the hit's pc snapshot, outermost decision first). *)
 val add : 'a t -> pc:Formula.t list -> 'a -> unit
 
-(** Deterministic depth-first walk: [enter f] when descending an edge,
-    [leaf] for each payload at the node (insertion order, before the
-    node's children), [leave f] when ascending back over the edge.
-    Callers needing input-order results carry an index in the payload. *)
-val walk :
-  'a t ->
-  enter:(Formula.t -> unit) ->
-  leave:(Formula.t -> unit) ->
-  leaf:('a -> unit) ->
-  unit
+(** Deterministic depth-first walk: [enter f] when descending an edge
+    decides whether to descend, [leaf] runs for each payload at a
+    visited node (insertion order, before the node's children), [leave f]
+    when ascending back over the edge.  Callers needing input-order
+    results carry an index in the payload.
 
-(** Like {!walk}, but [enter] decides whether to descend.  Answering
-    [false] subsumes the node's whole subtree: every payload below it is
-    handed to [pruned] — own leaves first, then descendants, in the same
-    deterministic order {!walk} would visit them — with no further
-    [enter]/[leave] calls; the refused node's own [leave] still runs so
-    a caller using an assumption context pops what [enter] pushed.  The
-    checker uses this to answer every query under a prefix already
-    proved Unsat without touching the solver. *)
+    Answering [false] from [enter] subsumes the node's whole subtree:
+    every payload below it is handed to [pruned] — own leaves first,
+    then descendants, in the order an unpruned walk would visit them —
+    with no further [enter]/[leave] calls; the refused node's own
+    [leave] still runs so a caller using an assumption context pops what
+    [enter] pushed.  The checker uses this to answer every query under a
+    prefix already proved Unsat without touching the solver. *)
 val walk_pruned :
   'a t ->
   enter:(Formula.t -> bool) ->
@@ -42,13 +38,3 @@ val walk_pruned :
   leaf:('a -> unit) ->
   pruned:('a -> unit) ->
   unit
-
-(** {2 Statistics} *)
-
-val node_count : 'a t -> int
-
-(** Nodes traversed by at least two path conditions — the sharing the
-    trie exists to exploit. *)
-val shared_count : 'a t -> int
-
-val leaf_count : 'a t -> int

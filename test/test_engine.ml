@@ -18,10 +18,10 @@ let test_pool_matches_serial () =
     (Engine.Pool.map ~jobs:4 f xs)
 
 let test_pool_preserves_order () =
-  let xs = [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ] in
-  Alcotest.(check (list string))
+  let xs = [| "a"; "b"; "c"; "d"; "e"; "f"; "g" |] in
+  Alcotest.(check (array string))
     "input order" xs
-    (Engine.Pool.map_list ~jobs:3 (fun s -> s) xs)
+    (Engine.Pool.map ~jobs:3 (fun s -> s) xs)
 
 let test_pool_reraises () =
   match
@@ -499,6 +499,55 @@ let test_fastpath_equals_full_jobs4 () =
   Alcotest.(check (list string))
     "identical reports, fast path on vs off, jobs=4" off on_
 
+let isolated f () =
+  Lisa.Chaos.reset_shared_state ();
+  Fun.protect ~finally:Lisa.Chaos.reset_shared_state f
+
+(* Full DPLL(T) searches run and ladder retirements for [f], counted
+   from cold solver stores so neither leg inherits the other's work. *)
+let count_solves enabled f =
+  Smt.Solver.reset_theory_memo ();
+  Smt.Solver.reset_learned ();
+  Smt.Absdom.reset_memo ();
+  let f0 = Smt.Solver.full_solve_count ()
+  and s0 = Telemetry.Metrics.value Smt.Solver.fastpath_saved in
+  let r = with_fastpath enabled f in
+  ( r,
+    Smt.Solver.full_solve_count () - f0,
+    Telemetry.Metrics.value Smt.Solver.fastpath_saved - s0 )
+
+(* The ladder must actually retire searches, not merely agree: on the
+   builtin zookeeper scan it answers some queries itself and full
+   solves fall. *)
+let test_fastpath_retires_searches () =
+  let _, full_off, _ =
+    count_solves false (fun () -> scan Engine.Scheduler.default_config)
+  in
+  let _, full_on, saved =
+    count_solves true (fun () -> scan Engine.Scheduler.default_config)
+  in
+  Alcotest.(check bool) (Printf.sprintf "ladder retired %d queries" saved) true
+    (saved > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "full solves fall (%d -> %d)" full_off full_on)
+    true (full_on < full_off)
+
+(* On the 1x seed-42 synthetic corpus the ladder cuts full solves by at
+   least a quarter, on byte-identical scan output. *)
+let test_fastpath_synth_reduction () =
+  let registry = Corpus.Synth.registry ~seed:42 ~scale:1 () in
+  let synth_scan () =
+    Lisa.Chaos.reset_shared_state ();
+    Lisa.System_scan.print (fst (Lisa.System_scan.run_engine ~registry ()))
+  in
+  let out_off, full_off, _ = count_solves false synth_scan in
+  let out_on, full_on, _ = count_solves true synth_scan in
+  Alcotest.(check string) "scan output, fast path on vs off" out_off out_on;
+  Alcotest.(check bool)
+    (Printf.sprintf ">= 25%% fewer full solves (%d -> %d)" full_off full_on)
+    true
+    (float_of_int full_on <= 0.75 *. float_of_int full_off)
+
 (* The fault-tolerance contract must survive the trie checker (on by
    default): one-seed zookeeper chaos smoke, all invariants green. *)
 let test_chaos_smoke_with_trie () =
@@ -576,5 +625,9 @@ let suite =
           test_fastpath_equals_full_jobs1;
         Alcotest.test_case "fast path == full search, jobs=4" `Quick
           test_fastpath_equals_full_jobs4;
+        Alcotest.test_case "fast path retires searches" `Slow
+          (isolated test_fastpath_retires_searches);
+        Alcotest.test_case "synth 1x: >= 25% fewer full solves" `Slow
+          (isolated test_fastpath_synth_reduction);
       ] );
   ]

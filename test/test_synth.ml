@@ -112,6 +112,38 @@ let test_minimizer_shrinks_failure () =
         (r |> Corpus.Synth.repro_command
         = "lisa corpus synth --seed 3 --case 5")
 
+let isolated f () =
+  Lisa.Chaos.reset_shared_state ();
+  Fun.protect ~finally:Lisa.Chaos.reset_shared_state f
+
+(* pool width is invisible in the synthetic scan's printed output *)
+let test_synth_scan_jobs_invariant () =
+  let registry = Corpus.Synth.registry ~seed:42 ~scale:1 () in
+  let scan jobs =
+    Lisa.Chaos.reset_shared_state ();
+    let engine_config =
+      { Engine.Scheduler.default_config with Engine.Scheduler.jobs }
+    in
+    Lisa.System_scan.print
+      (fst (Lisa.System_scan.run_engine ~engine_config ~registry ()))
+  in
+  check_str "scan output, jobs=1 vs jobs=2" (scan 1) (scan 2)
+
+(* the generator reports itself to the tracer: one corpus.synth span per
+   registry built *)
+let test_synth_span_recorded () =
+  let module T = Telemetry.Trace in
+  T.reset ();
+  T.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_enabled false;
+      T.reset ())
+    (fun () ->
+      ignore (Corpus.Synth.registry ~seed:42 ~scale:1 ());
+      check "corpus.synth span" true
+        (List.exists (fun sp -> sp.T.sp_name = "corpus.synth") (T.spans ())))
+
 (* ------------------------------------------------------------------ *)
 (* Builtin pin: the value-based registry is byte-identical to the      *)
 (* pre-refactor flat module API                                        *)
@@ -175,5 +207,9 @@ let suite =
           test_builtin_shim_identical;
         Alcotest.test_case "builtin golden pins" `Quick
           test_builtin_golden_pins;
+        Alcotest.test_case "1x scan identical, jobs=1 vs jobs=2" `Slow
+          (isolated test_synth_scan_jobs_invariant);
+        Alcotest.test_case "registry records a corpus.synth span" `Slow
+          (isolated test_synth_span_recorded);
       ] );
   ]

@@ -202,6 +202,64 @@ let test_no_noise_zero_loss () =
         (t = "witnessed" || t = "consistent"))
     rows
 
+(* ------------------------------------------------------------------ *)
+(* Whole-scan gates                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let scan ?(noise = Oracle.Inference.no_noise) ?(cross_check = true) ?triage ()
+    =
+  Lisa.Chaos.reset_shared_state ();
+  let config =
+    { Lisa.Pipeline.default_config with Lisa.Pipeline.noise; cross_check }
+  in
+  fst (Lisa.System_scan.run_engine ~config ?triage ())
+
+(* a disabled triage config is invisible: the scan prints byte-identically
+   to no triage at all and carries no tier markers *)
+let test_disabled_identity () =
+  let plain = Lisa.System_scan.print (scan ()) in
+  let disabled =
+    Lisa.System_scan.print
+      (scan ~triage:{ Triage.default_config with Triage.enabled = false } ())
+  in
+  Alcotest.(check string) "scan output, triage disabled vs absent" plain
+    disabled;
+  Alcotest.(check bool) "no tier markers" false
+    (Astring_contains.contains plain "[triage:")
+
+(* under a fully hallucinating oracle (epsilon 1.0, seed 7, cross-checking
+   off so corrupted rules reach enforcement) the findings of flipped and
+   ghost-target rules are the injected false positives: >= 70% of them
+   rank Likely-FP, and no genuine finding does.  The noise marker lands
+   in the rule id before generalization (e.g. HBASE-22380.g29.flip.gen);
+   weakened rules stay genuine. *)
+let test_injected_fp_demoted () =
+  let rows =
+    scan
+      ~noise:{ Oracle.Inference.epsilon = 1.0; seed = 7 }
+      ~cross_check:false ~triage:Triage.default_config ()
+    |> List.concat_map (fun (r : Lisa.System_scan.system_result) ->
+           List.concat_map
+             (fun (vr : Lisa.System_scan.version_row) ->
+               vr.Lisa.System_scan.vr_tiers)
+             r.Lisa.System_scan.sys_rows)
+  in
+  let injected (id, _) =
+    Astring_contains.contains id ".flip."
+    || Astring_contains.contains id ".ghost."
+  in
+  let likely_fp (_, t) = t = "likely-fp" in
+  let inj, genuine = List.partition injected rows in
+  let demoted = List.length (List.filter likely_fp inj) in
+  Alcotest.(check bool) "noise injected false positives" true (inj <> []);
+  Alcotest.(check bool)
+    (Printf.sprintf ">= 70%% of injected FPs demoted (%d of %d)" demoted
+       (List.length inj))
+    true
+    (10 * demoted >= 7 * List.length inj);
+  Alcotest.(check int) "no genuine finding demoted" 0
+    (List.length (List.filter likely_fp genuine))
+
 let suite =
   [
     ( "triage.synthesis",
@@ -218,5 +276,9 @@ let suite =
           (isolated test_triage_deterministic);
         Alcotest.test_case "no-noise: no corpus finding demoted" `Slow
           (isolated test_no_noise_zero_loss);
+        Alcotest.test_case "disabled triage: scan output identical" `Slow
+          (isolated test_disabled_identity);
+        Alcotest.test_case "noise 1.0: injected FPs demoted" `Slow
+          (isolated test_injected_fp_demoted);
       ] );
   ]
