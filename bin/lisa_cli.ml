@@ -37,13 +37,13 @@ let logs_t : unit Term.t =
         & info [ "v"; "verbose" ] ~doc:"Increase verbosity (repeat for debug)."))
 
 let find_case_exn case_id =
-  match Corpus.Registry.find_case case_id with
+  match Corpus.Registry.find Corpus.Registry.builtin case_id with
   | Some c -> c
   | None ->
       Fmt.epr "unknown case %S. Known cases:@.%a@." case_id
         (Fmt.list ~sep:Fmt.cut Fmt.string)
         (List.map (fun (c : Corpus.Case.t) -> c.Corpus.Case.case_id)
-           Corpus.Registry.all_cases);
+           Corpus.Registry.builtin.cases);
       exit 1
 
 let case_arg =
@@ -68,16 +68,17 @@ let jobs_arg =
 (* ------------------------------------------------------------------ *)
 
 let corpus_list () =
+  let b = Corpus.Registry.builtin in
   Fmt.pr "%-28s %-10s %-6s %-40s@." "case" "system" "bugs" "feature";
   List.iter
     (fun (c : Corpus.Case.t) ->
       Fmt.pr "%-28s %-10s %-6d %-40s@." c.Corpus.Case.case_id c.Corpus.Case.system
         (Corpus.Case.n_bugs c) c.Corpus.Case.feature)
-    Corpus.Registry.all_cases;
+    b.cases;
   Fmt.pr "@.%d cases, %d bugs; %d/%d bugs violate old semantics (%.0f%%)@."
-    Corpus.Registry.n_cases Corpus.Registry.n_bugs
-    Corpus.Registry.n_bugs_violating_old_semantics Corpus.Registry.n_bugs
-    (100. *. Corpus.Registry.old_semantics_share ())
+    (Corpus.Registry.case_count b) (Corpus.Registry.bug_count b)
+    (Corpus.Registry.old_semantics_count b) (Corpus.Registry.bug_count b)
+    (100. *. Corpus.Registry.old_share b)
 
 let corpus_synth_cmd =
   let seed_arg =
@@ -233,26 +234,26 @@ let check_cmd =
     let book = Semantics.Rulebook.of_rules ~system:c.Corpus.Case.system outcome.Lisa.Pipeline.accepted in
     let reports = Lisa.Pipeline.enforce (Corpus.Case.program_at c stage) book in
     Fmt.pr "@.enforcement against stage %d:@." stage;
-    List.iter (fun r -> Fmt.pr "  %s@." (Lisa.Checker.report_summary r)) reports;
+    List.iter (fun r -> Fmt.pr "  %s@." (Engine.Checker.report_summary r)) reports;
     List.iter
-      (fun (r : Lisa.Checker.rule_report) ->
+      (fun (r : Engine.Checker.rule_report) ->
         List.iter
-          (fun (t : Lisa.Checker.trace_verdict) ->
-            match t.Lisa.Checker.tv_result with
+          (fun (t : Engine.Checker.trace_verdict) ->
+            match t.Engine.Checker.tv_result with
             | Smt.Solver.Violation m ->
                 Fmt.pr "  VIOLATION in %s (driven by %s)@.    path condition: %s@.    counterexample: %s@."
-                  t.Lisa.Checker.tv_method t.Lisa.Checker.tv_entry
-                  (Smt.Formula.to_string t.Lisa.Checker.tv_pc)
+                  t.Engine.Checker.tv_method t.Engine.Checker.tv_entry
+                  (Smt.Formula.to_string t.Engine.Checker.tv_pc)
                   (Smt.Solver.model_to_string m)
             | Smt.Solver.Verified | Smt.Solver.Undecided _ -> ())
-          r.Lisa.Checker.rep_violations;
+          r.Engine.Checker.rep_violations;
         List.iter
-          (fun (f : Lisa.Checker.lock_finding) ->
+          (fun (f : Engine.Checker.lock_finding) ->
             Fmt.pr "  LOCK VIOLATION: %s performs %s under a monitor (stmt %d)@."
-              f.Lisa.Checker.lf_method f.Lisa.Checker.lf_op f.Lisa.Checker.lf_sid)
-          r.Lisa.Checker.rep_lock_findings)
+              f.Engine.Checker.lf_method f.Engine.Checker.lf_op f.Engine.Checker.lf_sid)
+          r.Engine.Checker.rep_lock_findings)
       reports;
-    if not (List.exists Lisa.Checker.has_violations reports) then Fmt.pr "  clean@."
+    if not (List.exists Engine.Checker.has_violations reports) then Fmt.pr "  clean@."
   in
   Cmd.v
     (Cmd.info "check"

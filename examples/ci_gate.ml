@@ -12,12 +12,12 @@ let () =
   let cases =
     match Array.to_list Sys.argv with
     | _ :: case_id :: _ -> (
-        match Corpus.Registry.find_case case_id with
+        match Corpus.Registry.find Corpus.Registry.builtin case_id with
         | Some c -> [ c ]
         | None ->
             Fmt.epr "unknown case %s@." case_id;
             exit 1)
-    | _ -> Corpus.Registry.all_cases
+    | _ -> Corpus.Registry.builtin.cases
   in
   let shipped_regressions = ref 0 in
   let blocked_regressions = ref 0 in

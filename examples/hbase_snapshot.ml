@@ -12,7 +12,7 @@
 
 let () =
   let case =
-    match Corpus.Registry.find_case "hbase-snapshot-ttl" with
+    match Corpus.Registry.find Corpus.Registry.builtin "hbase-snapshot-ttl" with
     | Some c -> c
     | None -> failwith "corpus case missing"
   in
@@ -45,20 +45,20 @@ let () =
   let reports = Lisa.Pipeline.enforce latest book in
   let found = ref false in
   List.iter
-    (fun (r : Lisa.Checker.rule_report) ->
+    (fun (r : Engine.Checker.rule_report) ->
       List.iter
-        (fun (t : Lisa.Checker.trace_verdict) ->
-          match t.Lisa.Checker.tv_result with
+        (fun (t : Engine.Checker.trace_verdict) ->
+          match t.Engine.Checker.tv_result with
           | Smt.Solver.Violation m ->
               found := true;
               Fmt.pr
                 "NEW BUG: %s serves snapshots without the expiration check@.\
                 \  driven by existing test: %s@.\
                 \  a state admitted by the path: %s@."
-                t.Lisa.Checker.tv_method t.Lisa.Checker.tv_entry
+                t.Engine.Checker.tv_method t.Engine.Checker.tv_entry
                 (Smt.Solver.model_to_string m)
           | Smt.Solver.Verified | Smt.Solver.Undecided _ -> ())
-        r.Lisa.Checker.rep_violations)
+        r.Engine.Checker.rep_violations)
     reports;
   if !found then begin
     Fmt.pr

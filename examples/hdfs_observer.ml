@@ -10,7 +10,7 @@
 
 let () =
   let case =
-    match Corpus.Registry.find_case "hdfs-observer-locations" with
+    match Corpus.Registry.find Corpus.Registry.builtin "hdfs-observer-locations" with
     | Some c -> c
     | None -> failwith "corpus case missing"
   in
@@ -47,16 +47,16 @@ method scenario_empty_locations(): str {
   Fmt.pr "@.asserting the contract over all reachable paths of the latest release:@.";
   let reports = Lisa.Pipeline.enforce latest book in
   List.iter
-    (fun (r : Lisa.Checker.rule_report) ->
-      Fmt.pr "%s@." (Lisa.Checker.report_summary r);
+    (fun (r : Engine.Checker.rule_report) ->
+      Fmt.pr "%s@." (Engine.Checker.report_summary r);
       List.iter
-        (fun (t : Lisa.Checker.trace_verdict) ->
-          match t.Lisa.Checker.tv_result with
+        (fun (t : Engine.Checker.trace_verdict) ->
+          match t.Engine.Checker.tv_result with
           | Smt.Solver.Violation m ->
-              Fmt.pr "  NEW BUG in %s: %s@." t.Lisa.Checker.tv_method
+              Fmt.pr "  NEW BUG in %s: %s@." t.Engine.Checker.tv_method
                 (Smt.Solver.model_to_string m)
           | Smt.Solver.Verified | Smt.Solver.Undecided _ -> ())
-        r.Lisa.Checker.rep_violations)
+        r.Engine.Checker.rep_violations)
     reports;
   Fmt.pr
     "@.-> this is HDFS-17768: observer network delay causing empty block location@.\

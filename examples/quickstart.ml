@@ -93,26 +93,26 @@ let () =
   print_endline ("rule: " ^ Semantics.Rule.to_string rule);
 
   (* 3. assert it across all paths, driven by the system's own tests *)
-  let report = Lisa.Checker.check_rule program rule in
-  print_endline ("summary: " ^ Lisa.Checker.report_summary report);
+  let report = Engine.Checker.check_rule program rule in
+  print_endline ("summary: " ^ Engine.Checker.report_summary report);
 
   (* 4. verdicts *)
   List.iter
-    (fun (t : Lisa.Checker.trace_verdict) ->
-      match t.Lisa.Checker.tv_result with
+    (fun (t : Engine.Checker.trace_verdict) ->
+      match t.Engine.Checker.tv_result with
       | Smt.Solver.Verified ->
-          Fmt.pr "VERIFIED  %s (path condition: %s)@." t.Lisa.Checker.tv_method
-            (Smt.Formula.to_string t.Lisa.Checker.tv_pc)
+          Fmt.pr "VERIFIED  %s (path condition: %s)@." t.Engine.Checker.tv_method
+            (Smt.Formula.to_string t.Engine.Checker.tv_pc)
       | Smt.Solver.Violation model ->
           Fmt.pr "VIOLATION %s — a reachable state slips past the checks: %s@."
-            t.Lisa.Checker.tv_method
+            t.Engine.Checker.tv_method
             (Smt.Solver.model_to_string model)
       | Smt.Solver.Undecided reason ->
-          Fmt.pr "UNDECIDED %s — %s@." t.Lisa.Checker.tv_method reason)
-    report.Lisa.Checker.rep_traces;
+          Fmt.pr "UNDECIDED %s — %s@." t.Engine.Checker.tv_method reason)
+    report.Engine.Checker.rep_traces;
 
   (* the withdraw path verifies; instantTransfer misses the frozen check *)
-  if report.Lisa.Checker.rep_violations <> [] then
+  if report.Engine.Checker.rep_violations <> [] then
     print_endline "\nquickstart: LISA found the missing check before production did.";
 
   (* 5. and it can propose the fix: synthesize the guard, verify it *)

@@ -35,7 +35,7 @@ let () =
   (* 3. enforce them on the regressed ZooKeeper versions from the corpus *)
   let enforce case_id stage =
     let c =
-      match Corpus.Registry.find_case case_id with
+      match Corpus.Registry.find Corpus.Registry.builtin case_id with
       | Some c -> c
       | None -> failwith "corpus case missing"
     in
@@ -43,21 +43,21 @@ let () =
     Fmt.pr "--- %s stage %d ---@." case_id stage;
     List.iter
       (fun rule ->
-        let report = Lisa.Checker.check_rule program rule in
-        Fmt.pr "%s@." (Lisa.Checker.report_summary report);
+        let report = Engine.Checker.check_rule program rule in
+        Fmt.pr "%s@." (Engine.Checker.report_summary report);
         List.iter
-          (fun (t : Lisa.Checker.trace_verdict) ->
-            match t.Lisa.Checker.tv_result with
+          (fun (t : Engine.Checker.trace_verdict) ->
+            match t.Engine.Checker.tv_result with
             | Smt.Solver.Violation m ->
-                Fmt.pr "  VIOLATION in %s: %s@." t.Lisa.Checker.tv_method
+                Fmt.pr "  VIOLATION in %s: %s@." t.Engine.Checker.tv_method
                   (Smt.Solver.model_to_string m)
             | Smt.Solver.Verified | Smt.Solver.Undecided _ -> ())
-          report.Lisa.Checker.rep_violations;
+          report.Engine.Checker.rep_violations;
         List.iter
-          (fun (f : Lisa.Checker.lock_finding) ->
+          (fun (f : Engine.Checker.lock_finding) ->
             Fmt.pr "  LOCK VIOLATION: %s performs %s under a monitor@."
-              f.Lisa.Checker.lf_method f.Lisa.Checker.lf_op)
-          report.Lisa.Checker.rep_lock_findings)
+              f.Engine.Checker.lf_method f.Engine.Checker.lf_op)
+          report.Engine.Checker.rep_lock_findings)
       rules
   in
   (* the ephemeral rule catches the ZK-1496 path; the lock rule catches the

@@ -15,7 +15,7 @@ let banner title =
 
 let () =
   let case =
-    match Corpus.Registry.find_case "zk-ephemeral" with
+    match Corpus.Registry.find Corpus.Registry.builtin "zk-ephemeral" with
     | Some c -> c
     | None -> failwith "corpus case missing"
   in
@@ -54,18 +54,18 @@ let () =
   banner "5. but the contract does not";
   let reports = Lisa.Pipeline.enforce regressed book in
   List.iter
-    (fun (r : Lisa.Checker.rule_report) ->
-      Fmt.pr "%s@." (Lisa.Checker.report_summary r);
+    (fun (r : Engine.Checker.rule_report) ->
+      Fmt.pr "%s@." (Engine.Checker.report_summary r);
       List.iter
-        (fun (t : Lisa.Checker.trace_verdict) ->
-          match t.Lisa.Checker.tv_result with
+        (fun (t : Engine.Checker.trace_verdict) ->
+          match t.Engine.Checker.tv_result with
           | Smt.Solver.Violation m ->
               Fmt.pr "  VIOLATION in %s@.    trace condition: %s@.    admits: %s@."
-                t.Lisa.Checker.tv_method
-                (Smt.Formula.to_string t.Lisa.Checker.tv_pc)
+                t.Engine.Checker.tv_method
+                (Smt.Formula.to_string t.Engine.Checker.tv_pc)
                 (Smt.Solver.model_to_string m)
           | Smt.Solver.Verified | Smt.Solver.Undecided _ -> ())
-        r.Lisa.Checker.rep_violations)
+        r.Engine.Checker.rep_violations)
     reports;
 
   banner "6. what production would have seen (Figure 2)";

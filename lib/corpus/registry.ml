@@ -3,9 +3,8 @@
     A registry is a *value*, not a module: cases, systems, whole-system
     version assembly, and study metadata bundled into {!t}, assembled
     from per-system providers.  The hand-written 16-case / 34-bug §2.1
-    study population lives on as {!builtin}, and the pre-refactor flat
-    module API survives as thin shims over it, so legacy callers and
-    synthetic-registry consumers share one code path.
+    study population is {!builtin}; builtin and synthetic registries
+    share one code path: the registry-parametric accessors.
 
     Whole-system versions are assembled by concatenating each feature
     module at the stage that system version maps to; version [v] puts every
@@ -142,43 +141,3 @@ let builtin : t =
       provider ~system:"hdfs" Hdfs.cases;
       provider ~system:"cassandra" Cassandra.cases;
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Legacy flat API: thin shims over [builtin]                          *)
-(* ------------------------------------------------------------------ *)
-
-let all_cases : Case.t list = builtin.cases
-
-let systems : string list = builtin.systems
-
-let cases_of_system (system : string) : Case.t list = cases_of builtin system
-
-let find_case (case_id : string) : Case.t option = find builtin case_id
-
-let n_cases = case_count builtin
-
-let n_bugs = bug_count builtin
-
-let n_bugs_violating_old_semantics = old_semantics_count builtin
-
-let max_version = builtin.max_version
-
-let system_source (system : string) ~(version : int) : string =
-  source_of builtin system ~version
-
-let system_program (system : string) ~(version : int) : Minilang.Ast.program =
-  program_of builtin system ~version
-
-let commit_history (system : string) : (int * string) list =
-  history_of builtin system
-
-let changes_per_day_gcp = builtin.meta.m_changes_per_day_gcp
-
-let avg_test_files = builtin.meta.m_avg_test_files
-
-let ephemeral_bug_histogram : (int * int) list =
-  builtin.meta.m_ephemeral_bug_histogram
-
-let ephemeral_bug_total = ephemeral_total builtin
-
-let old_semantics_share () : float = old_share builtin

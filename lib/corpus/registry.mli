@@ -1,8 +1,7 @@
 (** The incident corpus as a first-class value: a registry is cases +
     systems + whole-system version assembly + study metadata, assembled
     from per-system providers.  The hand-written 16-case / 34-bug corpus
-    is {!builtin}; the pre-refactor flat module API remains below as
-    thin shims over it. *)
+    is {!builtin}. *)
 
 type meta = {
   m_changes_per_day_gcp : int;
@@ -71,38 +70,3 @@ val ephemeral_total : t -> int
     [1;2;3;5] with the two §4 unknown bugs present at v5. *)
 
 val builtin : t
-
-(** {1 Legacy flat API} — thin shims over {!builtin}, byte-identical to
-    the pre-refactor module output. *)
-
-val all_cases : Case.t list
-
-val systems : string list
-
-val cases_of_system : string -> Case.t list
-
-val find_case : string -> Case.t option
-
-val n_cases : int
-
-val n_bugs : int
-
-val n_bugs_violating_old_semantics : int
-
-val max_version : int
-
-val system_source : string -> version:int -> string
-
-val system_program : string -> version:int -> Minilang.Ast.program
-
-val commit_history : string -> (int * string) list
-
-val changes_per_day_gcp : int
-
-val avg_test_files : int
-
-val ephemeral_bug_histogram : (int * int) list
-
-val ephemeral_bug_total : int
-
-val old_semantics_share : unit -> float

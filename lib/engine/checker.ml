@@ -127,12 +127,11 @@ let degraded_run_reasons (runs : Symexec.Concolic.run_result list) :
     string list =
   List.filter_map
     (fun (r : Symexec.Concolic.run_result) ->
-      match r.Symexec.Concolic.r_outcome with
-      | Interp.Errored
-          (( "out of fuel" | "out of fuel (injected)"
-           | "circuit open: concolic run skipped" ) as msg) ->
-          Some (Fmt.str "concolic %s: %s" r.Symexec.Concolic.r_entry msg)
-      | _ -> None)
+      Option.map
+        (fun lost ->
+          Fmt.str "concolic %s: %s" r.Symexec.Concolic.r_entry
+            (Symexec.Concolic.lost_to_string lost))
+        r.Symexec.Concolic.r_lost)
     runs
 
 (** Placeholder report for a rule whose job exhausted its retries: no

@@ -11,28 +11,28 @@
 
 type variant = {
   v_name : string;
-  v_config : Checker.config;
+  v_config : Engine.Checker.config;
 }
 
 let variants : variant list =
   [
-    { v_name = "default (prune+RAG+complement)"; v_config = Checker.default_config };
-    { v_name = "no pruning"; v_config = { Checker.default_config with Checker.prune = false } };
+    { v_name = "default (prune+RAG+complement)"; v_config = Engine.Checker.default_config };
+    { v_name = "no pruning"; v_config = { Engine.Checker.default_config with prune = false } };
     {
       v_name = "all tests (no RAG)";
-      v_config = { Checker.default_config with Checker.selection = Checker.All_tests };
+      v_config = { Engine.Checker.default_config with selection = All_tests };
     };
     {
       v_name = "random tests (k=2)";
       v_config =
         {
-          Checker.default_config with
-          Checker.selection = Checker.Pseudo_random { seed = 42; k = 2 };
+          Engine.Checker.default_config with
+          Engine.Checker.selection = Engine.Checker.Pseudo_random { seed = 42; k = 2 };
         };
     };
     {
       v_name = "direct check (no complement)";
-      v_config = { Checker.default_config with Checker.method_ = Checker.Direct };
+      v_config = { Engine.Checker.default_config with method_ = Direct };
     };
   ]
 
@@ -69,11 +69,11 @@ let run_variant ?registry (v : variant) : row =
       let reports = Pipeline.enforce ~config:pconfig (Corpus.Case.program_at c 2) book in
       if Pipeline.findings reports <> [] then incr caught;
       List.iter
-        (fun (r : Checker.rule_report) ->
-          tests := !tests + List.length r.Checker.rep_tests_run;
-          recorded := !recorded + r.Checker.rep_branches_recorded;
-          total := !total + r.Checker.rep_branches_total;
-          uncovered := !uncovered + List.length r.Checker.rep_uncovered_paths)
+        (fun (r : Engine.Checker.rule_report) ->
+          tests := !tests + List.length r.Engine.Checker.rep_tests_run;
+          recorded := !recorded + r.Engine.Checker.rep_branches_recorded;
+          total := !total + r.Engine.Checker.rep_branches_total;
+          uncovered := !uncovered + List.length r.Engine.Checker.rep_uncovered_paths)
         reports)
     cases;
   {

@@ -2,7 +2,7 @@
     pruning on/off, RAG vs. all vs. pseudo-random test selection, and the
     complement vs. direct check. *)
 
-type variant = { v_name : string; v_config : Checker.config }
+type variant = { v_name : string; v_config : Engine.Checker.config }
 
 val variants : variant list
 

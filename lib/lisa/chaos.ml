@@ -86,7 +86,7 @@ let run_once ?plan ?(jobs = 1) (books : (string * Semantics.Rulebook.t) list) :
        (fun (system, book) ->
          List.iter
            (fun version ->
-             let p = Corpus.Registry.system_program system ~version in
+             let p = Corpus.Registry.program_of Corpus.Registry.builtin system ~version in
              let reports = Pipeline.enforce_with engine p book in
              findings :=
                (system, version, Engine.Scheduler.finding_ids reports)
@@ -119,7 +119,7 @@ let oracle_outage_ok (system : string) : bool =
        ~points:[ Resilience.Fault.Oracle ]
        ~kinds:[ Resilience.Fault.Crash ] ~seed:1 ~rate:1.0 ());
   Fun.protect ~finally:reset_shared_state @@ fun () ->
-  match Corpus.Registry.cases_of_system system with
+  match Corpus.Registry.cases_of Corpus.Registry.builtin system with
   | [] -> false
   | case :: _ -> (
       let ticket = Corpus.Case.original_ticket case in
@@ -128,7 +128,7 @@ let oracle_outage_ok (system : string) : bool =
       | exception _ -> false)
 
 let run ?(seeds = [ 1; 2; 3 ]) ?(rate = 0.05) ?(smoke = false) () : result =
-  let systems = if smoke then [ "zookeeper" ] else Corpus.Registry.systems in
+  let systems = if smoke then [ "zookeeper" ] else Corpus.Registry.builtin.systems in
   (* learning happens fault-free: the chaos target is enforcement *)
   reset_shared_state ();
   let books =

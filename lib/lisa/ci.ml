@@ -14,7 +14,7 @@
 
 type event =
   | Shipped of { stage : int; tests : int }
-  | Blocked of { stage : int; findings : Checker.rule_report list }
+  | Blocked of { stage : int; findings : Engine.Checker.rule_report list }
   | Learned of { stage : int; ticket_id : string; accepted : int; rejected : int }
   | Test_failure of { stage : int; failures : string list }
   | Degraded of { stage : int; rules : string list }
@@ -136,8 +136,8 @@ let event_to_string = function
       Fmt.str "v%d BLOCKED by rulebook: %s" stage
         (String.concat "; "
            (List.map
-              (fun (r : Checker.rule_report) ->
-                r.Checker.rep_rule.Semantics.Rule.rule_id)
+              (fun (r : Engine.Checker.rule_report) ->
+                r.Engine.Checker.rep_rule.Semantics.Rule.rule_id)
               findings))
   | Learned { stage; ticket_id; accepted; rejected } ->
       Fmt.str "v%d learned %s: %d rule(s) accepted, %d rejected" stage ticket_id

@@ -6,7 +6,7 @@
 
 type event =
   | Shipped of { stage : int; tests : int }
-  | Blocked of { stage : int; findings : Checker.rule_report list }
+  | Blocked of { stage : int; findings : Engine.Checker.rule_report list }
   | Learned of { stage : int; ticket_id : string; accepted : int; rejected : int }
   | Test_failure of { stage : int; failures : string list }
   | Degraded of { stage : int; rules : string list }

@@ -72,7 +72,7 @@ let lisa_strategy ?(config = Pipeline.default_config) (c : Corpus.Case.t) :
   let reports = Pipeline.enforce ~config (Corpus.Case.program_at c 2) book in
   let findings = Pipeline.findings reports in
   let paths =
-    List.fold_left (fun n (r : Checker.rule_report) -> n + r.Checker.rep_static_paths) 0 reports
+    List.fold_left (fun n (r : Engine.Checker.rule_report) -> n + r.rep_static_paths) 0 reports
   in
   {
     s_caught = findings <> [];

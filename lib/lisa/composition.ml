@@ -199,7 +199,7 @@ let check_stage (sd : scenario_def) (c : Corpus.Case.t)
 
 let run_case (sd : scenario_def) : result =
   let c =
-    match Corpus.Registry.find_case sd.sd_case with
+    match Corpus.Registry.find Corpus.Registry.builtin sd.sd_case with
     | Some c -> c
     | None -> invalid_arg (sd.sd_case ^ " missing")
   in

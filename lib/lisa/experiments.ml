@@ -62,15 +62,15 @@ method scenario_kafka_zombie(): str {
     let check stage = Pipeline.enforce (Corpus.Case.program_at c stage) book in
     let violations stage =
       List.concat_map
-        (fun (r : Checker.rule_report) ->
+        (fun (r : Engine.Checker.rule_report) ->
           List.map
-            (fun (t : Checker.trace_verdict) ->
-              ( t.Checker.tv_method,
-                match t.Checker.tv_result with
+            (fun (t : Engine.Checker.trace_verdict) ->
+              ( t.Engine.Checker.tv_method,
+                match t.Engine.Checker.tv_result with
                 | Smt.Solver.Violation m -> Smt.Solver.model_to_string m
                 | Smt.Solver.Verified -> "verified"
                 | Smt.Solver.Undecided reason -> "undecided: " ^ reason ))
-            r.Checker.rep_violations)
+            r.Engine.Checker.rep_violations)
         (check stage)
     in
     {
@@ -144,8 +144,8 @@ module Generalization = struct
 
   (* count lock findings of a single rule against a stage *)
   let findings_of rule (p : Minilang.Ast.program) : int =
-    let r = Checker.check_rule p rule in
-    List.length r.Checker.rep_lock_findings
+    let r = Engine.Checker.check_rule p rule in
+    List.length r.Engine.Checker.rep_lock_findings
 
   let run () : row list =
     let c =
@@ -227,18 +227,18 @@ module Unknown_bugs = struct
     let latest = Corpus.Case.program_at c c.Corpus.Case.latest_stage in
     let reports = Pipeline.enforce latest book in
     let violations =
-      List.concat_map (fun (r : Checker.rule_report) -> r.Checker.rep_violations) reports
+      List.concat_map (fun (r : Engine.Checker.rule_report) -> r.rep_violations) reports
     in
     {
       f_case = case_id;
       f_bug_id = List.nth c.Corpus.Case.bug_ids (List.length c.Corpus.Case.bug_ids - 1);
       f_methods =
         List.sort_uniq compare
-          (List.map (fun (t : Checker.trace_verdict) -> t.Checker.tv_method) violations);
+          (List.map (fun (t : Engine.Checker.trace_verdict) -> t.tv_method) violations);
       f_counterexamples =
         List.filter_map
-          (fun (t : Checker.trace_verdict) ->
-            match t.Checker.tv_result with
+          (fun (t : Engine.Checker.trace_verdict) ->
+            match t.Engine.Checker.tv_result with
             | Smt.Solver.Violation m -> Some (Smt.Solver.model_to_string m)
             | Smt.Solver.Verified | Smt.Solver.Undecided _ -> None)
           violations;

@@ -211,7 +211,7 @@ let verify (proposal : proposal) (rule : Semantics.Rule.t) : verification =
   | exception Minilang.Parser.Error (m, _) ->
       { fv_rule_clean = false; fv_tests_green = false; fv_detail = "patched source does not parse: " ^ m }
   | patched ->
-      let report = Checker.check_rule patched rule in
+      let report = Engine.Checker.check_rule patched rule in
       let failures =
         List.filter_map
           (fun name ->
@@ -222,11 +222,11 @@ let verify (proposal : proposal) (rule : Semantics.Rule.t) : verification =
       in
       {
         fv_rule_clean =
-          report.Checker.rep_violations = [] && report.Checker.rep_sanity_ok;
+          report.Engine.Checker.rep_violations = [] && report.Engine.Checker.rep_sanity_ok;
         fv_tests_green = failures = [];
         fv_detail =
           Fmt.str "%s; tests: %s"
-            (Checker.report_summary report)
+            (Engine.Checker.report_summary report)
             (if failures = [] then "green" else String.concat "; " failures);
       }
 
@@ -239,7 +239,7 @@ type case_fixes = {
 
 let fix_unknown_bug (case_id : string) : case_fixes =
   let c =
-    match Corpus.Registry.find_case case_id with
+    match Corpus.Registry.find Corpus.Registry.builtin case_id with
     | Some c -> c
     | None -> invalid_arg (case_id ^ " missing")
   in
@@ -255,13 +255,13 @@ let fix_unknown_bug (case_id : string) : case_fixes =
   let reports = Pipeline.enforce latest book in
   let proposals =
     List.concat_map
-      (fun (r : Checker.rule_report) ->
-        r.Checker.rep_violations
-        |> List.map (fun (t : Checker.trace_verdict) -> t.Checker.tv_method)
+      (fun (r : Engine.Checker.rule_report) ->
+        r.Engine.Checker.rep_violations
+        |> List.map (fun (t : Engine.Checker.trace_verdict) -> t.Engine.Checker.tv_method)
         |> List.sort_uniq compare
         |> List.filter_map (fun method_ ->
-               match propose latest r.Checker.rep_rule ~method_ with
-               | Some prop -> Some (prop, verify prop r.Checker.rep_rule)
+               match propose latest r.Engine.Checker.rep_rule ~method_ with
+               | Some prop -> Some (prop, verify prop r.Engine.Checker.rep_rule)
                | None -> None))
       reports
   in

@@ -28,7 +28,7 @@ type outcome = {
 }
 
 type config = {
-  checker : Checker.config;
+  checker : Engine.Checker.config;
   generalize : bool;  (** apply rule generalization before cross-checking *)
   noise : Oracle.Inference.noise;  (** LLM noise model (E9) *)
   cross_check : bool;  (** validate rules against the patched version *)
@@ -36,7 +36,7 @@ type config = {
 
 let default_config =
   {
-    checker = Checker.default_config;
+    checker = Engine.Checker.default_config;
     generalize = true;
     noise = Oracle.Inference.no_noise;
     cross_check = true;
@@ -48,16 +48,16 @@ let cross_check_rule (config : config) (patched : Minilang.Ast.program)
   match rule.Semantics.Rule.body with
   | Semantics.Rule.Lock_discipline _ ->
       (* a lock rule is grounded iff the patched version is clean under it *)
-      let r = Checker.check_rule ~config:config.checker patched rule in
-      if r.Checker.rep_lock_findings = [] then Ok rule
+      let r = Engine.Checker.check_rule ~config:config.checker patched rule in
+      if r.Engine.Checker.rep_lock_findings = [] then Ok rule
       else Error "patched version still violates the lock rule"
   | Semantics.Rule.State_guard _ ->
-      let r = Checker.check_rule ~config:config.checker patched rule in
-      if r.Checker.rep_targets = 0 then
+      let r = Engine.Checker.check_rule ~config:config.checker patched rule in
+      if r.Engine.Checker.rep_targets = 0 then
         Error "target statement does not exist in the patched version"
-      else if r.Checker.rep_violations <> [] then
+      else if r.Engine.Checker.rep_violations <> [] then
         Error "patched version violates the rule: inference is not grounded"
-      else if not r.Checker.rep_sanity_ok then
+      else if not r.Engine.Checker.rep_sanity_ok then
         Error "no trace verifies the rule: the fixed path must act as sanity check"
       else Ok rule
 
@@ -172,14 +172,14 @@ let learn_all ?(config = default_config) ~(system : string)
 (** Enforce a rulebook against a program version; the central entry point
     for CI and for the experiments. *)
 let enforce ?(config = default_config) (p : Minilang.Ast.program)
-    (book : Semantics.Rulebook.t) : Checker.rule_report list =
+    (book : Semantics.Rulebook.t) : Engine.Checker.rule_report list =
   Log.info "enforcing %d rule(s) of the %s rulebook" (Semantics.Rulebook.size book)
     book.Semantics.Rulebook.system;
-  let reports = Checker.check_book ~config:config.checker p book in
+  let reports = Engine.Checker.check_book ~config:config.checker p book in
   List.iter
-    (fun (r : Checker.rule_report) ->
-      if Checker.has_violations r then Log.warn "%s" (Checker.report_summary r)
-      else Log.debug "%s" (Checker.report_summary r))
+    (fun (r : Engine.Checker.rule_report) ->
+      if Engine.Checker.has_violations r then Log.warn "%s" (Engine.Checker.report_summary r)
+      else Log.debug "%s" (Engine.Checker.report_summary r))
     reports;
   reports
 
@@ -187,16 +187,16 @@ let enforce ?(config = default_config) (p : Minilang.Ast.program)
     contract and logging as {!enforce}, but scheduling, parallelism, and
     caching are the engine's ({!Engine.Scheduler.enforce}). *)
 let enforce_with (engine : Engine.Scheduler.t) (p : Minilang.Ast.program)
-    (book : Semantics.Rulebook.t) : Checker.rule_report list =
+    (book : Semantics.Rulebook.t) : Engine.Checker.rule_report list =
   Log.info "engine-enforcing %d rule(s) of the %s rulebook"
     (Semantics.Rulebook.size book) book.Semantics.Rulebook.system;
   let reports = Engine.Scheduler.enforce engine p book in
   List.iter
-    (fun (r : Checker.rule_report) ->
-      if Checker.has_violations r then Log.warn "%s" (Checker.report_summary r)
-      else Log.debug "%s" (Checker.report_summary r))
+    (fun (r : Engine.Checker.rule_report) ->
+      if Engine.Checker.has_violations r then Log.warn "%s" (Engine.Checker.report_summary r)
+      else Log.debug "%s" (Engine.Checker.report_summary r))
     reports;
   reports
 
-let findings (reports : Checker.rule_report list) : Checker.rule_report list =
-  List.filter Checker.has_violations reports
+let findings (reports : Engine.Checker.rule_report list) : Engine.Checker.rule_report list =
+  List.filter Engine.Checker.has_violations reports

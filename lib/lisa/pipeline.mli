@@ -18,7 +18,7 @@ type outcome = {
 }
 
 type config = {
-  checker : Checker.config;
+  checker : Engine.Checker.config;
   generalize : bool;  (** apply rule generalization before cross-checking *)
   noise : Oracle.Inference.noise;  (** LLM noise model (E9) *)
   cross_check : bool;  (** validate rules against the patched version *)
@@ -41,7 +41,7 @@ val enforce :
   ?config:config ->
   Minilang.Ast.program ->
   Semantics.Rulebook.t ->
-  Checker.rule_report list
+  Engine.Checker.rule_report list
 
 (** Enforce a rulebook through a running enforcement engine (same report
     contract as {!enforce}; scheduling/caching are the engine's). *)
@@ -49,7 +49,7 @@ val enforce_with :
   Engine.Scheduler.t ->
   Minilang.Ast.program ->
   Semantics.Rulebook.t ->
-  Checker.rule_report list
+  Engine.Checker.rule_report list
 
 (** The reports that carry violations. *)
-val findings : Checker.rule_report list -> Checker.rule_report list
+val findings : Engine.Checker.rule_report list -> Engine.Checker.rule_report list

@@ -9,34 +9,34 @@ let bullet s = "- " ^ s
 
 let code s = "`" ^ s ^ "`"
 
-let render_trace (t : Checker.trace_verdict) : string =
-  match t.Checker.tv_result with
+let render_trace (t : Engine.Checker.trace_verdict) : string =
+  match t.Engine.Checker.tv_result with
   | Smt.Solver.Verified ->
       bullet
         (Fmt.str "VERIFIED — %s (driven by %s); path condition %s"
-           (code t.Checker.tv_method) (code t.Checker.tv_entry)
-           (code (Smt.Formula.to_string t.Checker.tv_pc)))
+           (code t.Engine.Checker.tv_method) (code t.Engine.Checker.tv_entry)
+           (code (Smt.Formula.to_string t.Engine.Checker.tv_pc)))
   | Smt.Solver.Violation model ->
       bullet
         (Fmt.str
            "**VIOLATION** — %s (driven by %s); the path admits %s"
-           (code t.Checker.tv_method) (code t.Checker.tv_entry)
+           (code t.Engine.Checker.tv_method) (code t.Engine.Checker.tv_entry)
            (code (Smt.Solver.model_to_string model)))
   | Smt.Solver.Undecided reason ->
       bullet
         (Fmt.str "UNDECIDED — %s (driven by %s): %s"
-           (code t.Checker.tv_method) (code t.Checker.tv_entry) reason)
+           (code t.Engine.Checker.tv_method) (code t.Engine.Checker.tv_entry) reason)
 
-let render_lock_finding (f : Checker.lock_finding) : string =
+let render_lock_finding (f : Engine.Checker.lock_finding) : string =
   bullet
     (Fmt.str "**LOCK VIOLATION** — %s performs %s while holding a monitor (%s, stmt %d)"
-       (code f.Checker.lf_method) (code f.Checker.lf_op)
-       (if f.Checker.lf_static then "static" else "dynamic")
-       f.Checker.lf_sid)
+       (code f.Engine.Checker.lf_method) (code f.Engine.Checker.lf_op)
+       (if f.Engine.Checker.lf_static then "static" else "dynamic")
+       f.Engine.Checker.lf_sid)
 
 (** Markdown section for one rule report. *)
-let render_rule_report (r : Checker.rule_report) : string =
-  let rule = r.Checker.rep_rule in
+let render_rule_report (r : Engine.Checker.rule_report) : string =
+  let rule = r.Engine.Checker.rep_rule in
   let lines =
     [
       h2 (Fmt.str "Rule %s" rule.Semantics.Rule.rule_id);
@@ -47,21 +47,21 @@ let render_rule_report (r : Checker.rule_report) : string =
       "";
       bullet (Fmt.str "contract: %s" (code (Semantics.Rule.to_string rule)));
       bullet
-        (Fmt.str "targets: %d, static paths: %d, tests run: %d" r.Checker.rep_targets
-           r.Checker.rep_static_paths
-           (List.length r.Checker.rep_tests_run));
+        (Fmt.str "targets: %d, static paths: %d, tests run: %d" r.Engine.Checker.rep_targets
+           r.Engine.Checker.rep_static_paths
+           (List.length r.Engine.Checker.rep_tests_run));
       bullet
         (Fmt.str "traces: %d (%d verified, %d violations); sanity %s"
-           (List.length r.Checker.rep_traces)
-           (List.length r.Checker.rep_verified)
-           (List.length r.Checker.rep_violations)
-           (if r.Checker.rep_sanity_ok then "ok" else "**failed**"));
+           (List.length r.Engine.Checker.rep_traces)
+           (List.length r.Engine.Checker.rep_verified)
+           (List.length r.Engine.Checker.rep_violations)
+           (if r.Engine.Checker.rep_sanity_ok then "ok" else "**failed**"));
     ]
   in
-  let traces = List.map render_trace r.Checker.rep_traces in
-  let locks = List.map render_lock_finding r.Checker.rep_lock_findings in
+  let traces = List.map render_trace r.Engine.Checker.rep_traces in
+  let locks = List.map render_lock_finding r.Engine.Checker.rep_lock_findings in
   let uncovered =
-    match r.Checker.rep_uncovered_paths with
+    match r.Engine.Checker.rep_uncovered_paths with
     | [] -> []
     | paths ->
         ("" :: bullet "uncovered execution paths (developer verdict needed):"
@@ -70,7 +70,7 @@ let render_rule_report (r : Checker.rule_report) : string =
   (* absent on a healthy run, so clean reports render byte-identically
      to the pre-resilience pipeline *)
   let degraded =
-    match r.Checker.rep_degraded with
+    match r.Engine.Checker.rep_degraded with
     | [] -> []
     | reasons ->
         ("" :: bullet "**DEGRADED** — evidence lost, verdict is best-effort:"
@@ -79,10 +79,10 @@ let render_rule_report (r : Checker.rule_report) : string =
   String.concat "\n" (lines @ [ "" ] @ traces @ locks @ uncovered @ degraded)
 
 (** Full Markdown report for an enforcement run. *)
-let render ?(title = "LISA enforcement report") (reports : Checker.rule_report list)
+let render ?(title = "LISA enforcement report") (reports : Engine.Checker.rule_report list)
     : string =
-  let violating = List.filter Checker.has_violations reports in
-  let degraded = List.filter Checker.is_degraded reports in
+  let violating = List.filter Engine.Checker.has_violations reports in
+  let degraded = List.filter Engine.Checker.is_degraded reports in
   let verdict =
     if violating = [] && degraded <> [] then
       Fmt.str
@@ -96,8 +96,8 @@ let render ?(title = "LISA enforcement report") (reports : Checker.rule_report l
         (List.length reports)
         (String.concat ", "
            (List.map
-              (fun (r : Checker.rule_report) ->
-                code r.Checker.rep_rule.Semantics.Rule.rule_id)
+              (fun (r : Engine.Checker.rule_report) ->
+                code r.Engine.Checker.rep_rule.Semantics.Rule.rule_id)
               violating))
   in
   String.concat "\n\n"
@@ -132,7 +132,7 @@ let render_triaged ?(title = "LISA enforcement report")
   let reports = List.map (fun t -> t.Triage.t_report) ts in
   let blocking = List.filter Triage.blocking ts in
   let demoted = Triage.demoted_ids ts in
-  let degraded = List.filter Checker.is_degraded reports in
+  let degraded = List.filter Engine.Checker.is_degraded reports in
   let verdict =
     if blocking = [] && degraded <> [] then
       Fmt.str
@@ -150,7 +150,7 @@ let render_triaged ?(title = "LISA enforcement report")
            (List.map
               (fun t ->
                 code
-                  t.Triage.t_report.Checker.rep_rule.Semantics.Rule.rule_id)
+                  t.Triage.t_report.Engine.Checker.rep_rule.Semantics.Rule.rule_id)
               blocking))
   in
   let demotion_note =

@@ -3,9 +3,9 @@
     traces with counterexamples, lock findings, and the uncovered-path
     list that asks for a developer verdict. *)
 
-val render_rule_report : Checker.rule_report -> string
+val render_rule_report : Engine.Checker.rule_report -> string
 
-val render : ?title:string -> Checker.rule_report list -> string
+val render : ?title:string -> Engine.Checker.rule_report list -> string
 
 (** Triaged variant of {!render_rule_report}: the plain section plus one
     witness-replay tier bullet per finding. *)

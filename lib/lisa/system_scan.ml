@@ -47,51 +47,47 @@ let learn_system_book ?(config = Pipeline.default_config)
   let book, _ = Pipeline.learn_all ~config ~system tickets in
   book
 
-let row_of_reports ?(triage : Triage.config option) ?(program : Minilang.Ast.program option)
+let row_of_reports ?(triage : Triage.config option) ~(program : Minilang.Ast.program)
     (book : Semantics.Rulebook.t) (version : int)
-    (reports : Checker.rule_report list) : version_row =
+    (reports : Engine.Checker.rule_report list) : version_row =
   let tiers =
-    match (triage, program) with
-    | Some tcfg, Some p ->
-        let violating = List.filter Checker.has_violations reports in
-        Triage.triage_reports ~config:tcfg p violating
+    match triage with
+    | Some tcfg ->
+        let violating = List.filter Engine.Checker.has_violations reports in
+        Triage.triage_reports ~config:tcfg program violating
         |> List.filter_map (fun t ->
                match Triage.rule_tier t with
                | Some tier ->
                    Some
-                     ( t.Triage.t_report.Checker.rep_rule
+                     ( t.Triage.t_report.Engine.Checker.rep_rule
                          .Semantics.Rule.rule_id,
                        Triage.tier_to_string tier )
                | None -> None)
-    | _ -> []
+    | None -> []
   in
   {
     vr_version = version;
     vr_rules = Semantics.Rulebook.size book;
     vr_violating_rules =
       List.filter_map
-        (fun (r : Checker.rule_report) ->
-          if Checker.has_violations r then
-            Some r.Checker.rep_rule.Semantics.Rule.rule_id
+        (fun (r : Engine.Checker.rule_report) ->
+          if Engine.Checker.has_violations r then
+            Some r.Engine.Checker.rep_rule.Semantics.Rule.rule_id
           else None)
         reports;
     vr_traces =
-      List.fold_left (fun n (r : Checker.rule_report) -> n + List.length r.Checker.rep_traces) 0 reports;
+      List.fold_left
+        (fun n (r : Engine.Checker.rule_report) -> n + List.length r.rep_traces)
+        0 reports;
     vr_branches_total =
-      List.fold_left (fun n (r : Checker.rule_report) -> n + r.Checker.rep_branches_total) 0 reports;
+      List.fold_left (fun n (r : Engine.Checker.rule_report) -> n + r.rep_branches_total) 0 reports;
     vr_branches_recorded =
       List.fold_left
-        (fun n (r : Checker.rule_report) -> n + r.Checker.rep_branches_recorded)
+        (fun n (r : Engine.Checker.rule_report) -> n + r.Engine.Checker.rep_branches_recorded)
         0 reports;
     vr_degraded = Engine.Scheduler.degraded_ids reports;
     vr_tiers = tiers;
   }
-
-let scan_version ?(config = Pipeline.default_config)
-    ?(registry = Corpus.Registry.builtin) (system : string)
-    (book : Semantics.Rulebook.t) (version : int) : version_row =
-  let p = Corpus.Registry.program_of registry system ~version in
-  row_of_reports book version (Pipeline.enforce ~config p book)
 
 (** The whole scan as one engine run.  Returns per-system rows plus the
     engine's accumulated statistics.  [triage] additionally runs

@@ -25,15 +25,6 @@ val learn_system_book :
   string ->
   Semantics.Rulebook.t
 
-(** One version through the plain serial pipeline (no engine). *)
-val scan_version :
-  ?config:Pipeline.config ->
-  ?registry:Corpus.Registry.t ->
-  string ->
-  Semantics.Rulebook.t ->
-  int ->
-  version_row
-
 (** The whole scan as one engine run, with the engine's statistics.
     [registry] (default {!Corpus.Registry.builtin}) picks the corpus:
     systems and scan versions come from the registry value.  [triage]

@@ -1,9 +1,12 @@
 (** Concolic execution engine over MiniJava (the WeBridge substitute).
 
     Execution is driven by concrete inputs (existing tests, per §3.2 of the
-    paper); alongside each concrete value the engine tracks a symbolic
-    shadow ({!Sym}).  At every branch it records the *reason* for the
-    outcome — the conjunction of literals over state paths that the
+    paper).  The concrete semantics are {!Minilang.Interp}'s own: this
+    module is only a shadow layer ({!Interp.SHADOW}) instantiating
+    {!Interp.Make}, so the paths it records are exactly the paths the
+    interpreter takes.  Alongside each concrete value the layer tracks a
+    symbolic shadow ({!Sym}).  At every branch it records the *reason* for
+    the outcome — the conjunction of literals over state paths that the
     evaluated (short-circuited) part of the guard established — and
     accumulates these facts into the path condition.  Following the
     paper's pruning strategy, only facts that mention a variable relevant
@@ -15,18 +18,17 @@
     complement check ({!Smt.Solver.check_trace}) judges.
 
     Shadow-naming rules (the engine side of normalization):
-    - a field read [o.f] has shadow [root(o) ^ "." ^ f], where [root(o)]
-      is [o]'s own shadow path if any, else the runtime class of [o];
+    - a field read [o.f] has shadow [C ^ "." ^ f], where [C] is the
+      runtime class of [o] (class-canonical naming);
     - a local declared [var x: C = ...] whose initialiser has no shadow is
-      given the fresh root [C] (class-canonical naming);
+      given the fresh root [C], and so is an object parameter of type [C];
+      a scalar parameter is the symbolic input named by the parameter;
     - scalar constants shadow as themselves; arithmetic results are
       opaque (their guards contribute no facts). *)
 
 open Minilang
 
 type tagged = { v : Value.t; sym : Sym.t option }
-
-let untagged v = { v; sym = None }
 
 type hit = {
   h_target_sid : int;
@@ -71,30 +73,32 @@ let default_config =
     capture_vars = [];
   }
 
+type lost = Fuel | Injected_budget | Breaker_open
+
+let lost_to_string = function
+  | Fuel -> "out of fuel"
+  | Injected_budget -> "out of fuel (injected)"
+  | Breaker_open -> "circuit open: concolic run skipped"
+
+(* the shadow side of one call *)
 type frame = {
-  vars : (string, tagged) Hashtbl.t;
-  self : tagged;
   qname : string;
   mutable decisions : (int * bool) list;  (** reversed *)
   mutable f_pc : Smt.Formula.t list;  (** pruned facts of this frame, newest first *)
   mutable f_full_pc : Smt.Formula.t list;
 }
 
-type state = {
-  program : Ast.program;
-  heap : Value.heap;
-  mutable fuel_left : int;
-  mutable locks : int list;
-  mutable depth : int;
+(* the shadow side of one run *)
+type run = {
+  entry : string;
+  config : config;
   mutable stack : frame list;  (** live call stack, innermost first *)
   mutable hits : hit list;
   mutable blocking : blocking_event list;
   mutable branches_total : int;
   mutable branches_recorded : int;
-  mutable entry : string;
   mutable pc_cache : (Smt.Formula.t list * Smt.Formula.t list) option;
       (** memoized (pruned, full) snapshot; None when stale *)
-  config : config;
 }
 
 (* The path condition at a program point is the concatenation of the facts
@@ -109,65 +113,21 @@ type state = {
    physically same lists — and formulas are hash-consed, so two snapshots
    with the same facts collapse to one [conj] node and one verdict-cache
    entry downstream. *)
-let pc_snapshots (st : state) : Smt.Formula.t list * Smt.Formula.t list =
-  match st.pc_cache with
+let pc_snapshots (r : run) : Smt.Formula.t list * Smt.Formula.t list =
+  match r.pc_cache with
   | Some snap -> snap
   | None ->
-      let frames = List.rev st.stack in
+      let frames = List.rev r.stack in
       let snap =
         ( List.concat_map (fun f -> List.rev f.f_pc) frames,
           List.concat_map (fun f -> List.rev f.f_full_pc) frames )
       in
-      st.pc_cache <- Some snap;
+      r.pc_cache <- Some snap;
       snap
 
-let stack_pc (st : state) : Smt.Formula.t list = fst (pc_snapshots st)
-
-let stack_full_pc (st : state) : Smt.Formula.t list = snd (pc_snapshots st)
-
-let create ?(config = default_config) (program : Ast.program) : state =
-  {
-    program;
-    heap = Value.heap_create ();
-    fuel_left = config.fuel;
-    locks = [];
-    depth = 0;
-    stack = [];
-    hits = [];
-    blocking = [];
-    branches_total = 0;
-    branches_recorded = 0;
-    entry = "<none>";
-    pc_cache = None;
-    config;
-  }
-
-let tick st =
-  st.fuel_left <- st.fuel_left - 1;
-  if st.fuel_left <= 0 then raise Interp.Out_of_fuel
-
-let runtime_error loc fmt =
-  Fmt.kstr (fun m -> raise (Interp.Runtime_error (m, loc))) fmt
-
 (* ------------------------------------------------------------------ *)
-(* Shadow helpers                                                      *)
+(* Facts                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let class_of_ref (st : state) (v : Value.t) : string option =
-  match v with
-  | Value.V_ref addr -> (
-      match Value.heap_get st.heap addr with
-      | Some (Value.C_obj o) -> Some o.Value.o_class
-      | Some _ | None -> None)
-  | Value.V_int _ | Value.V_bool _ | Value.V_str _ | Value.V_null -> None
-
-(* Root path for a receiver.  Objects are named by their runtime class
-   (class-canonical naming, matching {!Semantics.Translate}); the shadow
-   path is only used when no class is available. *)
-let root_of (st : state) (t : tagged) : string option =
-  match class_of_ref st t.v with
-  | Some c -> Some c
-  | None -> ( match t.sym with Some s -> Sym.as_var s | None -> None)
 
 (* term for one side of a comparison: the shadow *is* the term now, else
    the concrete scalar value *)
@@ -176,16 +136,24 @@ let term_of (t : tagged) : Smt.Formula.term option =
   | Some s -> Some s
   | None -> Sym.of_value t.v
 
-let term_has_var = Sym.is_var
-
-(* a signed atom fact, if expressible and non-trivial *)
+(* a signed atom fact, if both sides are pure state/constants and at least
+   one mentions state *)
 let atom_fact (rel : Smt.Formula.rel) (a : tagged) (b : tagged) (holds : bool) :
     Smt.Formula.t option =
   match (term_of a, term_of b) with
-  | Some ta, Some tb when term_has_var ta || term_has_var tb ->
+  | Some ta, Some tb when Sym.is_var ta || Sym.is_var tb ->
       let rel = if holds then rel else Smt.Formula.negate_rel rel in
       Some (Smt.Formula.atom rel ta tb)
   | _ -> None
+
+let rel_of_binop : Ast.binop -> Smt.Formula.rel option = function
+  | Ast.Eq -> Some Smt.Formula.Req
+  | Ast.Neq -> Some Smt.Formula.Rneq
+  | Ast.Lt -> Some Smt.Formula.Rlt
+  | Ast.Le -> Some Smt.Formula.Rle
+  | Ast.Gt -> Some Smt.Formula.Rgt
+  | Ast.Ge -> Some Smt.Formula.Rge
+  | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.And | Ast.Or -> None
 
 let combine (a : Smt.Formula.t option) (b : Smt.Formula.t option) :
     Smt.Formula.t option =
@@ -201,31 +169,44 @@ let rec filter_relevant (roots : string list) (f : Smt.Formula.t) :
   | Smt.Formula.And fs ->
       let kept = List.filter_map (filter_relevant roots) fs in
       if kept = [] then None else Some (Smt.Formula.conj kept)
-  | Smt.Formula.Atom a -> if Sym.mentions_root roots a.Smt.Formula.lhs || Sym.mentions_root roots a.Smt.Formula.rhs then Some f else None
+  | Smt.Formula.Atom a ->
+      if
+        Sym.mentions_root roots a.Smt.Formula.lhs
+        || Sym.mentions_root roots a.Smt.Formula.rhs
+      then Some f
+      else None
   | Smt.Formula.Not g -> (
       match filter_relevant roots g with
       | Some g' -> Some (Smt.Formula.negate g')
       | None -> None)
   | Smt.Formula.Or _ | Smt.Formula.True | Smt.Formula.False -> None
 
-let record_fact (st : state) (frame : frame) (fact : Smt.Formula.t option) : unit =
+let record_fact (r : run) (frame : frame) (fact : Smt.Formula.t option) : unit =
   match fact with
   | None -> ()
   | Some f ->
-      st.pc_cache <- None;
+      r.pc_cache <- None;
       frame.f_full_pc <- f :: frame.f_full_pc;
       let keep =
-        if st.config.prune then filter_relevant st.config.relevant_roots f else Some f
+        if r.config.prune then filter_relevant r.config.relevant_roots f else Some f
       in
       (match keep with
       | Some f' ->
           frame.f_pc <- f' :: frame.f_pc;
-          st.branches_recorded <- st.branches_recorded + 1
+          r.branches_recorded <- r.branches_recorded + 1
       | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Concrete-state capture (for witness-replay triage)                   *)
 (* ------------------------------------------------------------------ *)
+
+let class_of_ref (heap : Value.heap) (v : Value.t) : string option =
+  match v with
+  | Value.V_ref addr -> (
+      match Value.heap_get heap addr with
+      | Some (Value.C_obj o) -> Some o.Value.o_class
+      | Some _ | None -> None)
+  | Value.V_int _ | Value.V_bool _ | Value.V_str _ | Value.V_null -> None
 
 (* References are reported as opaque markers, never heap addresses, so
    captured states stay schedule-independent and comparable across runs;
@@ -243,15 +224,15 @@ let value_of_concrete : Value.t -> Smt.Formula.value = function
    name is a scalar local/param, else a class root whose mere existence
    answers null atoms.  Unresolvable names are simply omitted: downstream
    three-valued evaluation treats them as unknown. *)
-let capture_state (st : state) (frame : frame) :
-    (string * Smt.Formula.value) list =
+let capture_state (r : run) (heap : Value.heap) ~(self : tagged)
+    (vars : (string, tagged) Hashtbl.t) : (string * Smt.Formula.value) list =
   let object_of_class cls =
     let of_tagged t =
-      match class_of_ref st t.v with
+      match class_of_ref heap t.v with
       | Some c when c = cls -> Some t.v
       | Some _ | None -> None
     in
-    match of_tagged frame.self with
+    match of_tagged self with
     | Some v -> Some v
     | None -> (
         let candidates =
@@ -260,7 +241,7 @@ let capture_state (st : state) (frame : frame) :
               match of_tagged t with
               | Some v -> (name, v) :: acc
               | None -> acc)
-            frame.vars []
+            vars []
         in
         match
           List.sort (fun (a, _) (b, _) -> String.compare a b) candidates
@@ -276,7 +257,7 @@ let capture_state (st : state) (frame : frame) :
           let fld = String.sub var (i + 1) (String.length var - i - 1) in
           match object_of_class cls with
           | Some (Value.V_ref addr) -> (
-              match Value.heap_get st.heap addr with
+              match Value.heap_get heap addr with
               | Some (Value.C_obj obj) -> (
                   match Value.obj_get obj fld with
                   | Some v -> Some (var, value_of_concrete v)
@@ -284,7 +265,7 @@ let capture_state (st : state) (frame : frame) :
               | Some _ | None -> None)
           | Some _ | None -> None)
       | None -> (
-          match Hashtbl.find_opt frame.vars var with
+          match Hashtbl.find_opt vars var with
           | Some t -> (
               match t.v with
               | Value.V_ref _ -> Some (var, Smt.Formula.V_str "<obj>")
@@ -293,521 +274,106 @@ let capture_state (st : state) (frame : frame) :
               if object_of_class var <> None then
                 Some (var, Smt.Formula.V_str "<obj>")
               else None))
-    st.config.capture_vars
+    r.config.capture_vars
 
 (* ------------------------------------------------------------------ *)
-(* Builtins (concrete semantics shared with Interp, shadows dropped)    *)
+(* The shadow layer                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let as_int loc = function
-  | Value.V_int n -> n
-  | v -> runtime_error loc "expected int, got %s" (Value.type_name v)
+module Shadow = struct
+  type sym = Sym.t option
 
-let as_str loc = function
-  | Value.V_str s -> s
-  | v -> runtime_error loc "expected str, got %s" (Value.type_name v)
+  type nonrec tagged = tagged = { v : Value.t; sym : sym }
 
-let as_map st loc = function
-  | Value.V_ref addr -> (
-      match Value.heap_get st.heap addr with
-      | Some (Value.C_map m) -> m
-      | _ -> runtime_error loc "expected map reference")
-  | Value.V_null -> runtime_error loc "null map dereference"
-  | v -> runtime_error loc "expected map, got %s" (Value.type_name v)
+  let none = None
 
-let as_list st loc = function
-  | Value.V_ref addr -> (
-      match Value.heap_get st.heap addr with
-      | Some (Value.C_list l) -> l
-      | _ -> runtime_error loc "expected list reference")
-  | Value.V_null -> runtime_error loc "null list dereference"
-  | v -> runtime_error loc "expected list, got %s" (Value.type_name v)
+  let literal = Sym.of_value
 
-let call_builtin (st : state) (frame : frame) ~sid ~loc name (args : tagged list) :
-    tagged =
-  let argv = List.map (fun t -> t.v) args in
-  let blocking op =
-    st.blocking <-
+  let field ~cls f = Some (Sym.var (cls ^ "." ^ f))
+
+  (* class-canonical naming for opaque object sources *)
+  let decl (program : Ast.program) (ty : Ast.typ) (sym : sym) : sym =
+    match (sym, ty) with
+    | None, Ast.T_ref c when Ast.find_class program c <> None -> Some (Sym.var c)
+    | _ -> sym
+
+  let param (program : Ast.program) (p : string) (ty : Ast.typ) (sym : sym) : sym =
+    match ty with
+    (* class-canonical naming for object parameters without a shadow *)
+    | Ast.T_ref c when sym = None && Ast.find_class program c <> None ->
+        Some (Sym.var c)
+    (* scalar parameters are symbolic inputs named by the parameter, so
+       that rule conditions mentioning a parameter (e.g. a TTL or an
+       epoch argument) meet the trace in the same vocabulary *)
+    | Ast.T_int | Ast.T_str | Ast.T_bool -> Some (Sym.var p)
+    | Ast.T_ref _ | Ast.T_map | Ast.T_list | Ast.T_void | Ast.T_any -> sym
+
+  type fact = Smt.Formula.t option
+
+  let no_fact = None
+
+  let compare op a b holds =
+    match rel_of_binop op with Some rel -> atom_fact rel a b holds | None -> None
+
+  (* a boolean-valued simple expression used as a guard *)
+  let truth (sym : sym) (b : bool) : fact =
+    match Option.bind sym Sym.as_var with
+    | Some p -> Some (Smt.Formula.eq (Smt.Formula.tvar p) (Smt.Formula.tbool b))
+    | None -> None
+
+  let both = combine
+
+  type nonrec run = run
+
+  type nonrec frame = frame
+
+  let enter (r : run) (qname : string) : frame =
+    let frame = { qname; decisions = []; f_pc = []; f_full_pc = [] } in
+    r.stack <- frame :: r.stack;
+    r.pc_cache <- None;
+    frame
+
+  let leave (r : run) =
+    r.stack <- (match r.stack with _ :: rest -> rest | [] -> []);
+    r.pc_cache <- None
+
+  (* target instrumentation: snapshot the path condition on arrival *)
+  let arrive (r : run) (frame : frame) heap ~sid ~locks ~self vars =
+    if List.mem sid r.config.targets then
+      r.hits <-
+        {
+          h_target_sid = sid;
+          h_method = frame.qname;
+          h_entry = r.entry;
+          h_pc = fst (pc_snapshots r);
+          h_full_pc = snd (pc_snapshots r);
+          h_decisions = List.rev frame.decisions;
+          h_locks_held = List.length locks;
+          h_state =
+            (if r.config.capture_vars = [] then []
+             else capture_state r heap ~self vars);
+        }
+        :: r.hits
+
+  let branch (r : run) (frame : frame) ~sid ~first fact taken =
+    r.branches_total <- r.branches_total + 1;
+    record_fact r frame fact;
+    if first && not (List.mem_assoc sid frame.decisions) then
+      frame.decisions <- (sid, taken) :: frame.decisions
+
+  let blocking (r : run) (frame : frame) ~sid op ~locks =
+    r.blocking <-
       {
         be_sid = sid;
         be_op = op;
-        be_locks = List.length st.locks;
+        be_locks = List.length locks;
         be_method = frame.qname;
-        be_entry = st.entry;
+        be_entry = r.entry;
       }
-      :: st.blocking
-  in
-  let ret v = untagged v in
-  match (name, argv) with
-  | "mapNew", [] -> ret (Value.V_ref (Value.heap_alloc st.heap (Value.C_map (ref []))))
-  | "mapGet", [ m; k ] -> (
-      match Value.map_get (as_map st loc m) k with
-      | Some v -> ret v
-      | None -> ret Value.V_null)
-  | "mapPut", [ m; k; v ] ->
-      Value.map_put (as_map st loc m) k v;
-      ret Value.V_null
-  | "mapRemove", [ m; k ] ->
-      Value.map_remove (as_map st loc m) k;
-      ret Value.V_null
-  | "mapContains", [ m; k ] -> ret (Value.V_bool (Value.map_contains (as_map st loc m) k))
-  | "mapSize", [ m ] -> ret (Value.V_int (List.length !(as_map st loc m)))
-  | "mapKeys", [ m ] ->
-      let keys = List.map fst !(as_map st loc m) in
-      ret (Value.V_ref (Value.heap_alloc st.heap (Value.C_list (ref keys))))
-  | "listNew", [] -> ret (Value.V_ref (Value.heap_alloc st.heap (Value.C_list (ref []))))
-  | "listAdd", [ l; v ] ->
-      let cell = as_list st loc l in
-      cell := !cell @ [ v ];
-      ret Value.V_null
-  | "listGet", [ l; i ] -> (
-      let cell = as_list st loc l in
-      let i = as_int loc i in
-      match List.nth_opt !cell i with
-      | Some v -> ret v
-      | None -> runtime_error loc "list index %d out of bounds" i)
-  | "listSet", [ l; i; v ] ->
-      let cell = as_list st loc l in
-      let i = as_int loc i in
-      if i < 0 || i >= List.length !cell then runtime_error loc "index out of bounds";
-      cell := List.mapi (fun j x -> if j = i then v else x) !cell;
-      ret Value.V_null
-  | "listSize", [ l ] -> ret (Value.V_int (List.length !(as_list st loc l)))
-  | "listContains", [ l; v ] ->
-      ret (Value.V_bool (List.exists (Value.equal v) !(as_list st loc l)))
-  | "listRemoveAt", [ l; i ] ->
-      let cell = as_list st loc l in
-      let i = as_int loc i in
-      cell := List.filteri (fun j _ -> j <> i) !cell;
-      ret Value.V_null
-  | "toStr", [ v ] -> ret (Value.V_str (Value.to_string ~heap:st.heap v))
-  | "strLen", [ s ] -> ret (Value.V_int (String.length (as_str loc s)))
-  | "concat", [ a; b ] -> ret (Value.V_str (as_str loc a ^ as_str loc b))
-  | "startsWith", [ s; p ] ->
-      let s = as_str loc s and p = as_str loc p in
-      ret
-        (Value.V_bool
-           (String.length p <= String.length s && String.sub s 0 (String.length p) = p))
-  | "abs", [ n ] -> ret (Value.V_int (abs (as_int loc n)))
-  | "min", [ a; b ] -> ret (Value.V_int (min (as_int loc a) (as_int loc b)))
-  | "max", [ a; b ] -> ret (Value.V_int (max (as_int loc a) (as_int loc b)))
-  | "now", [] -> ret (Value.V_int (st.config.fuel - st.fuel_left))
-  | "print", [ _ ] | "log", [ _ ] -> ret Value.V_null
-  | "fail", [ v ] -> raise (Interp.Mini_throw v)
-  | "writeRecord", [ _ ] ->
-      blocking "writeRecord";
-      ret Value.V_null
-  | "readRecord", [ v ] ->
-      blocking "readRecord";
-      ret v
-  | "networkSend", [ _; _ ] ->
-      blocking "networkSend";
-      ret Value.V_null
-  | "networkRecv", [ v ] ->
-      blocking "networkRecv";
-      ret v
-  | "fsync", [ _ ] ->
-      blocking "fsync";
-      ret Value.V_null
-  | "rpcCall", [ _; v ] ->
-      blocking "rpcCall";
-      ret v
-  | "sleepMs", [ _ ] ->
-      blocking "sleepMs";
-      ret Value.V_null
-  | _ -> runtime_error loc "builtin %s: bad arity (%d args)" name (List.length argv)
+      :: r.blocking
+end
 
-(* ------------------------------------------------------------------ *)
-(* Expression evaluation with shadows                                  *)
-(* ------------------------------------------------------------------ *)
-
-type flow = F_normal | F_return of tagged | F_break | F_continue
-
-let rec eval (st : state) (frame : frame) (e : Ast.expr) : tagged =
-  let loc = e.Ast.eloc in
-  match e.Ast.e with
-  | Ast.Int_lit n -> { v = Value.V_int n; sym = Some (Smt.Formula.tint n) }
-  | Ast.Bool_lit b -> { v = Value.V_bool b; sym = Some (Smt.Formula.tbool b) }
-  | Ast.Str_lit s -> { v = Value.V_str s; sym = Some (Smt.Formula.tstr s) }
-  | Ast.Null_lit -> { v = Value.V_null; sym = Some Smt.Formula.tnull }
-  | Ast.This -> frame.self
-  | Ast.Var x -> (
-      match Hashtbl.find_opt frame.vars x with
-      | Some t -> t
-      | None -> runtime_error loc "unbound variable %s" x)
-  | Ast.Field (o, f) -> (
-      let ot = eval st frame o in
-      match ot.v with
-      | Value.V_ref addr -> (
-          match Value.heap_get st.heap addr with
-          | Some (Value.C_obj obj) -> (
-              match Value.obj_get obj f with
-              | Some v ->
-                  let sym =
-                    match root_of st ot with
-                    | Some root -> Some (Sym.var (root ^ "." ^ f))
-                    | None -> None
-                  in
-                  { v; sym }
-              | None -> runtime_error loc "object %s has no field %s" obj.Value.o_class f)
-          | Some _ -> runtime_error loc "field access %s on non-object" f
-          | None -> runtime_error loc "dangling reference")
-      | Value.V_null -> runtime_error loc "null dereference reading field %s" f
-      | v -> runtime_error loc "field access %s on %s" f (Value.type_name v))
-  | Ast.Binop _ | Ast.Unop _ ->
-      (* boolean-typed expressions get facts via eval_bool; in value
-         position we still want correct concrete semantics *)
-      let v, _fact, sym = eval_complex st frame e in
-      { v; sym }
-  | Ast.Call (name, args) ->
-      let argt = List.map (eval st frame) args in
-      if Builtins.is_builtin name then call_builtin st frame ~sid:(-1) ~loc name argt
-      else (
-        match Ast.find_func st.program name with
-        | Some f -> invoke st ~qname:name f (untagged Value.V_null) argt loc
-        | None -> runtime_error loc "unknown function %s" name)
-  | Ast.Method_call (o, m, args) -> (
-      let ot = eval st frame o in
-      let argt = List.map (eval st frame) args in
-      match ot.v with
-      | Value.V_ref addr -> (
-          match Value.heap_get st.heap addr with
-          | Some (Value.C_obj obj) -> (
-              match Ast.find_class st.program obj.Value.o_class with
-              | None -> runtime_error loc "object of unknown class %s" obj.Value.o_class
-              | Some cls -> (
-                  match Ast.find_method_in_class cls m with
-                  | Some md -> invoke st ~qname:(cls.Ast.c_name ^ "." ^ m) md ot argt loc
-                  | None -> runtime_error loc "class %s has no method %s" cls.Ast.c_name m))
-          | Some _ -> runtime_error loc "method call %s on non-object" m
-          | None -> runtime_error loc "dangling reference")
-      | Value.V_null -> runtime_error loc "null dereference calling method %s" m
-      | v -> runtime_error loc "method call %s on %s" m (Value.type_name v))
-  | Ast.New (cls_name, args) -> (
-      match Ast.find_class st.program cls_name with
-      | None -> runtime_error loc "unknown class %s" cls_name
-      | Some cls ->
-          let obj = Value.new_obj ~cls:cls_name in
-          let addr = Value.heap_alloc st.heap (Value.C_obj obj) in
-          let self = untagged (Value.V_ref addr) in
-          List.iter
-            (fun (fd : Ast.field_decl) ->
-              let v =
-                match fd.Ast.f_init with
-                | Some e -> (eval st frame e).v
-                | None -> (
-                    match fd.Ast.f_typ with
-                    | Ast.T_int -> Value.V_int 0
-                    | Ast.T_bool -> Value.V_bool false
-                    | Ast.T_str -> Value.V_str ""
-                    | Ast.T_map -> Value.V_ref (Value.heap_alloc st.heap (Value.C_map (ref [])))
-                    | Ast.T_list ->
-                        Value.V_ref (Value.heap_alloc st.heap (Value.C_list (ref [])))
-                    | Ast.T_ref _ | Ast.T_void | Ast.T_any -> Value.V_null)
-              in
-              Value.obj_set obj fd.Ast.f_name v)
-            cls.Ast.c_fields;
-          let argt = List.map (eval st frame) args in
-          (match Ast.find_method_in_class cls "init" with
-          | Some md -> ignore (invoke st ~qname:(cls_name ^ ".init") md self argt loc)
-          | None ->
-              if argt <> [] then
-                runtime_error loc "class %s has no init method but 'new' got args" cls_name);
-          self)
-
-(* Evaluate a boolean expression: concrete result plus the *fact* (signed
-   conjunction of literals) the evaluation established.  Also returns the
-   shadow for value position. *)
-and eval_complex (st : state) (frame : frame) (e : Ast.expr) :
-    Value.t * Smt.Formula.t option * Sym.t option =
-  let loc = e.Ast.eloc in
-  match e.Ast.e with
-  | Ast.Binop (Ast.And, a, b) -> (
-      let va, fa, _ = eval_complex st frame a in
-      match va with
-      | Value.V_bool false -> (Value.V_bool false, fa, None)
-      | Value.V_bool true ->
-          let vb, fb, _ = eval_complex st frame b in
-          (match vb with
-          | Value.V_bool _ -> (vb, combine fa fb, None)
-          | v -> runtime_error loc "'&&' applied to %s" (Value.type_name v))
-      | v -> runtime_error loc "'&&' applied to %s" (Value.type_name v))
-  | Ast.Binop (Ast.Or, a, b) -> (
-      let va, fa, _ = eval_complex st frame a in
-      match va with
-      | Value.V_bool true -> (Value.V_bool true, fa, None)
-      | Value.V_bool false ->
-          let vb, fb, _ = eval_complex st frame b in
-          (match vb with
-          | Value.V_bool _ -> (vb, combine fa fb, None)
-          | v -> runtime_error loc "'||' applied to %s" (Value.type_name v))
-      | v -> runtime_error loc "'||' applied to %s" (Value.type_name v))
-  | Ast.Unop (Ast.Not, a) -> (
-      let va, fa, _ = eval_complex st frame a in
-      match va with
-      | Value.V_bool b -> (Value.V_bool (not b), fa, None)
-      | v -> runtime_error loc "'!' applied to %s" (Value.type_name v))
-  | Ast.Binop (((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b)
-    -> (
-      let ta = eval st frame a in
-      let tb = eval st frame b in
-      let concrete =
-        match op with
-        | Ast.Eq -> Some (Value.equal ta.v tb.v)
-        | Ast.Neq -> Some (not (Value.equal ta.v tb.v))
-        | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-            match (ta.v, tb.v) with
-            | Value.V_int x, Value.V_int y ->
-                Some
-                  (match op with
-                  | Ast.Lt -> x < y
-                  | Ast.Le -> x <= y
-                  | Ast.Gt -> x > y
-                  | Ast.Ge -> x >= y
-                  | _ -> assert false)
-            | Value.V_str x, Value.V_str y when op = Ast.Lt -> Some (x < y)
-            | Value.V_str x, Value.V_str y when op = Ast.Gt -> Some (x > y)
-            | _ -> None)
-        | _ -> None
-      in
-      match concrete with
-      | None ->
-          runtime_error loc "'%s' applied to %s and %s" (Ast.binop_to_string op)
-            (Value.type_name ta.v) (Value.type_name tb.v)
-      | Some holds ->
-          let rel =
-            match op with
-            | Ast.Eq -> Smt.Formula.Req
-            | Ast.Neq -> Smt.Formula.Rneq
-            | Ast.Lt -> Smt.Formula.Rlt
-            | Ast.Le -> Smt.Formula.Rle
-            | Ast.Gt -> Smt.Formula.Rgt
-            | Ast.Ge -> Smt.Formula.Rge
-            | _ -> assert false
-          in
-          let fact =
-            (* only atoms where both sides are pure state/constants *)
-            atom_fact rel ta tb holds
-          in
-          (Value.V_bool holds, fact, None))
-  | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod) as op), a, b) -> (
-      let ta = eval st frame a in
-      let tb = eval st frame b in
-      match (ta.v, tb.v) with
-      | Value.V_int x, Value.V_int y ->
-          let r =
-            match op with
-            | Ast.Add -> x + y
-            | Ast.Sub -> x - y
-            | Ast.Mul -> x * y
-            | Ast.Div -> if y = 0 then runtime_error loc "division by zero" else x / y
-            | Ast.Mod -> if y = 0 then runtime_error loc "modulo by zero" else x mod y
-            | _ -> assert false
-          in
-          (Value.V_int r, None, None)
-      | Value.V_str x, _ when op = Ast.Add ->
-          (Value.V_str (x ^ Value.to_string ~heap:st.heap tb.v), None, None)
-      | x, y ->
-          runtime_error loc "'%s' applied to %s and %s" (Ast.binop_to_string op)
-            (Value.type_name x) (Value.type_name y))
-  | Ast.Unop (Ast.Neg, a) -> (
-      match (eval st frame a).v with
-      | Value.V_int n -> (Value.V_int (-n), None, None)
-      | v -> runtime_error loc "unary '-' applied to %s" (Value.type_name v))
-  | Ast.Int_lit _ | Ast.Bool_lit _ | Ast.Str_lit _ | Ast.Null_lit | Ast.Var _
-  | Ast.This | Ast.Field _ | Ast.Call _ | Ast.Method_call _ | Ast.New _ -> (
-      (* boolean-valued simple expression used as a guard *)
-      let t = eval st frame e in
-      match t.v with
-      | Value.V_bool b ->
-          let fact =
-            match Option.bind t.sym Sym.as_var with
-            | Some p ->
-                Some
-                  (Smt.Formula.eq (Smt.Formula.tvar p) (Smt.Formula.tbool b))
-            | None -> None
-          in
-          (t.v, fact, t.sym)
-      | _ -> (t.v, None, t.sym))
-
-(* Full guard evaluation: concrete bool + recorded fact *)
-and eval_guard (st : state) (frame : frame) (e : Ast.expr) : bool =
-  let v, fact, _ = eval_complex st frame e in
-  match v with
-  | Value.V_bool b ->
-      st.branches_total <- st.branches_total + 1;
-      record_fact st frame fact;
-      b
-  | v -> runtime_error e.Ast.eloc "condition is %s, not bool" (Value.type_name v)
-
-(* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
-(* ------------------------------------------------------------------ *)
-
-and exec_block (st : state) (frame : frame) (b : Ast.block) : flow =
-  match b with
-  | [] -> F_normal
-  | stmt :: rest -> (
-      match exec_stmt st frame stmt with
-      | F_normal -> exec_block st frame rest
-      | (F_return _ | F_break | F_continue) as f -> f)
-
-and exec_stmt (st : state) (frame : frame) (stmt : Ast.stmt) : flow =
-  tick st;
-  let loc = stmt.Ast.sloc in
-  (* target instrumentation: snapshot the path condition on arrival *)
-  if List.mem stmt.Ast.sid st.config.targets then
-    st.hits <-
-      {
-        h_target_sid = stmt.Ast.sid;
-        h_method = frame.qname;
-        h_entry = st.entry;
-        h_pc = stack_pc st;
-        h_full_pc = stack_full_pc st;
-        h_decisions = List.rev frame.decisions;
-        h_locks_held = List.length st.locks;
-        h_state =
-          (if st.config.capture_vars = [] then []
-           else capture_state st frame);
-      }
-      :: st.hits;
-  match stmt.Ast.s with
-  | Ast.Decl (x, ty, init) ->
-      let t =
-        match init with Some e -> eval st frame e | None -> untagged Value.V_null
-      in
-      let t =
-        (* class-canonical naming for opaque object sources *)
-        match (t.sym, ty) with
-        | None, Ast.T_ref c when Ast.find_class st.program c <> None ->
-            { t with sym = Some (Sym.var c) }
-        | _ -> t
-      in
-      Hashtbl.replace frame.vars x t;
-      F_normal
-  | Ast.Assign (Ast.Lv_var x, e) ->
-      Hashtbl.replace frame.vars x (eval st frame e);
-      F_normal
-  | Ast.Assign (Ast.Lv_field (o, f), e) -> (
-      let ot = eval st frame o in
-      let t = eval st frame e in
-      match ot.v with
-      | Value.V_ref addr -> (
-          match Value.heap_get st.heap addr with
-          | Some (Value.C_obj obj) ->
-              Value.obj_set obj f t.v;
-              F_normal
-          | Some _ -> runtime_error loc "field write %s on non-object" f
-          | None -> runtime_error loc "dangling reference")
-      | Value.V_null -> runtime_error loc "null dereference writing field %s" f
-      | v -> runtime_error loc "field write %s on %s" f (Value.type_name v))
-  | Ast.If (cond, b1, b2) ->
-      let taken = eval_guard st frame cond in
-      if not (List.mem_assoc stmt.Ast.sid frame.decisions) then
-        frame.decisions <- (stmt.Ast.sid, taken) :: frame.decisions;
-      if taken then exec_block st frame b1 else exec_block st frame b2
-  | Ast.While (cond, body) ->
-      let rec loop first =
-        let taken = eval_guard st frame cond in
-        if first && not (List.mem_assoc stmt.Ast.sid frame.decisions) then
-          frame.decisions <- (stmt.Ast.sid, taken) :: frame.decisions;
-        if not taken then F_normal
-        else (
-          tick st;
-          match exec_block st frame body with
-          | F_normal | F_continue -> loop false
-          | F_break -> F_normal
-          | F_return _ as f -> f)
-      in
-      loop true
-  | Ast.Return None -> F_return (untagged Value.V_null)
-  | Ast.Return (Some e) -> F_return (eval st frame e)
-  | Ast.Throw e -> raise (Interp.Mini_throw (eval st frame e).v)
-  | Ast.Try (body, exn_var, handler) -> (
-      try exec_block st frame body
-      with Interp.Mini_throw v ->
-        Hashtbl.replace frame.vars exn_var (untagged v);
-        exec_block st frame handler)
-  | Ast.Sync (obj_e, body) -> (
-      let ot = eval st frame obj_e in
-      let addr =
-        match ot.v with
-        | Value.V_ref a -> a
-        | v -> runtime_error loc "synchronized on %s" (Value.type_name v)
-      in
-      st.locks <- addr :: st.locks;
-      let release () =
-        match st.locks with
-        | a :: rest when a = addr -> st.locks <- rest
-        | _ -> st.locks <- List.filter (fun a -> a <> addr) st.locks
-      in
-      match exec_block st frame body with
-      | f ->
-          release ();
-          f
-      | exception e ->
-          release ();
-          raise e)
-  | Ast.Expr e ->
-      (match e.Ast.e with
-      | Ast.Call (name, args) when Builtins.is_builtin name ->
-          let argt = List.map (eval st frame) args in
-          ignore (call_builtin st frame ~sid:stmt.Ast.sid ~loc:e.Ast.eloc name argt)
-      | _ -> ignore (eval st frame e));
-      F_normal
-  | Ast.Assert (cond, msg) -> (
-      match (eval st frame cond).v with
-      | Value.V_bool true -> F_normal
-      | Value.V_bool false -> raise (Interp.Assertion_failure (msg, stmt.Ast.sid))
-      | v -> runtime_error loc "assert condition is %s" (Value.type_name v))
-  | Ast.Break -> F_break
-  | Ast.Continue -> F_continue
-
-and invoke (st : state) ~qname (m : Ast.method_decl) (self : tagged)
-    (args : tagged list) (loc : Loc.t) : tagged =
-  if st.depth >= st.config.max_call_depth then
-    runtime_error loc "call depth limit exceeded calling %s" qname;
-  if List.length args <> List.length m.Ast.m_params then
-    runtime_error loc "%s expects %d args, got %d" qname (List.length m.Ast.m_params)
-      (List.length args);
-  let vars = Hashtbl.create 16 in
-  List.iter2
-    (fun (p, ty) t ->
-      let t =
-        match ty with
-        (* class-canonical naming for object parameters without a shadow *)
-        | Ast.T_ref c when t.sym = None && Ast.find_class st.program c <> None ->
-            { t with sym = Some (Sym.var c) }
-        (* scalar parameters are symbolic inputs named by the parameter, so
-           that rule conditions mentioning a parameter (e.g. a TTL or an
-           epoch argument) meet the trace in the same vocabulary *)
-        | Ast.T_int | Ast.T_str | Ast.T_bool -> { t with sym = Some (Sym.var p) }
-        | Ast.T_ref _ | Ast.T_map | Ast.T_list | Ast.T_void | Ast.T_any -> t
-      in
-      Hashtbl.replace vars p t)
-    m.Ast.m_params args;
-  let frame = { vars; self; qname; decisions = []; f_pc = []; f_full_pc = [] } in
-  st.depth <- st.depth + 1;
-  st.stack <- frame :: st.stack;
-  st.pc_cache <- None;
-  let finish () =
-    st.depth <- st.depth - 1;
-    st.stack <- (match st.stack with _ :: rest -> rest | [] -> []);
-    st.pc_cache <- None
-  in
-  match exec_block st frame m.Ast.m_body with
-  | F_normal ->
-      finish ();
-      untagged Value.V_null
-  | F_return t ->
-      finish ();
-      t
-  | F_break | F_continue ->
-      finish ();
-      runtime_error loc "break/continue outside loop in %s" qname
-  | exception e ->
-      finish ();
-      raise e
+module Eval = Interp.Make (Shadow)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -816,16 +382,18 @@ and invoke (st : state) ~qname (m : Ast.method_decl) (self : tagged)
 type run_result = {
   r_entry : string;
   r_outcome : Interp.test_outcome;
+  r_lost : lost option;
   r_hits : hit list;  (** in execution order *)
   r_blocking : blocking_event list;  (** in execution order *)
   r_branches_total : int;
   r_branches_recorded : int;
 }
 
-let skipped_run (entry : string) (msg : string) : run_result =
+let skipped_run (entry : string) (lost : lost) : run_result =
   {
     r_entry = entry;
-    r_outcome = Interp.Errored msg;
+    r_outcome = Interp.Errored (lost_to_string lost);
+    r_lost = Some lost;
     r_hits = [];
     r_blocking = [];
     r_branches_total = 0;
@@ -846,42 +414,51 @@ let run ?(config = default_config) (program : Ast.program) (entry : string) :
     "concolic.run"
   @@ fun () ->
   if not (Resilience.Breaker.proceed Resilience.Fault.Concolic) then
-    skipped_run entry "circuit open: concolic run skipped"
+    skipped_run entry Breaker_open
   else
     match Resilience.Injector.draw Resilience.Fault.Concolic with
     | Some (Resilience.Fault.Crash | Resilience.Fault.Transient) as k ->
         Resilience.Injector.raise_fault Resilience.Fault.Concolic (Option.get k)
     | Some Resilience.Fault.Budget ->
         Resilience.Breaker.failure Resilience.Fault.Concolic;
-        skipped_run entry "out of fuel (injected)"
+        skipped_run entry Injected_budget
     | None ->
-        let st = create ~config program in
-        st.entry <- entry;
-        let outcome =
-          match Ast.find_func program entry with
-          | None -> Interp.Errored (Fmt.str "no entry function %s" entry)
-          | Some f -> (
-              match invoke st ~qname:entry f (untagged Value.V_null) [] Loc.dummy with
-              | _ -> Interp.Passed
-              | exception Interp.Assertion_failure (msg, sid) ->
-                  Interp.Failed (Fmt.str "%s (at statement %d)" msg sid)
-              | exception Interp.Mini_throw v ->
-                  Interp.Errored (Fmt.str "uncaught throw: %s" (Value.to_string v))
-              | exception Interp.Runtime_error (msg, loc) ->
-                  Interp.Errored (Fmt.str "runtime error: %s at %a" msg Loc.pp loc)
-              | exception Interp.Out_of_fuel -> Interp.Errored "out of fuel")
+        let shadow =
+          {
+            entry;
+            config;
+            stack = [];
+            hits = [];
+            blocking = [];
+            branches_total = 0;
+            branches_recorded = 0;
+            pc_cache = None;
+          }
         in
-        (match outcome with
-        | Interp.Errored "out of fuel" ->
-            Resilience.Breaker.failure Resilience.Fault.Concolic
-        | _ -> Resilience.Breaker.success Resilience.Fault.Concolic);
+        let st =
+          Eval.create
+            ~config:
+              {
+                Interp.fuel = config.fuel;
+                on_event = None;
+                max_call_depth = config.max_call_depth;
+              }
+            ~shadow program
+        in
+        let outcome = Eval.test st entry in
+        (* the interpreter raises Out_of_fuel exactly when fuel hits zero *)
+        let lost = if st.Eval.fuel_left <= 0 then Some Fuel else None in
+        (match lost with
+        | Some _ -> Resilience.Breaker.failure Resilience.Fault.Concolic
+        | None -> Resilience.Breaker.success Resilience.Fault.Concolic);
         {
           r_entry = entry;
           r_outcome = outcome;
-          r_hits = List.rev st.hits;
-          r_blocking = List.rev st.blocking;
-          r_branches_total = st.branches_total;
-          r_branches_recorded = st.branches_recorded;
+          r_lost = lost;
+          r_hits = List.rev shadow.hits;
+          r_blocking = List.rev shadow.blocking;
+          r_branches_total = shadow.branches_total;
+          r_branches_recorded = shadow.branches_recorded;
         }
 
 (** Run several entries, concatenating results. *)

@@ -1,7 +1,10 @@
 (** Concolic execution engine over MiniJava (the WeBridge role, §3.2).
 
     Execution is driven by concrete inputs — the subject system's own
-    tests — while a shadow symbolic state tracks provenance.  At each
+    tests — run by {!Minilang.Interp} itself: this engine is a shadow
+    layer over the interpreter ({!Minilang.Interp.Make}), not a second
+    evaluator, so a recorded path is a path the interpreter takes.  A
+    shadow symbolic state tracks provenance.  At each
     branch the engine records the {e fact} the (short-circuited) guard
     evaluation established, restricted to the semantic's relevant
     variables; at each target statement it snapshots the path condition
@@ -47,9 +50,18 @@ type config = {
 
 val default_config : config
 
+(** Why a run's evidence is incomplete. *)
+type lost =
+  | Fuel  (** the run exhausted its fuel *)
+  | Injected_budget  (** an injected budget fault stopped the run *)
+  | Breaker_open  (** an open circuit breaker skipped the run *)
+
+val lost_to_string : lost -> string
+
 type run_result = {
   r_entry : string;
   r_outcome : Minilang.Interp.test_outcome;
+  r_lost : lost option;  (** [Some] when the run lost evidence *)
   r_hits : hit list;  (** in execution order *)
   r_blocking : blocking_event list;  (** in execution order *)
   r_branches_total : int;

@@ -1,7 +1,7 @@
 (* Corpus-level tests: ticket integrity for all 16 cases, version assembly,
    commit histories, and random-workload fuzzing of the fixed releases. *)
 
-let all = Corpus.Registry.all_cases
+let all = Corpus.Registry.builtin.cases
 
 (* ------------------------------------------------------------------ *)
 (* Ticket integrity                                                    *)
@@ -92,8 +92,8 @@ let test_unknown_bug_cases () =
 let test_commit_history_mentions_tickets () =
   List.iter
     (fun system ->
-      let history = Corpus.Registry.commit_history system in
-      Alcotest.(check int) (system ^ " history length") (Corpus.Registry.max_version + 1)
+      let history = Corpus.Registry.history_of Corpus.Registry.builtin system in
+      Alcotest.(check int) (system ^ " history length") (Corpus.Registry.builtin.max_version + 1)
         (List.length history);
       (* v1 commits mention the first fix of some case of the system *)
       let _, msg = List.nth history 1 in
@@ -101,16 +101,16 @@ let test_commit_history_mentions_tickets () =
         (List.exists
            (fun (c : Corpus.Case.t) ->
              Astring_contains.contains msg (List.hd c.Corpus.Case.bug_ids))
-           (Corpus.Registry.cases_of_system system)))
-    Corpus.Registry.systems
+           (Corpus.Registry.cases_of Corpus.Registry.builtin system)))
+    Corpus.Registry.builtin.systems
 
 let test_system_source_deterministic () =
   List.iter
     (fun system ->
-      let a = Corpus.Registry.system_source system ~version:2 in
-      let b = Corpus.Registry.system_source system ~version:2 in
+      let a = Corpus.Registry.source_of Corpus.Registry.builtin system ~version:2 in
+      let b = Corpus.Registry.source_of Corpus.Registry.builtin system ~version:2 in
       Alcotest.(check bool) (system ^ " deterministic assembly") true (String.equal a b))
-    Corpus.Registry.systems
+    Corpus.Registry.builtin.systems
 
 (* ------------------------------------------------------------------ *)
 (* Random-workload fuzzing of the fixed releases                       *)
@@ -120,7 +120,7 @@ let test_system_source_deterministic () =
    than the exhaustive bound) on the *fixed* stage: the high-level
    invariants must survive arbitrary client behaviour. *)
 let fuzz_scenario (sd : Lisa.Composition.scenario_def) =
-  let c = Option.get (Corpus.Registry.find_case sd.Lisa.Composition.sd_case) in
+  let c = Option.get (Corpus.Registry.find Corpus.Registry.builtin sd.Lisa.Composition.sd_case) in
   QCheck.Test.make ~count:60
     ~name:(sd.Lisa.Composition.sd_case ^ " fixed release survives random workloads")
     QCheck.(make Gen.(list_size (int_range 1 10) (int_bound 1000)))

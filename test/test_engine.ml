@@ -347,7 +347,7 @@ let scan config =
   let summaries =
     List.concat_map
       (fun v ->
-        let p = Corpus.Registry.system_program "zookeeper" ~version:v in
+        let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:v in
         List.map
           (fun r -> Printf.sprintf "v%d %s" v (Engine.Checker.report_summary r))
           (Engine.Scheduler.enforce engine p book))
@@ -400,7 +400,7 @@ let test_same_version_twice_all_reused () =
   Memo.reset ();
   let engine = Engine.Scheduler.create ~config:Engine.Scheduler.default_config () in
   let book = Lazy.force zk_book in
-  let p = Corpus.Registry.system_program "zookeeper" ~version:2 in
+  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
   let first = List.map Engine.Checker.report_summary (Engine.Scheduler.enforce engine p book) in
   let ran_once = (Engine.Scheduler.stats engine).Engine.Stats.jobs_run in
   let second = List.map Engine.Checker.report_summary (Engine.Scheduler.enforce engine p book) in
@@ -419,7 +419,7 @@ let test_report_cache_without_incremental () =
   in
   let engine = Engine.Scheduler.create ~config () in
   let book = Lazy.force zk_book in
-  let p = Corpus.Registry.system_program "zookeeper" ~version:3 in
+  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:3 in
   let first = List.map Engine.Checker.report_summary (Engine.Scheduler.enforce engine p book) in
   let second = List.map Engine.Checker.report_summary (Engine.Scheduler.enforce engine p book) in
   Memo.reset ();
@@ -432,7 +432,7 @@ let test_invalidate_forgets () =
   Memo.reset ();
   let engine = Engine.Scheduler.create ~config:Engine.Scheduler.default_config () in
   let book = Lazy.force zk_book in
-  let p = Corpus.Registry.system_program "zookeeper" ~version:1 in
+  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:1 in
   ignore (Engine.Scheduler.enforce engine p book);
   Engine.Scheduler.invalidate engine;
   Alcotest.(check int) "report cache dropped" 0 (Engine.Scheduler.report_cache_size engine);

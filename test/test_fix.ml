@@ -38,7 +38,7 @@ let test_fix_diff_is_reviewable () =
 (* the synthesized fix is equivalent to the hand-written one: the patched
    program behaves like stage 5 (the real fix) on the regression test *)
 let test_fix_matches_handwritten_behaviour () =
-  let c = Option.get (Corpus.Registry.find_case "hbase-snapshot-ttl") in
+  let c = Option.get (Corpus.Registry.find Corpus.Registry.builtin "hbase-snapshot-ttl") in
   let cf = Lisa.Fix.fix_unknown_bug "hbase-snapshot-ttl" in
   match cf.Lisa.Fix.cf_proposals with
   | ((p : Lisa.Fix.proposal), _) :: _ ->

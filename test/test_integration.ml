@@ -23,7 +23,7 @@ let test_learning_accumulates () =
   Alcotest.(check bool) "stage 2 flagged" true (flag 2 <> []);
   Alcotest.(check (list string)) "stage 3 clean" []
     (List.map
-       (fun (r : Lisa.Checker.rule_report) -> r.Lisa.Checker.rep_rule.Semantics.Rule.rule_id)
+       (fun (r : Engine.Checker.rule_report) -> r.rep_rule.Semantics.Rule.rule_id)
        (flag 3))
 
 let test_second_rule_duplicates_first_semantics () =
@@ -123,24 +123,24 @@ let test_uncovered_paths_on_whole_system () =
      when a feature's tests do not reach a cross-feature target; with the
      corpus conventions every target is covered *)
   let book = Lisa.System_scan.learn_system_book "zookeeper" in
-  let p = Corpus.Registry.system_program "zookeeper" ~version:3 in
+  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:3 in
   let reports = Lisa.Pipeline.enforce p book in
   List.iter
-    (fun (r : Lisa.Checker.rule_report) ->
-      if Semantics.Rule.is_state_guard r.Lisa.Checker.rep_rule then begin
+    (fun (r : Engine.Checker.rule_report) ->
+      if Semantics.Rule.is_state_guard r.Engine.Checker.rep_rule then begin
         Alcotest.(check bool)
-          (r.Lisa.Checker.rep_rule.Semantics.Rule.rule_id ^ " has targets")
+          (r.Engine.Checker.rep_rule.Semantics.Rule.rule_id ^ " has targets")
           true
-          (r.Lisa.Checker.rep_targets > 0);
+          (r.Engine.Checker.rep_targets > 0);
         Alcotest.(check bool)
-          (r.Lisa.Checker.rep_rule.Semantics.Rule.rule_id ^ " sanity")
-          true r.Lisa.Checker.rep_sanity_ok
+          (r.Engine.Checker.rep_rule.Semantics.Rule.rule_id ^ " sanity")
+          true r.Engine.Checker.rep_sanity_ok
       end)
     reports
 
 let test_report_on_whole_system_renders () =
   let book = Lisa.System_scan.learn_system_book "hdfs" in
-  let p = Corpus.Registry.system_program "hdfs" ~version:2 in
+  let p = Corpus.Registry.program_of Corpus.Registry.builtin "hdfs" ~version:2 in
   let md = Lisa.Report.render (Lisa.Pipeline.enforce p book) in
   Alcotest.(check bool) "block verdict" true (Astring_contains.contains md "**BLOCK**");
   Alcotest.(check bool) "multiple rule sections" true

@@ -14,40 +14,40 @@ let learned_rule () =
 let test_checker_direct_misses () =
   let rule = learned_rule () in
   let p = Corpus.Case.program_at zk 2 in
-  let complement = Lisa.Checker.check_rule p rule in
+  let complement = Engine.Checker.check_rule p rule in
   let direct =
-    Lisa.Checker.check_rule
-      ~config:{ Lisa.Checker.default_config with Lisa.Checker.method_ = Lisa.Checker.Direct }
+    Engine.Checker.check_rule
+      ~config:{ Engine.Checker.default_config with method_ = Direct }
       p rule
   in
   Alcotest.(check bool) "complement catches" true
-    (complement.Lisa.Checker.rep_violations <> []);
-  Alcotest.(check bool) "direct misses" true (direct.Lisa.Checker.rep_violations = [])
+    (complement.Engine.Checker.rep_violations <> []);
+  Alcotest.(check bool) "direct misses" true (direct.Engine.Checker.rep_violations = [])
 
 let test_checker_pruning_equivalent_verdicts () =
   let rule = learned_rule () in
   let p = Corpus.Case.program_at zk 2 in
-  let with_p = Lisa.Checker.check_rule p rule in
+  let with_p = Engine.Checker.check_rule p rule in
   let without =
-    Lisa.Checker.check_rule
-      ~config:{ Lisa.Checker.default_config with Lisa.Checker.prune = false }
+    Engine.Checker.check_rule
+      ~config:{ Engine.Checker.default_config with Engine.Checker.prune = false }
       p rule
   in
   Alcotest.(check int) "same number of violations"
-    (List.length with_p.Lisa.Checker.rep_violations)
-    (List.length without.Lisa.Checker.rep_violations);
+    (List.length with_p.Engine.Checker.rep_violations)
+    (List.length without.Engine.Checker.rep_violations);
   Alcotest.(check bool) "pruned records no more branches" true
-    (with_p.Lisa.Checker.rep_branches_recorded
-    <= without.Lisa.Checker.rep_branches_recorded)
+    (with_p.Engine.Checker.rep_branches_recorded
+    <= without.Engine.Checker.rep_branches_recorded)
 
 let test_checker_counts_consistent () =
   let rule = learned_rule () in
-  let r = Lisa.Checker.check_rule (Corpus.Case.program_at zk 2) rule in
+  let r = Engine.Checker.check_rule (Corpus.Case.program_at zk 2) rule in
   Alcotest.(check int) "verified + violations = traces"
-    (List.length r.Lisa.Checker.rep_traces)
-    (List.length r.Lisa.Checker.rep_verified + List.length r.Lisa.Checker.rep_violations);
-  Alcotest.(check bool) "targets resolved" true (r.Lisa.Checker.rep_targets > 0);
-  Alcotest.(check bool) "static paths enumerated" true (r.Lisa.Checker.rep_static_paths > 0)
+    (List.length r.Engine.Checker.rep_traces)
+    (List.length r.Engine.Checker.rep_verified + List.length r.Engine.Checker.rep_violations);
+  Alcotest.(check bool) "targets resolved" true (r.Engine.Checker.rep_targets > 0);
+  Alcotest.(check bool) "static paths enumerated" true (r.Engine.Checker.rep_static_paths > 0)
 
 let test_checker_no_tests_selected_falls_back () =
   (* a program with no test functions: the checker degrades gracefully *)
@@ -63,10 +63,10 @@ let test_checker_no_tests_selected_falls_back () =
            condition = Smt.Formula.bvar "C.flag";
          })
   in
-  let r = Lisa.Checker.check_rule p rule in
-  Alcotest.(check int) "no traces without tests" 0 (List.length r.Lisa.Checker.rep_traces);
+  let r = Engine.Checker.check_rule p rule in
+  Alcotest.(check int) "no traces without tests" 0 (List.length r.Engine.Checker.rep_traces);
   Alcotest.(check bool) "paths reported uncovered" true
-    (r.Lisa.Checker.rep_uncovered_paths <> [])
+    (r.Engine.Checker.rep_uncovered_paths <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline cross-check                                                *)
@@ -133,7 +133,7 @@ let test_ci_all_cases_block_regressions () =
             Alcotest.fail
               (Fmt.str "%s: regression stage %d not blocked" c.Corpus.Case.case_id stage))
         c.Corpus.Case.regression_stages)
-    Corpus.Registry.all_cases
+    Corpus.Registry.builtin.cases
 
 let test_ci_no_test_failures () =
   let r = Lisa.Ci.replay zk in
@@ -326,7 +326,7 @@ let test_system_scan_shape () =
       Alcotest.(check (list string)) (r.Lisa.System_scan.sys_name ^ " v3 clean") [] (findings 3);
       (* every case of the system is flagged at v2 (lock cases may
          contribute several rules, so compare case coverage not counts) *)
-      let cases = Corpus.Registry.cases_of_system r.Lisa.System_scan.sys_name in
+      let cases = Corpus.Registry.cases_of Corpus.Registry.builtin r.Lisa.System_scan.sys_name in
       List.iter
         (fun (c : Corpus.Case.t) ->
           let origin = List.hd c.Corpus.Case.bug_ids in

@@ -15,11 +15,11 @@ let test_stmt_text_rule_enforces () =
   when at "mapPut(this.ephemerals, path, sessionId);"
   require Session != null && Session.closing == false|}
   in
-  let report = Lisa.Checker.check_rule p (List.hd rules) in
-  Alcotest.(check int) "one target statement" 1 report.Lisa.Checker.rep_targets;
+  let report = Engine.Checker.check_rule p (List.hd rules) in
+  Alcotest.(check int) "one target statement" 1 report.Engine.Checker.rep_targets;
   Alcotest.(check bool) "violations via the learner caller" true
-    (report.Lisa.Checker.rep_violations <> []);
-  Alcotest.(check bool) "prep callers verify" true (report.Lisa.Checker.rep_verified <> [])
+    (report.Engine.Checker.rep_violations <> []);
+  Alcotest.(check bool) "prep callers verify" true (report.Engine.Checker.rep_verified <> [])
 
 let test_mc_sequence_budget () =
   let src =
@@ -49,8 +49,8 @@ method mcInv(s: S): bool { return true; }
   | o -> Alcotest.fail (Mc.Explorer.outcome_to_string o)
 
 let test_registry_stage_mapping () =
-  let snapshot = Option.get (Corpus.Registry.find_case "hbase-snapshot-ttl") in
-  let eph = Option.get (Corpus.Registry.find_case "zk-ephemeral") in
+  let snapshot = Option.get (Corpus.Registry.find Corpus.Registry.builtin "hbase-snapshot-ttl") in
+  let eph = Option.get (Corpus.Registry.find Corpus.Registry.builtin "zk-ephemeral") in
   Alcotest.(check int) "snapshot v5 -> stage 4 (latest has the bug)" 4
     (Corpus.Registry.stage_at_version snapshot 5);
   Alcotest.(check int) "ephemeral v5 -> stage 3 (fully fixed)" 3
@@ -135,19 +135,19 @@ let test_uncovered_path_needs_developer_verdict () =
   let inf = Oracle.Inference.infer (Corpus.Case.original_ticket c) in
   let rule = Semantics.Rule.generalize (List.hd inf.Oracle.Inference.inf_rules) in
   let report =
-    Lisa.Checker.check_rule
-      ~config:{ Lisa.Checker.default_config with Lisa.Checker.selection = Lisa.Checker.All_tests }
+    Engine.Checker.check_rule
+      ~config:{ Engine.Checker.default_config with selection = All_tests }
       without_driver rule
   in
   (* the learner path is never observed: no violation, but uncovered *)
   Alcotest.(check int) "no violations without the driver" 0
-    (List.length report.Lisa.Checker.rep_violations);
+    (List.length report.Engine.Checker.rep_violations);
   Alcotest.(check bool) "uncovered paths reported" true
-    (report.Lisa.Checker.rep_uncovered_paths <> []);
+    (report.Engine.Checker.rep_uncovered_paths <> []);
   Alcotest.(check bool) "uncovered mentions the learner path" true
     (List.exists
        (fun path -> Astring_contains.contains path "forwardCreate")
-       report.Lisa.Checker.rep_uncovered_paths)
+       report.Engine.Checker.rep_uncovered_paths)
 
 let suite =
   [

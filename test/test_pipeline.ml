@@ -25,19 +25,19 @@ let enforce_stage (c : Corpus.Case.t) book stage =
 
 let assert_flagged c book stage =
   let reports = enforce_stage c book stage in
-  if not (List.exists Lisa.Checker.has_violations reports) then
+  if not (List.exists Engine.Checker.has_violations reports) then
     Alcotest.fail
       (Fmt.str "%s stage %d: regression NOT flagged.\n%s" c.Corpus.Case.case_id stage
-         (String.concat "\n" (List.map Lisa.Checker.report_summary reports)))
+         (String.concat "\n" (List.map Engine.Checker.report_summary reports)))
 
 let assert_clean c book stage =
   let reports = enforce_stage c book stage in
-  match List.find_opt Lisa.Checker.has_violations reports with
+  match List.find_opt Engine.Checker.has_violations reports with
   | None -> ()
   | Some r ->
       Alcotest.fail
         (Fmt.str "%s stage %d: false positive: %s" c.Corpus.Case.case_id stage
-           (Lisa.Checker.report_summary r))
+           (Engine.Checker.report_summary r))
 
 (* the headline experiment for one case *)
 let end_to_end (c : Corpus.Case.t) () =
@@ -78,10 +78,11 @@ let case_tests (c : Corpus.Case.t) =
 
 (* corpus-level invariants from the §2.1 study *)
 let test_corpus_counts () =
-  Alcotest.(check int) "16 cases" 16 Corpus.Registry.n_cases;
-  Alcotest.(check int) "34 bugs" 34 Corpus.Registry.n_bugs;
-  Alcotest.(check int) "46 ephemeral bugs" 46 Corpus.Registry.ephemeral_bug_total;
-  let share = Corpus.Registry.old_semantics_share () in
+  Alcotest.(check int) "16 cases" 16 (Corpus.Registry.case_count Corpus.Registry.builtin);
+  Alcotest.(check int) "34 bugs" 34 (Corpus.Registry.bug_count Corpus.Registry.builtin);
+  Alcotest.(check int) "46 ephemeral bugs" 46
+    (Corpus.Registry.ephemeral_total Corpus.Registry.builtin);
+  let share = Corpus.Registry.old_share Corpus.Registry.builtin in
   Alcotest.(check bool)
     (Fmt.str "old-semantics share ~68%% (got %.1f%%)" (100. *. share))
     true
@@ -92,21 +93,22 @@ let test_system_versions_build () =
     (fun system ->
       List.iter
         (fun version ->
-          let p = Corpus.Registry.system_program system ~version in
+          let p = Corpus.Registry.program_of Corpus.Registry.builtin system ~version in
           match Minilang.Typecheck.check_program p with
           | [] -> ()
           | errs ->
               Alcotest.fail
                 (Fmt.str "%s v%d: %s" system version
                    (Minilang.Typecheck.errors_to_string errs)))
-        (List.init (Corpus.Registry.max_version + 1) Fun.id))
-    Corpus.Registry.systems
+        (List.init (Corpus.Registry.builtin.max_version + 1) Fun.id))
+    Corpus.Registry.builtin.systems
 
 let test_system_suites_green () =
   (* every assembled release is green in CI — the corpus bugs are latent *)
   List.iter
     (fun system ->
-      let p = Corpus.Registry.system_program system ~version:Corpus.Registry.max_version in
+      let b = Corpus.Registry.builtin in
+      let p = Corpus.Registry.program_of b system ~version:b.max_version in
       List.iter
         (fun name ->
           match Minilang.Interp.run_test p name with
@@ -114,7 +116,7 @@ let test_system_suites_green () =
           | Minilang.Interp.Failed m | Minilang.Interp.Errored m ->
               Alcotest.fail (Fmt.str "%s latest: %s: %s" system name m))
         (Minilang.Interp.test_names p))
-    Corpus.Registry.systems
+    Corpus.Registry.builtin.systems
 
 let suite =
   [

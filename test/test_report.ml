@@ -42,7 +42,7 @@ let test_report_uncovered_section () =
            condition = Smt.Formula.bvar "C.flag";
          })
   in
-  let md = Lisa.Report.render [ Lisa.Checker.check_rule p rule ] in
+  let md = Lisa.Report.render [ Engine.Checker.check_rule p rule ] in
   Alcotest.(check bool) "uncovered section" true
     (Astring_contains.contains md "developer verdict needed")
 

@@ -216,7 +216,7 @@ let test_breaker_opens_and_recovers () =
 (* ------------------------------------------------------------------ *)
 
 let zk_case () =
-  match Corpus.Registry.find_case "zk-ephemeral" with
+  match Corpus.Registry.find Corpus.Registry.builtin "zk-ephemeral" with
   | Some c -> c
   | None -> Alcotest.fail "zk-ephemeral case missing"
 
@@ -245,6 +245,24 @@ let test_checker_degrades_under_solver_budget () =
       Alcotest.(check bool) "summary surfaces the degradation" true
         (contains (Engine.Checker.report_summary r) "degraded="))
     reports
+
+(* a genuine (not injected) fuel exhaustion loses evidence: the report
+   is degraded, with the run's reason on record *)
+let test_checker_degrades_out_of_fuel () =
+  let rules = learn_zk () in
+  let p = Corpus.Case.program_at (zk_case ()) 2 in
+  Lisa.Chaos.reset_shared_state ();
+  let config = { Engine.Checker.default_config with fuel = 3 } in
+  let r = Engine.Checker.check_rule ~config p (List.hd rules) in
+  match r.Engine.Checker.rep_tests_run with
+  | [] -> Alcotest.fail "the rule must drive tests"
+  | entry :: _ ->
+      Alcotest.(check bool) "report is degraded" true (Engine.Checker.is_degraded r);
+      Alcotest.(check (option string))
+        "first reason" (Some (Fmt.str "concolic %s: out of fuel" entry))
+        (List.nth_opt r.Engine.Checker.rep_degraded 0);
+      Alcotest.(check int) "no violations invented" 0
+        (List.length r.Engine.Checker.rep_violations)
 
 let quarantine_run rules =
   Lisa.Chaos.reset_shared_state ();
@@ -435,6 +453,8 @@ let suite =
       [
         Alcotest.test_case "checker degrades under solver faults" `Quick
           (isolated test_checker_degrades_under_solver_budget);
+        Alcotest.test_case "checker degrades out of fuel" `Quick
+          test_checker_degrades_out_of_fuel;
         Alcotest.test_case "quarantine deterministic" `Quick
           (isolated test_engine_quarantine_deterministic);
         Alcotest.test_case "quarantined report shape" `Quick

@@ -258,10 +258,10 @@ let test_dsl_rule_enforces () =
   in
   let c = List.hd Corpus.Zookeeper.cases in
   let report =
-    Lisa.Checker.check_rule (Corpus.Case.program_at c 2) (List.hd rules)
+    Engine.Checker.check_rule (Corpus.Case.program_at c 2) (List.hd rules)
   in
-  Alcotest.(check bool) "violations found" true (report.Lisa.Checker.rep_violations <> []);
-  Alcotest.(check bool) "sanity ok" true report.Lisa.Checker.rep_sanity_ok
+  Alcotest.(check bool) "violations found" true (report.Engine.Checker.rep_violations <> []);
+  Alcotest.(check bool) "sanity ok" true report.Engine.Checker.rep_sanity_ok
 
 let suite =
   [

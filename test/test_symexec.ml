@@ -275,20 +275,51 @@ method test_io() {
     [ ("writeRecord", 1); ("readRecord", 0) ]
     events
 
+(* the clock must advance under blocking builtins in both engines *)
+let clock_source =
+  {|
+method test_clock() {
+  var a: int = now();
+  sleepMs(100);
+  assert(now() - a >= 100, "sleepMs advances the clock");
+}
+|}
+
 let test_concolic_agrees_with_interp () =
-  (* both engines classify all tests of the sample identically *)
-  let p = program () in
-  List.iter
-    (fun name ->
-      let concrete = Interp.run_test p name in
-      let concolic = (Concolic.run p name).Concolic.r_outcome in
-      let to_s = function
-        | Interp.Passed -> "passed"
-        | Interp.Failed _ -> "failed"
-        | Interp.Errored _ -> "errored"
-      in
-      Alcotest.(check string) name (to_s concrete) (to_s concolic))
-    (Interp.test_names p)
+  (* both engines classify every test identically: the sample above, the
+     clock probe, every test of every stage of every builtin case, and
+     every test of the seed-42 1x synth registry *)
+  Lisa.Chaos.reset_shared_state ();
+  let to_s = function
+    | Interp.Passed -> "passed"
+    | Interp.Failed _ -> "failed"
+    | Interp.Errored _ -> "errored"
+  in
+  let agree label p =
+    List.iter
+      (fun name ->
+        let concrete = Interp.run_test p name in
+        let concolic = (Concolic.run p name).Concolic.r_outcome in
+        Alcotest.(check string) (label ^ " " ^ name) (to_s concrete) (to_s concolic))
+      (Interp.test_names p)
+  in
+  let clock = Parser.program clock_source in
+  Alcotest.(check string) "clock probe passes concretely" "passed"
+    (to_s (Interp.run_test clock "test_clock"));
+  agree "zk_like" (program ());
+  agree "clock" clock;
+  let agree_cases (reg : Corpus.Registry.t) =
+    List.iter
+      (fun (c : Corpus.Case.t) ->
+        for stage = 0 to c.Corpus.Case.n_stages - 1 do
+          agree
+            (Printf.sprintf "%s@%d" c.Corpus.Case.case_id stage)
+            (Corpus.Case.program_at c stage)
+        done)
+      reg.Corpus.Registry.cases
+  in
+  agree_cases Corpus.Registry.builtin;
+  agree_cases (Corpus.Synth.registry ~seed:42 ~scale:1 ())
 
 (* shadows ARE interned terms now: no mirror type, no conversion, and
    equality is physical *)

@@ -1,8 +1,7 @@
 (* Generated-corpus properties: every synthetic case over random seeds
    passes Case.validate and its planted violation is found at the
-   planted stage; the value-based Registry.builtin is byte-identical to
-   the pre-refactor flat module output; synth registries are
-   deterministic and scale-independent. *)
+   planted stage; Registry.builtin keeps its pinned study figures; synth
+   registries are deterministic and scale-independent. *)
 
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -145,44 +144,21 @@ let test_synth_span_recorded () =
         (List.exists (fun sp -> sp.T.sp_name = "corpus.synth") (T.spans ())))
 
 (* ------------------------------------------------------------------ *)
-(* Builtin pin: the value-based registry is byte-identical to the      *)
-(* pre-refactor flat module API                                        *)
+(* Builtin pins                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let test_builtin_shim_identical () =
-  let b = Corpus.Registry.builtin in
-  check_int "n_cases" Corpus.Registry.n_cases (Corpus.Registry.case_count b);
-  check_int "n_bugs" Corpus.Registry.n_bugs (Corpus.Registry.bug_count b);
-  check_int "old semantics"
-    Corpus.Registry.n_bugs_violating_old_semantics
-    (Corpus.Registry.old_semantics_count b);
-  check_int "max_version" Corpus.Registry.max_version b.Corpus.Registry.max_version;
-  check "systems" true (Corpus.Registry.systems = b.Corpus.Registry.systems);
-  check "all_cases" true (Corpus.Registry.all_cases == b.Corpus.Registry.cases);
-  List.iter
-    (fun sys ->
-      check "history" true
-        (Corpus.Registry.commit_history sys = Corpus.Registry.history_of b sys);
-      for v = 0 to Corpus.Registry.max_version do
-        check_str
-          (Printf.sprintf "%s v%d" sys v)
-          (Corpus.Registry.system_source sys ~version:v)
-          (Corpus.Registry.source_of b sys ~version:v)
-      done)
-    Corpus.Registry.systems
 
 (* Golden pins of the pre-refactor module output (captured at the seed
    of this refactor): study stats and a commit-history line. *)
 let test_builtin_golden_pins () =
-  check_int "16 cases" 16 Corpus.Registry.n_cases;
-  check_int "34 bugs" 34 Corpus.Registry.n_bugs;
-  check_int "max version 5" 5 Corpus.Registry.max_version;
-  check_int "ephemeral total 46" 46 Corpus.Registry.ephemeral_bug_total;
-  check_int "avg test files" 1_309 Corpus.Registry.avg_test_files;
-  check_int "gcp changes/day" 16_000 Corpus.Registry.changes_per_day_gcp;
-  check "scan versions" true
-    (Corpus.Registry.builtin.Corpus.Registry.scan_versions = [ 1; 2; 3; 5 ]);
-  match Corpus.Registry.commit_history "zookeeper" with
+  let b = Corpus.Registry.builtin in
+  check_int "16 cases" 16 (Corpus.Registry.case_count b);
+  check_int "34 bugs" 34 (Corpus.Registry.bug_count b);
+  check_int "max version 5" 5 b.max_version;
+  check_int "ephemeral total 46" 46 (Corpus.Registry.ephemeral_total b);
+  check_int "avg test files" 1_309 b.meta.m_avg_test_files;
+  check_int "gcp changes/day" 16_000 b.meta.m_changes_per_day_gcp;
+  check "scan versions" true (b.scan_versions = [ 1; 2; 3; 5 ]);
+  match Corpus.Registry.history_of b "zookeeper" with
   | (0, first) :: _ -> check_str "v0 message" "initial release" first
   | _ -> Alcotest.fail "history must start at v0"
 
@@ -203,8 +179,6 @@ let suite =
           test_minimizer_passes_on_green;
         Alcotest.test_case "minimizer shrinks to min knobs" `Quick
           test_minimizer_shrinks_failure;
-        Alcotest.test_case "builtin shim identical" `Quick
-          test_builtin_shim_identical;
         Alcotest.test_case "builtin golden pins" `Quick
           test_builtin_golden_pins;
         Alcotest.test_case "1x scan identical, jobs=1 vs jobs=2" `Slow

@@ -292,7 +292,7 @@ let scan_job_times ~jobs () =
       Clock.with_clock (Clock.mock ()) (fun () ->
           List.iter
             (fun v ->
-              let p = Corpus.Registry.system_program "zookeeper" ~version:v in
+              let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:v in
               ignore (Engine.Scheduler.enforce engine p book))
             [ 1; 2 ]));
   Smt.Memo.reset ();
@@ -341,7 +341,7 @@ let test_one_declaration () =
   @@ fun () ->
   with_tracing (fun () ->
       let engine = Engine.Scheduler.create ~config:Engine.Scheduler.cold_config () in
-      let p = Corpus.Registry.system_program "zookeeper" ~version:2 in
+      let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
       ignore (Engine.Scheduler.enforce engine p book);
       let counters = Engine.Stats.counters (Engine.Scheduler.stats engine) in
       let n = List.assoc "test.faults_in_jobs" counters in

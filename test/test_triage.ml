@@ -141,7 +141,7 @@ let noisy_tiers ~jobs () =
     }
   in
   let book = Lisa.System_scan.learn_system_book ~config "hbase" in
-  let p = Corpus.Registry.system_program "hbase" ~version:2 in
+  let p = Corpus.Registry.program_of Corpus.Registry.builtin "hbase" ~version:2 in
   let engine =
     Engine.Scheduler.create
       ~config:{ Engine.Scheduler.default_config with Engine.Scheduler.jobs }
