@@ -17,13 +17,9 @@ TRACE_SPANS = engine.enforce engine.incremental engine.prepare \
   counter:engine.report_misses counter:smt.memo.hits \
   counter:smt.memo.misses counter:smt.solve_calls counter:core.intern.hits \
   counter:core.intern.misses counter:core.intern.size \
-  counter:smt.assume.push counter:smt.assume.pop counter:smt.propagations \
-  counter:smt.learned counter:smt.trie.nodes counter:smt.trie.shared \
-  counter:core.shard.contention counter:smt.memo.local_hits \
-  counter:smt.learned.batched counter:smt.fastpath.interval \
-  counter:smt.fastpath.bcp counter:smt.fastpath.subsumed \
-  counter:smt.fastpath.saved counter:smt.memo.local_evict \
-  counter:corpus.synth.cases
+  counter:smt.propagations counter:core.shard.contention \
+  counter:smt.fastpath.interval counter:smt.fastpath.bcp \
+  counter:smt.fastpath.saved counter:corpus.synth.cases
 
 # Names the serve-daemon trace must mention (tools/serve_smoke.sh
 # passes these to trace_check after driving the daemon).

@@ -39,12 +39,6 @@ type config = {
   prune : bool;
   method_ : check_method;
   fuel : int;
-  trie : bool;
-      (** judge traces through the path-condition trie and an incremental
-          solver context instead of solving each trace independently.
-          Result-preserving — reports are byte-identical either way — so
-          it is deliberately {e not} part of {!config_tag}: both modes
-          share cache entries. *)
 }
 
 let default_config =
@@ -53,12 +47,10 @@ let default_config =
     prune = true;
     method_ = Complement;
     fuel = 200_000;
-    trie = true;
   }
 
 (* A stable rendering of the knobs that influence enforcement results;
-   part of the engine's cache key.  [trie] is excluded on purpose: it
-   cannot change a report, only its cost. *)
+   part of the engine's cache key. *)
 let config_tag (c : config) : string =
   let sel =
     match c.selection with
@@ -237,74 +229,28 @@ let guard_runs (config : config) (p : Ast.program) (pr : prepared)
   in
   Symexec.Concolic.run_all ~config:cc p pr.prep_tests
 
-(** Judge every hit against the checker condition, in input order.  With
-    [config.trie] the hits are grouped by their decision-ordered pc
-    snapshots in a {!Smt.Pctrie} and the walk shares one incremental
-    {!Smt.Solver.context} — each common prefix is asserted once.  Both
-    modes produce byte-identical verdicts (and models): the incremental
-    path reuses result-preserving caches, never a different algorithm. *)
+(** Judge every hit against the checker condition, in input order: each
+    trace is one independent (cached) solver query, the paper's §3.2
+    check. *)
 let judge_hits (config : config) ~(condition : Smt.Formula.t)
     (hits : Symexec.Concolic.hit list) : trace_verdict list =
-  let mk (h : Symexec.Concolic.hit) pc result =
-    {
-      tv_target_sid = h.Symexec.Concolic.h_target_sid;
-      tv_method = h.Symexec.Concolic.h_method;
-      tv_entry = h.Symexec.Concolic.h_entry;
-      tv_pc = pc;
-      tv_result = result;
-      tv_state = h.Symexec.Concolic.h_state;
-    }
+  let check =
+    match config.method_ with
+    | Complement -> Smt.Memo.check_trace
+    | Direct -> Smt.Memo.check_trace_direct
   in
-  if not config.trie then
-    List.map
-      (fun (h : Symexec.Concolic.hit) ->
-        let pc = Symexec.Concolic.hit_pc_formula h in
-        let result =
-          match config.method_ with
-          | Complement -> Smt.Memo.check_trace ~pc ~checker:condition
-          | Direct -> Smt.Memo.check_trace_direct ~pc ~checker:condition
-        in
-        mk h pc result)
-      hits
-  else begin
-    let trie = Smt.Pctrie.create () in
-    List.iteri
-      (fun i (h : Symexec.Concolic.hit) ->
-        Smt.Pctrie.add trie ~pc:(Symexec.Concolic.hit_pc_snapshot h) (i, h))
-      hits;
-    let results = Array.make (List.length hits) None in
-    let ctx = Smt.Solver.create_context () in
-    (* Fast-path rung 3: once a prefix's literal set is theory-
-       inconsistent, every query below it entails that prefix and is
-       Unsat — answer the whole subtree without touching the solver.
-       This is exactly the verdict the per-leaf solve would reach (an
-       assumption context with an inconsistent prefix short-circuits to
-       Unsat), so verdicts stay byte-identical with pruning off. *)
-    let fastpath = Smt.Solver.fastpath_enabled () in
-    Smt.Pctrie.walk_pruned trie
-      ~enter:(fun f ->
-        Smt.Solver.push ctx f;
-        not (fastpath && not (Smt.Solver.assumptions_consistent ctx)))
-      ~leave:(fun _ -> Smt.Solver.pop ctx)
-      ~leaf:(fun (i, (h : Symexec.Concolic.hit)) ->
-        let pc = Symexec.Concolic.hit_pc_formula h in
-        let result =
-          match config.method_ with
-          | Complement -> Smt.Memo.check_trace_in ctx ~pc ~checker:condition
-          | Direct -> Smt.Memo.check_trace_direct_in ctx ~pc ~checker:condition
-        in
-        results.(i) <- Some (mk h pc result))
-      ~pruned:(fun (i, (h : Symexec.Concolic.hit)) ->
-        Smt.Solver.note_trie_subsumed ();
-        let pc = Symexec.Concolic.hit_pc_formula h in
-        let result =
-          match config.method_ with
-          | Complement -> Smt.Solver.Verified (* pc ∧ ¬condition unsat *)
-          | Direct -> Smt.Solver.Violation [] (* pc ∧ condition unsat *)
-        in
-        results.(i) <- Some (mk h pc result));
-    Array.to_list results |> List.map Option.get
-  end
+  List.map
+    (fun (h : Symexec.Concolic.hit) ->
+      let pc = Symexec.Concolic.hit_pc_formula h in
+      {
+        tv_target_sid = h.Symexec.Concolic.h_target_sid;
+        tv_method = h.Symexec.Concolic.h_method;
+        tv_entry = h.Symexec.Concolic.h_entry;
+        tv_pc = pc;
+        tv_result = check ~pc ~checker:condition;
+        tv_state = h.Symexec.Concolic.h_state;
+      })
+    hits
 
 let execute_state_guard (config : config) (p : Ast.program) (pr : prepared)
     ~(condition : Smt.Formula.t) ~(targets : (string * Ast.stmt) list)
@@ -530,8 +476,8 @@ let check_rule ?(config = default_config) (p : Ast.program)
 
 (** The dynamic phase's concolic evidence for a state-guard rule: its
     checker condition and every target hit, in execution order ([None]
-    for lock rules).  Benchmarks use this to time trace judging in
-    isolation from concolic exploration. *)
+    for lock rules), so trace judging can be timed apart from concolic
+    exploration. *)
 let guard_evidence ?(config = default_config) (p : Ast.program) (pr : prepared)
     : (Smt.Formula.t * Symexec.Concolic.hit list) option =
   match pr.prep_kind with

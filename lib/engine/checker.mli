@@ -20,12 +20,6 @@ type config = {
   prune : bool;
   method_ : check_method;
   fuel : int;
-  trie : bool;
-      (** judge traces through the path-condition trie ({!Smt.Pctrie})
-          with an incremental {!Smt.Solver.context} instead of solving
-          each trace independently.  Result-preserving (reports are
-          byte-identical either way), so excluded from {!config_tag}:
-          both modes share cache entries.  On by default. *)
 }
 
 val default_config : config
@@ -123,10 +117,9 @@ val prepare :
 (** Dynamic phase: the unit of work the engine parallelizes and caches. *)
 val execute : ?config:config -> Ast.program -> prepared -> rule_report
 
-(** Judge concolic hits against a checker condition, in input order —
-    through the trie walk when [config.trie], per-trace otherwise.  Both
-    modes give byte-identical verdicts and models; exposed so tests and
-    benchmarks can compare them directly. *)
+(** Judge concolic hits against a checker condition, in input order:
+    one independent {!Smt.Memo} query per hit.  Exposed so trace judging
+    can be timed and tested on its own. *)
 val judge_hits :
   config ->
   condition:Smt.Formula.t ->
@@ -135,8 +128,8 @@ val judge_hits :
 
 (** The dynamic phase's concolic evidence for a state-guard rule: its
     checker condition and every target hit, in execution order ([None]
-    for lock rules).  Benchmarks use this to time trace judging in
-    isolation from concolic exploration. *)
+    for lock rules), so trace judging can be timed apart from concolic
+    exploration. *)
 val guard_evidence :
   ?config:config ->
   Ast.program ->

@@ -2,13 +2,7 @@
     calling domain (bit-for-bit deterministic); [jobs > 1] spawns up to
     [jobs] domains draining a shared atomic index, with results returned
     in input order — so output is independent of the pool width whenever
-    the mapped function is deterministic per item.
-
-    The optional [init]/[finish] hooks bracket each worker domain's
-    lifetime: [init] runs on the worker before its first item (warm up
-    [Domain.DLS] caches), [finish] after its last (drain domain-local
-    buffers that must outlive the domain).  The serial path runs both
-    hooks on the calling domain. *)
+    the mapped function is deterministic per item. *)
 
 (** [max 1 (Domain.recommended_domain_count () - 1)] — leave one core to
     the scheduler. *)
@@ -19,8 +13,6 @@ val default_jobs : unit -> int
     fault-tolerant entry point the engine's retry/quarantine loop
     drives. *)
 val map_results :
-  ?init:(unit -> unit) ->
-  ?finish:(unit -> unit) ->
   jobs:int ->
   ('a -> 'b) ->
   'a array ->
@@ -31,10 +23,4 @@ val failures : ('b, exn) result array -> (int * exn) list
 
 (** Raising wrapper: re-raises the first failure by input index
     (deterministically the same one at any pool width). *)
-val map :
-  ?init:(unit -> unit) ->
-  ?finish:(unit -> unit) ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
+val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array

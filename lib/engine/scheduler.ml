@@ -78,18 +78,16 @@ let default_config =
     retry_backoff_ms = 5;
   }
 
-(** The cold, serial configuration: every layer off — including the
-    checker's path-condition trie, so each trace is solved
-    independently.  Reproduces the historic one-shot checker exactly;
-    the benchmark's baseline (its report equality against the default
-    mode doubles as the trie's byte-identity check). *)
+(** The cold, serial configuration: every caching layer off, so each
+    rule is enforced from scratch.  Reproduces the historic one-shot
+    checker exactly; report-identity tests compare it against the
+    default configuration. *)
 let cold_config =
   {
     default_config with
     report_cache = false;
     smt_cache = false;
     incremental = false;
-    checker = { Checker.default_config with Checker.trie = false };
   }
 
 (* what the engine remembers about the last version it enforced *)
@@ -211,8 +209,7 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
       "engine.execute"
     @@ fun () ->
     let results =
-      Pool.map_results ~init:Domain_ctx.enter ~finish:Domain_ctx.leave
-        ~jobs:cfg.jobs run_job scheduled
+      Pool.map_results ~jobs:cfg.jobs run_job scheduled
     in
     let rec retry_failures attempt =
       let failed = Pool.failures results in
@@ -233,8 +230,7 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
         if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.);
         let slots = Array.of_list (List.map fst failed) in
         let rerun =
-          Pool.map_results ~init:Domain_ctx.enter ~finish:Domain_ctx.leave
-            ~jobs:cfg.jobs
+          Pool.map_results ~jobs:cfg.jobs
             (fun slot -> run_job scheduled.(slot))
             slots
         in

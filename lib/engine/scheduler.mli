@@ -26,8 +26,8 @@ type config = {
 (** jobs = 1, all layers on. *)
 val default_config : config
 
-(** jobs = 1, all layers off: the historic serial checker; the
-    benchmark baseline. *)
+(** jobs = 1, all caching layers off: the historic serial checker, the
+    baseline the report-identity tests compare against. *)
 val cold_config : config
 
 type t

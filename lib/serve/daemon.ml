@@ -7,8 +7,8 @@
     per-tenant round-robin order → per-tenant circuit breaker
     ({!Resilience.Kbreaker}; open = [rejected]/[breaker_open]) →
     fingerprint-keyed response cache → the system's long-lived
-    {!Engine.Scheduler} (report cache, {!Smt.Memo}, hash-cons tables
-    and learned clauses all warm from previous requests) → response.
+    {!Engine.Scheduler} (report cache, {!Smt.Memo} and hash-cons
+    tables all warm from previous requests) → response.
 
     With a cache dir, the response cache and the SMT verdict memo are
     persisted as {!Snapshot}s ({!Smt.Wire} forms only — interned values

@@ -2,7 +2,7 @@
 
     One daemon owns: a lazily-built {!Engine.Scheduler} per subject
     system (hash-cons tables, report cache, {!Smt.Memo}, and the
-    learned-clause store all stay warm across requests), a
+    solver's theory memo all stay warm across requests), a
     fingerprint-keyed response cache (optionally persisted through
     {!Snapshot}), a bounded fair admission {!Queue}, and a per-tenant
     {!Resilience.Kbreaker} so one pathological stream degrades only its

@@ -127,8 +127,18 @@ let parse_number st =
       | Some f when Float.is_finite f -> Float f
       | _ -> error st (Printf.sprintf "bad number %S" text))
 
-let rec parse_value st =
+(* Deepest array/object nesting [parse] accepts.  The documents this
+   repo exchanges nest about four deep; the bound keeps a hostile line
+   (a million ['['s) from recursing without limit on the accept loop. *)
+let max_depth = 64
+
+let rec parse_value st depth =
   skip_ws st;
+  let enter () =
+    if depth >= max_depth then
+      error st (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance st
+  in
   match peek st with
   | None -> error st "unexpected end of input"
   | Some 'n' -> literal st "null" Null
@@ -137,7 +147,7 @@ let rec parse_value st =
   | Some '"' -> Str (parse_string st)
   | Some ('-' | '0' .. '9') -> parse_number st
   | Some '[' ->
-      advance st;
+      enter ();
       skip_ws st;
       if peek st = Some ']' then begin
         advance st;
@@ -145,7 +155,7 @@ let rec parse_value st =
       end
       else
         let rec items acc =
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -158,7 +168,7 @@ let rec parse_value st =
         in
         items []
   | Some '{' ->
-      advance st;
+      enter ();
       skip_ws st;
       if peek st = Some '}' then begin
         advance st;
@@ -170,7 +180,7 @@ let rec parse_value st =
           let k = parse_string st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           (k, v)
         in
         let rec fields acc =
@@ -190,7 +200,7 @@ let rec parse_value st =
 
 let parse (s : string) : (t, string) result =
   let st = { src = s; pos = 0 } in
-  match parse_value st with
+  match parse_value st 0 with
   | v -> (
       skip_ws st;
       match peek st with

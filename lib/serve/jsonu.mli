@@ -18,7 +18,8 @@ type t =
 (** [parse s]: the single JSON value in [s] (trailing whitespace
     allowed).  Numbers without fraction/exponent parse as [Int]; a
     number that overflows to a non-finite float is an error, as is a
-    [\u] escape that is not exactly four hex digits. *)
+    [\u] escape that is not exactly four hex digits, and so is array or
+    object nesting deeper than 64 levels. *)
 val parse : string -> (t, string) result
 
 (** Compact rendering (no spaces, object fields in given order). *)

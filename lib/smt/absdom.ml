@@ -18,12 +18,8 @@
      bounds, so the formula evaluating to [Some false] proves that no
      consistent assignment satisfies the boolean skeleton: Unsat.
 
-   Definite Sat is only ever claimed from a concrete witness: an
-   environment built from the facts and confirmed by [Formula.eval].
-   The hot path ([refute]) is memoized on the simplified formula's
-   hash-cons id. *)
-
-type verdict = A_sat | A_unsat | A_unknown
+   The domain only ever refutes; it never claims Sat.  [refute] is
+   memoized on the simplified formula's hash-cons id. *)
 
 exception Conflict
 
@@ -103,9 +99,8 @@ let const_holds (rel : Formula.rel) (a : Formula.value) (b : Formula.value) =
       (* asserted ill-sorted order literal *)
       | _ -> raise Conflict)
 
-(* Gather facts from the formula's literal conjuncts (same polarity
-   walk as the solver's assumption splitter: And under +, Or under -,
-   Not flips).  Raises [Conflict] when the conjuncts alone are
+(* Gather facts from the formula's literal conjuncts (polarity walk:
+   And under +, Or under -, Not flips).  Raises [Conflict] when the conjuncts alone are
    theory-inconsistent. *)
 let literal_facts (f : Formula.t) : (string, fact) Hashtbl.t =
   let facts : (string, fact) Hashtbl.t = Hashtbl.create 16 in
@@ -279,50 +274,6 @@ let rec keval facts (f : Formula.t) : bool option =
         (fun acc g -> if acc = Some true then acc else kor acc (keval facts g))
         (Some false) gs
 
-(* Best-effort concrete witness from the facts; only trusted after
-   [Formula.eval] confirms it. *)
-let witness_env facts (f : Formula.t) : (string * Formula.value) list =
-  let pick v =
-    match Hashtbl.find_opt facts v with
-    | None -> Formula.V_int 0
-    | Some r -> (
-        match r.eqc with
-        | Some c -> c
-        | None when r.lo = None && r.hi = None -> (
-            (* a boolean exclusion types the variable as boolean *)
-            match
-              ( List.mem (Formula.V_bool true) r.neqc,
-                List.mem (Formula.V_bool false) r.neqc )
-            with
-            | true, false -> Formula.V_bool false
-            | false, true -> Formula.V_bool true
-            | _ ->
-                let n = ref 0 in
-                while List.mem (Formula.V_int !n) r.neqc do
-                  incr n
-                done;
-                Formula.V_int !n)
-        | None ->
-            let base =
-              match (r.lo, r.hi) with
-              | Some l, _ -> l
-              | None, Some h -> min 0 h
-              | None, None -> 0
-            in
-            let n = ref base in
-            let tries = ref (List.length r.neqc + 1) in
-            while
-              !tries > 0
-              && List.mem (Formula.V_int !n) r.neqc
-              && (match r.hi with Some h -> !n < h | None -> true)
-            do
-              incr n;
-              decr tries
-            done;
-            Formula.V_int !n)
-  in
-  List.map (fun v -> (v, pick v)) (Formula.variables f)
-
 (* ---- memoized refutation (the solver hot path) ---- *)
 
 let refuted_uncached (f : Formula.t) : bool =
@@ -359,19 +310,6 @@ let refute (f : Formula.t) : bool =
           let v = refuted_uncached f in
           memo_store id v;
           v)
-
-let eval (f : Formula.t) : verdict =
-  let f = Formula.simplify f in
-  match Formula.view f with
-  | Formula.True -> A_sat
-  | Formula.False -> A_unsat
-  | _ -> (
-      match literal_facts f with
-      | exception Conflict -> A_unsat
-      | facts ->
-          if keval facts f = Some false then A_unsat
-          else if Formula.eval (witness_env facts f) f = Some true then A_sat
-          else A_unknown)
 
 let memo_size () =
   Mutex.lock memo_lock;

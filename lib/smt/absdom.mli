@@ -4,25 +4,12 @@
     The first rung of the solver's fast-path ladder (see
     [lib/smt/README.md]).  Facts are derived from a formula's top-level
     literal conjuncts only — every derivation and refutation rule
-    mirrors a check the DPLL(T) theory layer enforces, so a definite
-    answer always agrees with {!Solver.solve}:
-
-    - {!refute} [f = true] implies the solver answers [Unsat] (or would
-      answer it with an unlimited node budget);
-    - {!eval} [f = A_sat] implies the solver answers [Sat _]: Sat is
-      only claimed from a concrete witness environment confirmed by
-      {!Formula.eval}.
-
-    [Unknown] is always allowed; the fast path is a filter, never an
-    oracle.  Results for {!refute} are memoized on the simplified
-    formula's hash-cons id in a bounded table shared across domains. *)
-
-type verdict = A_sat | A_unsat | A_unknown
-
-(** Decide the formula abstractly: [A_unsat] and [A_sat] are definite
-    (sound both ways), [A_unknown] means the domain cannot tell.  Used
-    by the qcheck agreement suite; the solver hot path uses {!refute}. *)
-val eval : Formula.t -> verdict
+    mirrors a check the DPLL(T) theory layer enforces, so {!refute}
+    [f = true] implies the solver answers [Unsat] (or would answer it
+    with an unlimited node budget).  [false] is always allowed; the
+    fast path is a filter, never an oracle.  Results are memoized on
+    the simplified formula's hash-cons id in a bounded table shared
+    across domains. *)
 
 (** [true] iff the abstract domain proves the formula unsatisfiable.
     Memoized; this is what the solver's fast path calls. *)

@@ -4,15 +4,12 @@
     hash-consed, so equal keys denote equal formulas and reusing a
     verdict is always sound — and the hit path allocates no rendering.
 
-    The store is two-level: each domain keeps a bounded front cache in
-    [Domain.DLS] (a warm hit takes zero locks), spilling to a
-    process-global store sharded 16 ways by key, so worker domains only
-    contend on a shard mutex for cold formulas that hash alike.
-    Exactly one hit or miss is recorded per enabled query
-    ({!local_hits} is a subset of {!hits}), so counter totals — and the
-    engine statistics derived from them — match the historic
-    single-mutex design at any jobs count.  Disabled by default — when
-    disabled every call passes straight through to {!Solver}. *)
+    One mutex-protected table of at most 2^17 entries serves every
+    domain; it never stores [Unknown].  Exactly one hit or miss is
+    recorded per enabled query, so counter totals (and the engine
+    statistics derived from them) are the same at any jobs count.
+    Disabled by default — when disabled every call passes straight
+    through to {!Solver}. *)
 
 (** Turn the cache on or off (default: off). *)
 val set_enabled : bool -> unit
@@ -31,20 +28,6 @@ val check_trace : pc:Formula.t -> checker:Formula.t -> Solver.trace_check
 val check_trace_direct :
   pc:Formula.t -> checker:Formula.t -> Solver.trace_check
 
-(** {1 Context-aware (trie-driven) checks}
-
-    Same cache keys and verdicts as the plain checks — the assumption
-    context only makes cache misses cheaper by reusing the pc prefix the
-    trie walk has already asserted.  The caller guarantees the context's
-    assumptions conjoin to [pc].  [Unknown] is never cached, exactly as
-    for the plain entry points. *)
-
-val check_trace_in :
-  Solver.context -> pc:Formula.t -> checker:Formula.t -> Solver.trace_check
-
-val check_trace_direct_in :
-  Solver.context -> pc:Formula.t -> checker:Formula.t -> Solver.trace_check
-
 (** {1 Snapshot / restore}
 
     The daemon ([lib/serve]) persists the verdict cache across restarts.
@@ -57,9 +40,9 @@ val check_trace_direct_in :
 val entries : unit -> (Formula.t * Solver.verdict) list
 
 (** Seed the cache from re-interned entries; skips [Unknown] verdicts
-    and keys already present, never evicts.  Entries are grouped by
-    shard so each shard lock is taken once per batch, not once per
-    entry.  Returns entries added. *)
+    and keys already present, never evicts (entries past capacity are
+    dropped).  Takes the lock once for the whole batch.  Returns
+    entries added. *)
 val restore : (Formula.t * Solver.verdict) list -> int
 
 (** {1 Counters} *)
@@ -68,22 +51,8 @@ val hits : Telemetry.Metrics.counter
 
 val misses : Telemetry.Metrics.counter
 
-(** Queries answered by the calling side's domain-local front cache
-    (zero-lock hits); a subset of {!hits}. *)
-val local_hits : Telemetry.Metrics.counter
-
-(** Domain-local front-cache resets forced by the per-domain cap —
-    eviction pressure. *)
-val local_evictions : Telemetry.Metrics.counter
-
-(** Number of formulas currently cached in the global store. *)
+(** Number of formulas currently cached. *)
 val size : unit -> int
 
-(** Clear the global store, zero the counters, and lazily invalidate
-    every domain's front cache (epoch bump — a domain drops its local
-    table on its next query). *)
+(** Clear the store and zero the hit/miss counters. *)
 val reset : unit -> unit
-
-(** Eagerly create (or epoch-sync) the calling domain's front cache;
-    the engine's worker pool calls this at domain start. *)
-val init_local : unit -> unit

@@ -12,16 +12,8 @@
     an id-indexed value array instead of an association list, and a
     clausal view of the NNF feeds a two-watched-literal unit-propagation
     engine that prunes unsatisfiable branches before they are entered.
-    Theory conflicts are minimized ({!Theory.conflict_core}) and learned
-    into a process-global store, so an inconsistent literal set discovered
-    in one query prunes sibling branches of every later query.  All of
-    these are result-preserving accelerations: verdicts *and* models are
+    Both are result-preserving accelerations: verdicts *and* models are
     byte-identical to the plain backtracking search.
-
-    On top of the one-shot {!solve}, an assumption {!context} supports
-    {!push}/{!pop} of literal assertions and {!solve_under_assumptions}
-    for incremental solving over shared path-condition prefixes (driven
-    by {!Pctrie} from the engine's checker).
 
     The module also implements the paper's *complement check* (§3.2): a
     trace with path condition [pc] **violates** a semantic with checker
@@ -38,26 +30,17 @@ module Metrics = Telemetry.Metrics
 
 let solve_calls = Metrics.counter "smt.solve_calls" ~doc:"Solver.solve invocations"
 
-(* Incremental-core counters *)
-let assume_pushes =
-  Metrics.counter "smt.assume.push" ~doc:"incremental-context assertions"
-
-let assume_pops = Metrics.counter "smt.assume.pop" ~doc:"incremental-context retractions"
-
 let propagations =
   Metrics.counter "smt.propagations" ~doc:"literals implied by unit propagation"
 
-let learned_conflicts =
-  Metrics.counter "smt.learned" ~doc:"theory conflict sets learned"
-
 (* ------------------------------------------------------------------ *)
-(* Pre-solver fast path (Absdom / BCP / trie subsumption)              *)
+(* Pre-solver fast path (Absdom / BCP)                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The fast path is result-preserving (an Unsat short-circuit carries no
    payload), so the flag deliberately does not participate in any cache
    key: it can change the cost of a verdict, never the verdict.  On by
-   default; the bench flips it to measure saved full solves. *)
+   default; turning it off measures the full solves it saves. *)
 let fastpath_flag = Atomic.make true
 
 let set_fastpath_enabled b = Atomic.set fastpath_flag b
@@ -65,18 +48,14 @@ let set_fastpath_enabled b = Atomic.set fastpath_flag b
 let fastpath_enabled () = Atomic.get fastpath_flag
 
 (* Queries retired per rung of the ladder, plus the total of full
-   DPLL(T) searches actually run ([full_solves]) — the bench's
-   reduction metric is full_solves(on) vs full_solves(off). *)
+   DPLL(T) searches actually run ([full_solves]) — the ladder's
+   reduction is full_solves(on) vs full_solves(off). *)
 let fastpath_interval =
   Metrics.counter "smt.fastpath.interval"
     ~doc:"queries retired by the abstract-domain pre-solver"
 
 let fastpath_bcp =
   Metrics.counter "smt.fastpath.bcp" ~doc:"queries retired by the root-BCP-only check"
-
-let fastpath_subsumed =
-  Metrics.counter "smt.fastpath.subsumed"
-    ~doc:"trie leaf queries answered by prefix-Unsat subtree pruning"
 
 let fastpath_saved =
   Metrics.counter "smt.fastpath.saved"
@@ -86,17 +65,11 @@ let full_solves = Metrics.counter "smt.full_solves" ~doc:"full DPLL(T) searches 
 
 let full_solve_count () = Metrics.value full_solves
 
-(* The checker reports trie-subtree prunes here so all fast-path
-   counters live in one place. *)
-let note_trie_subsumed () =
-  Metrics.bump fastpath_subsumed;
-  Metrics.bump fastpath_saved
-
 let lits_of_assign (assign : (Formula.atom * bool) list) : Theory.lit list =
   List.map (fun (a, sign) -> Theory.lit sign a) assign
 
 (* ------------------------------------------------------------------ *)
-(* Theory-consistency memo and learned conflicts                       *)
+(* Theory-consistency memo                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* [Theory.consistent] is called on every node of the DPLL search tree,
@@ -160,215 +133,23 @@ let lit_key (a, sign) : lit_id =
     Formula.term_id c.Formula.lhs,
     Formula.term_id c.Formula.rhs )
 
-(* Learned conflicts: sorted literal-id sets that [Theory.consistent]
-   refuted (minimized by {!Theory.conflict_core}).  A conjunction of
-   literals is inconsistent whenever any learned set is a subset of it —
-   supersets of an inconsistent set are inconsistent — so a conflict
-   learned under one path condition prunes sibling branches of every
-   later query, across the whole trie.  Indexed by the set's largest
-   literal id: if [S] is a subset of the sorted key [K] then
-   [max S] is a member of [K], so probing every bucket keyed by a member
-   of [K] finds every subset candidate.  Only *definite* theory verdicts
-   are learned: [Unknown]/degraded results never reach this store, and
-   [set_learning_enabled false] turns the whole mechanism off (the test
-   suite pins that learning never changes a verdict).  Shares
-   [theory_memo_lock]; bounded by full reset. *)
-let learned_table : (lit_id, lit_id list list) Hashtbl.t = Hashtbl.create 256
-
-let learned_size = ref 0
-
-let learned_max = 4096
-
-let learning_flag = Atomic.make true
-
-let set_learning_enabled b = Atomic.set learning_flag b
-
-let learning_enabled () = Atomic.get learning_flag
-
-(* Learned clauses are not published one mutex acquisition at a time:
-   each domain accumulates fresh conflicts in a [Domain.DLS] pending
-   buffer and flushes them to the global store in a batch — at the end
-   of a solve, at a context pop, when the buffer reaches
-   [flush_threshold], or explicitly ({!flush_learned}, called by the
-   engine's pool when a worker domain retires).  Unpublished clauses
-   still prune: {!consistent_with} probes the domain's own pending
-   buffer right after the global store, so under a serial schedule the
-   set of clauses visible to the search (global ∪ pending) is
-   step-by-step identical to the historic publish-immediately design —
-   same search trees, same learned counts, same verdicts. *)
-let flush_threshold = 64
-
-let learned_batched =
-  Metrics.counter "smt.learned.batched"
-    ~doc:"learned clauses published through batch flushes"
-
-(* Bumped by [reset_learned] so every domain lazily discards clauses it
-   learned against the pre-reset store. *)
-let learned_epoch = Atomic.make 0
-
-type pending = {
-  mutable p_epoch : int;
-  mutable p_clauses : lit_id list list;  (* newest first *)
-  mutable p_count : int;
-}
-
-let pending_key : pending Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { p_epoch = Atomic.get learned_epoch; p_clauses = []; p_count = 0 })
-
-let pending () =
-  let p = Domain.DLS.get pending_key in
-  let e = Atomic.get learned_epoch in
-  if p.p_epoch <> e then begin
-    p.p_clauses <- [];
-    p.p_count <- 0;
-    p.p_epoch <- e
-  end;
-  p
-
-let reset_learned () =
-  (* discard every domain's pending buffer before clearing the store *)
-  Atomic.incr learned_epoch;
-  Mutex.lock theory_memo_lock;
-  Hashtbl.reset learned_table;
-  learned_size := 0;
-  Mutex.unlock theory_memo_lock
-
-(* [subset s k]: is the sorted list [s] a subset of the sorted list [k]? *)
-let rec subset (s : lit_id list) (k : lit_id list) : bool =
-  match (s, k) with
-  | [], _ -> true
-  | _, [] -> false
-  | a :: s', b :: k' ->
-      let c = compare a b in
-      if c = 0 then subset s' k'
-      else if c > 0 then subset s k'
-      else false
-
-(* caller holds [theory_memo_lock]; [keys] is sorted *)
-let learned_subsumes_locked (keys : lit_id list) : bool =
-  List.exists
-    (fun k ->
-      match Hashtbl.find_opt learned_table k with
-      | None -> false
-      | Some sets -> List.exists (fun s -> subset s keys) sets)
-    keys
-
-(* [keys] is sorted; the pending buffer is domain-local, so no lock *)
-let pending_subsumes (keys : lit_id list) : bool =
-  let p = pending () in
-  p.p_clauses <> [] && List.exists (fun s -> subset s keys) p.p_clauses
-
-(* Publish the calling domain's pending clauses under one lock hold. *)
-let flush_learned () =
-  let p = pending () in
-  match p.p_clauses with
-  | [] -> ()
-  | newest_first ->
-      let clauses = List.rev newest_first (* publish in learn order *) in
-      let n = p.p_count in
-      p.p_clauses <- [];
-      p.p_count <- 0;
-      Mutex.lock theory_memo_lock;
-      List.iter
-        (fun ckeys ->
-          match List.rev ckeys with
-          | [] -> ()
-          | max_key :: _ ->
-              if !learned_size >= learned_max then begin
-                Hashtbl.reset learned_table;
-                learned_size := 0
-              end;
-              let bucket =
-                Option.value ~default:[]
-                  (Hashtbl.find_opt learned_table max_key)
-              in
-              (* another domain may have published it meanwhile *)
-              if not (List.mem ckeys bucket) then begin
-                Hashtbl.replace learned_table max_key (ckeys :: bucket);
-                incr learned_size
-              end)
-        clauses;
-      Mutex.unlock theory_memo_lock;
-      Metrics.bump ~by:n learned_batched
-
-(* Minimize and record a theory conflict.  The [Theory.conflict_core]
-   calls run lock-free (they are theory solves), and so does the store
-   append: the clause goes into the domain's pending buffer and is only
-   published (one lock hold per batch) when the buffer fills or the
-   search reaches a flush point.  No dedup check against pending is
-   needed: a conflict reaches this function only after
-   {!consistent_with} missed both the global store and the pending
-   buffer, and the minimized core is a subset of the refuted assignment,
-   so the core cannot already be pending. *)
-let learn_conflict (assign : (Formula.atom * bool) list) : unit =
-  if learning_enabled () then begin
-    let core = Theory.conflict_core (lits_of_assign assign) in
-    let ckeys =
-      List.sort_uniq compare
-        (List.map (fun (l : Theory.lit) -> lit_key (l.Theory.atom, l.Theory.sign)) core)
-    in
-    match ckeys with
-    | [] -> ()
-    | _ ->
-        let p = pending () in
-        p.p_clauses <- ckeys :: p.p_clauses;
-        p.p_count <- p.p_count + 1;
-        Metrics.bump learned_conflicts;
-        if p.p_count >= flush_threshold then flush_learned ()
-  end
-
-(* Theory consistency of a partial assignment, through the memo and the
-   learned-conflict store.  [keys] is the sorted literal-id key of
-   [assign], maintained incrementally by the search.  All three sources
-   agree by construction (learned sets and memo entries both record
-   definite [Theory.consistent] verdicts), so caching never changes a
-   result — only its cost. *)
+(* Theory consistency of a partial assignment, through the memo.
+   [keys] is the sorted literal-id key of [assign], maintained
+   incrementally by the search.  Memo entries record definite
+   [Theory.consistent] verdicts, so caching never changes a result —
+   only its cost. *)
 let consistent_with ~(keys : lit_id list) (assign : (Formula.atom * bool) list) :
     bool =
   match assign with
   | [] -> true
   | _ -> (
-      let cached =
-        Mutex.lock theory_memo_lock;
-        let r =
-          match Hashtbl.find_opt theory_memo keys with
-          | Some _ as r -> r
-          | None ->
-              if learned_subsumes_locked keys then begin
-                (* promote the subset hit to a memo entry for next time *)
-                if Hashtbl.length theory_memo >= !theory_memo_max then
-                  halve_theory_memo ();
-                Hashtbl.replace theory_memo keys false;
-                Some false
-              end
-              else None
-        in
-        Mutex.unlock theory_memo_lock;
-        r
-      in
-      let cached =
-        match cached with
-        | Some _ -> cached
-        | None ->
-            (* clauses this domain learned but has not yet published
-               prune exactly as published ones do, so batching never
-               loses a refutation the immediate-publish design had *)
-            if pending_subsumes keys then begin
-              Mutex.lock theory_memo_lock;
-              if Hashtbl.length theory_memo >= !theory_memo_max then
-                halve_theory_memo ();
-              Hashtbl.replace theory_memo keys false;
-              Mutex.unlock theory_memo_lock;
-              Some false
-            end
-            else None
-      in
+      Mutex.lock theory_memo_lock;
+      let cached = Hashtbl.find_opt theory_memo keys in
+      Mutex.unlock theory_memo_lock;
       match cached with
       | Some b -> b
       | None ->
           let b = Theory.consistent (lits_of_assign assign) in
-          if not b then learn_conflict assign;
           Mutex.lock theory_memo_lock;
           if Hashtbl.length theory_memo >= !theory_memo_max then
             halve_theory_memo ();
@@ -749,12 +530,7 @@ let search_compiled ~(budget : int) (pr : prop) (cp : compiled) :
   in
   search [] [] cp.cp_order
 
-(* [prefix_unsat]: an assumption context already proved its literal
-   prefix inconsistent, so any formula entailing the prefix is unsat —
-   the search is skipped entirely.  Everything else (counters, breaker,
-   injector, simplification) behaves exactly like a full solve. *)
-let solve_untraced ?node_budget ?(prefix_unsat = false) (f : Formula.t) :
-    verdict =
+let solve_untraced ?node_budget (f : Formula.t) : verdict =
   Metrics.bump solve_calls;
   if not (Resilience.Breaker.proceed Resilience.Fault.Solver) then
     Unknown "solver circuit open"
@@ -775,9 +551,6 @@ let solve_untraced ?node_budget ?(prefix_unsat = false) (f : Formula.t) :
             Resilience.Breaker.success Resilience.Fault.Solver;
             Sat []
         | Formula.False ->
-            Resilience.Breaker.success Resilience.Fault.Solver;
-            Unsat
-        | _ when prefix_unsat ->
             Resilience.Breaker.success Resilience.Fault.Solver;
             Unsat
         | _ when Atomic.get fastpath_flag && Absdom.refute f ->
@@ -802,34 +575,25 @@ let solve_untraced ?node_budget ?(prefix_unsat = false) (f : Formula.t) :
             end
             else begin
               Metrics.bump full_solves;
-              let v =
-                match search_compiled ~budget pr cp with
-                | Some model ->
-                    Resilience.Breaker.success Resilience.Fault.Solver;
-                    Sat model
-                | None ->
-                    Resilience.Breaker.success Resilience.Fault.Solver;
-                    Unsat
-                | exception Budget_hit ->
-                    Resilience.Breaker.failure Resilience.Fault.Solver;
-                    Unknown (Fmt.str "node budget %d exhausted" budget)
-              in
-              (* end-of-solve flush: publish this search's conflicts so
-                 sibling domains (and later solves) prune on them *)
-              flush_learned ();
-              v
+              match search_compiled ~budget pr cp with
+              | Some model ->
+                  Resilience.Breaker.success Resilience.Fault.Solver;
+                  Sat model
+              | None ->
+                  Resilience.Breaker.success Resilience.Fault.Solver;
+                  Unsat
+              | exception Budget_hit ->
+                  Resilience.Breaker.failure Resilience.Fault.Solver;
+                  Unknown (Fmt.str "node budget %d exhausted" budget)
             end)
 
 (* The traced wrapper only pays for the span while tracing is on; the
    healthy fast path is one atomic load. *)
-let solve_traced ?node_budget ?prefix_unsat (f : Formula.t) : verdict =
-  if not (Telemetry.Trace.enabled ()) then
-    solve_untraced ?node_budget ?prefix_unsat f
+let solve ?node_budget (f : Formula.t) : verdict =
+  if not (Telemetry.Trace.enabled ()) then solve_untraced ?node_budget f
   else
     Telemetry.Trace.with_span ~cat:"smt" "smt.solve" @@ fun () ->
-    solve_untraced ?node_budget ?prefix_unsat f
-
-let solve ?node_budget (f : Formula.t) : verdict = solve_traced ?node_budget f
+    solve_untraced ?node_budget f
 
 (* Test hook for the qcheck soundness suite: does root BCP alone (rung 2
    of the fast path) refute the formula? *)
@@ -839,121 +603,6 @@ let bcp_refutes (f : Formula.t) : bool =
   | Formula.False -> true
   | Formula.True -> false
   | _ -> not (prop_create (compile f)).pr_enabled
-
-(* ------------------------------------------------------------------ *)
-(* Assumption contexts                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A persistent stack of asserted formulas for incremental solving over
-   shared path-condition prefixes.  [push] decomposes the formula's
-   literal conjuncts, extends the context's sorted literal-id key, and
-   checks theory consistency of the whole prefix *once* — seeding the
-   global memo and the learned-conflict store, which is where the
-   sharing pays off: every query under the same prefix hits those caches
-   instead of re-deriving the prefix's consequences.  The caches are
-   result-preserving, so verdicts and models are byte-identical to
-   solving each full conjunction from scratch. *)
-type frame = {
-  fr_form : Formula.t;
-  fr_saved_lits : (Formula.atom * bool) list;
-  fr_saved_keys : lit_id list;
-  fr_consistent : bool;
-      (* the stack up to and including this frame has no known
-         inconsistency (boolean or theory) *)
-}
-
-type context = {
-  mutable ctx_frames : frame list;  (* innermost first *)
-  mutable ctx_lits : (Formula.atom * bool) list;
-  mutable ctx_keys : lit_id list;  (* sorted, deduped *)
-}
-
-let create_context () : context =
-  { ctx_frames = []; ctx_lits = []; ctx_keys = [] }
-
-let assumption_depth (ctx : context) = List.length ctx.ctx_frames
-
-let assumptions (ctx : context) : Formula.t list =
-  List.rev_map (fun fr -> fr.fr_form) ctx.ctx_frames
-
-let assumptions_consistent (ctx : context) : bool =
-  match ctx.ctx_frames with [] -> true | fr :: _ -> fr.fr_consistent
-
-(* the literal conjuncts of a formula: atoms (and negated atoms) reachable
-   through And under positive polarity / Or under negative polarity.
-   [bool_false] is set when a conjunct is the constant false. *)
-let literal_conjuncts (f : Formula.t) :
-    (Formula.atom * bool) list * bool (* bool_false *) =
-  let falsified = ref false in
-  let rec go pol g acc =
-    match (Formula.view g, pol) with
-    | Formula.Atom a, _ -> (Formula.canon_atom a, pol) :: acc
-    | Formula.Not h, _ -> go (not pol) h acc
-    | Formula.And gs, true | Formula.Or gs, false ->
-        List.fold_left (fun acc h -> go pol h acc) acc gs
-    | Formula.False, true | Formula.True, false ->
-        falsified := true;
-        acc
-    | _ -> acc (* disjunctive conjuncts carry no asserted literal *)
-  in
-  let lits = go true f [] in
-  (lits, !falsified)
-
-let rec insert_key_dedup (k : lit_id) = function
-  | [] -> [ k ]
-  | k' :: rest as keys ->
-      let c = compare k k' in
-      if c = 0 then keys
-      else if c < 0 then k :: keys
-      else k' :: insert_key_dedup k rest
-
-let push (ctx : context) (f : Formula.t) : unit =
-  Metrics.bump assume_pushes;
-  let parent_ok = assumptions_consistent ctx in
-  let saved_lits = ctx.ctx_lits and saved_keys = ctx.ctx_keys in
-  let new_lits, bool_false = literal_conjuncts f in
-  let lits = new_lits @ ctx.ctx_lits in
-  let keys =
-    List.fold_left
-      (fun keys l -> insert_key_dedup (lit_key l) keys)
-      ctx.ctx_keys new_lits
-  in
-  let consistent =
-    parent_ok && (not bool_false)
-    && (new_lits = [] || consistent_with ~keys lits)
-  in
-  ctx.ctx_frames <-
-    { fr_form = f; fr_saved_lits = saved_lits; fr_saved_keys = saved_keys;
-      fr_consistent = consistent }
-    :: ctx.ctx_frames;
-  ctx.ctx_lits <- lits;
-  ctx.ctx_keys <- keys
-
-let pop (ctx : context) : unit =
-  Metrics.bump assume_pops;
-  (* context-pop epoch: the trie walk is leaving a prefix, so publish
-     the conflicts its subtree learned before a sibling re-explores *)
-  flush_learned ();
-  match ctx.ctx_frames with
-  | [] -> invalid_arg "Solver.pop: empty assumption stack"
-  | fr :: rest ->
-      ctx.ctx_frames <- rest;
-      ctx.ctx_lits <- fr.fr_saved_lits;
-      ctx.ctx_keys <- fr.fr_saved_keys
-
-(* [solve_in_context ctx f] is sound only when [f] entails the context's
-   assumptions — the caller passes the *full* conjunction (assumptions
-   included), and the context contributes its warm caches plus the
-   known-inconsistent-prefix shortcut.  The trie walk maintains that
-   contract by construction. *)
-let solve_in_context ?node_budget (ctx : context) (f : Formula.t) : verdict =
-  solve_traced ?node_budget
-    ~prefix_unsat:(not (assumptions_consistent ctx))
-    f
-
-let solve_under_assumptions ?node_budget (ctx : context) (f : Formula.t) :
-    verdict =
-  solve_in_context ?node_budget ctx (Formula.conj (assumptions ctx @ [ f ]))
 
 let is_sat f = verdict_is_sat (solve f)
 

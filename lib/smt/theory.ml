@@ -253,29 +253,3 @@ let consistent (lits : lit list) : bool =
       end;
       true
     with Inconsistent -> false
-
-(* ------------------------------------------------------------------ *)
-(* Conflict cores                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Greedy deletion minimization: drop one literal at a time, keeping the
-   drop whenever the remainder is still inconsistent.  The result is a
-   locally minimal inconsistent core — every remaining literal is
-   necessary — which makes the solver's learned conflict sets prune far
-   more sibling branches than the full assignment would.  Bounded: sets
-   larger than [max_core_lits] are returned unchanged (the quadratic
-   re-checking would cost more than the pruning saves), and a consistent
-   input is returned unchanged (learning a consistent set as a conflict
-   would be unsound, so we re-verify rather than trust the caller). *)
-let max_core_lits = 16
-
-let conflict_core (lits : lit list) : lit list =
-  if List.length lits > max_core_lits || consistent lits then lits
-  else
-    let rec shrink kept = function
-      | [] -> List.rev kept
-      | l :: rest ->
-          if consistent (List.rev_append kept rest) then shrink (l :: kept) rest
-          else shrink kept rest
-    in
-    shrink [] lits

@@ -14,10 +14,3 @@ val lit : bool -> Formula.atom -> lit
 (** [consistent lits] decides whether the conjunction of [lits] has a
     model. *)
 val consistent : lit list -> bool
-
-(** [conflict_core lits] shrinks an inconsistent literal set to a locally
-    minimal inconsistent core by greedy deletion (every literal of the
-    result is necessary for the inconsistency).  Sets larger than an
-    internal bound — or sets that are in fact consistent — are returned
-    unchanged, so the result is inconsistent whenever the input is. *)
-val conflict_core : lit list -> lit list

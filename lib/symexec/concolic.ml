@@ -468,15 +468,6 @@ let run_all ?(config = default_config) (program : Ast.program)
 
 let hit_pc_formula (h : hit) : Smt.Formula.t = Smt.Formula.conj h.h_pc
 
-(* The raw snapshot is already decision-ordered: [pc_snapshots] reverses
-   the frame stack (outermost call first) and each frame's facts
-   (recording order), so the list reads outermost decision to innermost.
-   That is exactly the order the path-condition trie needs — two hits
-   share a snapshot prefix iff their executions took the same first
-   decisions — and the facts are interned formulas, so prefix sharing is
-   physical (id-keyed), not structural. *)
-let hit_pc_snapshot (h : hit) : Smt.Formula.t list = h.h_pc
-
 let hit_full_pc_formula (h : hit) : Smt.Formula.t = Smt.Formula.conj h.h_full_pc
 
 let hit_to_string (h : hit) =

@@ -76,13 +76,6 @@ val run_all : ?config:config -> Minilang.Ast.program -> string list -> run_resul
 (** The hit's path condition as one conjunction. *)
 val hit_pc_formula : hit -> Smt.Formula.t
 
-(** The hit's path condition as the decision-ordered list of interned
-    facts (outermost decision first) — the form {!Smt.Pctrie} groups by:
-    two hits share a snapshot prefix iff their executions took the same
-    first decisions.  [hit_pc_formula h = Smt.Formula.conj
-    (hit_pc_snapshot h)]. *)
-val hit_pc_snapshot : hit -> Smt.Formula.t list
-
 val hit_full_pc_formula : hit -> Smt.Formula.t
 
 val hit_to_string : hit -> string

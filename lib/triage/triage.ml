@@ -413,7 +413,7 @@ let replay_attempt (config : config) (p : Ast.program) ~(qname : string)
     |> List.sort_uniq compare
   in
   let arrivals = ref [] in
-  let witness_env = ref [] in
+  let violating_env = ref [] in
   let subjects = ref [] in
   let lookup_subject cls = List.assoc_opt cls !subjects in
   let interp_config = ref Interp.default_config in
@@ -449,7 +449,7 @@ let replay_attempt (config : config) (p : Ast.program) ~(qname : string)
             let env = runtime_env st in
             match Smt.Formula.eval env condition with
             | Some false ->
-                witness_env := env;
+                violating_env := env;
                 raise Stop_replay
             | r -> arrivals := r :: !arrivals))
     | _ -> ()
@@ -628,7 +628,7 @@ let replay_attempt (config : config) (p : Ast.program) ~(qname : string)
             try Interp.call_bounded ~fuel:config.replay_fuel st meth args
             with Stop_replay -> Interp.Call_returned Value.V_null)
       in
-      if !witness_env <> [] then A_reproduced !witness_env
+      if !violating_env <> [] then A_reproduced !violating_env
       else (
         match outcome with
         | Interp.Call_returned _ | Interp.Call_threw _ ->

@@ -108,6 +108,25 @@ let test_json_rejects_non_finite () =
   | Ok (Serve.Jsonu.Float f) -> Alcotest.(check (float 0.)) "finite float" 1.5e300 f
   | _ -> Alcotest.fail "finite float rejected"
 
+(* a well-formed but hostile nest of arrays must be refused with a
+   structured error, not recursed into; the bound still admits 64 *)
+let test_json_bounds_nesting () =
+  let nest n = String.make n '[' ^ String.make n ']' in
+  (match Serve.Jsonu.parse (nest 100_000) with
+  | Error msg ->
+      Alcotest.(check bool) ("error names the nesting: " ^ msg) true
+        (String.starts_with ~prefix:"nesting deeper than 64" msg)
+  | Ok _ -> Alcotest.fail "accepted 100000-deep nesting");
+  (match Serve.Jsonu.parse (nest 65) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted 65-deep nesting");
+  (match Serve.Jsonu.parse (String.concat "" (List.init 65 (fun _ -> "{\"a\":")) ^ "1" ^ String.make 65 '}') with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted 65-deep object nesting");
+  match Serve.Jsonu.parse (nest 64) with
+  | Ok v -> Alcotest.(check string) "64-deep round-trips" (nest 64) (Serve.Jsonu.to_string v)
+  | Error msg -> Alcotest.fail ("rejected 64-deep nesting: " ^ msg)
+
 let test_signature_ignores_timings () =
   let mk ~cached ~queue_ms =
     Serve.Protocol.Ok_enforce
@@ -615,6 +634,8 @@ let suite =
           test_json_unicode_escape_strict;
         Alcotest.test_case "json rejects non-finite numbers" `Quick
           test_json_rejects_non_finite;
+        Alcotest.test_case "json bounds nesting depth" `Quick
+          test_json_bounds_nesting;
         Alcotest.test_case "parse rejects malformed requests" `Quick
           test_parse_rejects;
         Alcotest.test_case "render is deterministic" `Quick

@@ -355,74 +355,10 @@ let test_atoms_first_occurrence_order () =
   Alcotest.(check bool) "atoms memoized per node" true
     (Formula.atoms f == Formula.atoms f)
 
-(* ------------------------------------------------------------------ *)
-(* Incremental contexts: assumption solving vs one-shot                *)
-(* ------------------------------------------------------------------ *)
-
 let render_verdict = function
   | Solver.Sat m -> "sat " ^ Solver.model_to_string m
   | Solver.Unsat -> "unsat"
   | Solver.Unknown reason -> "unknown " ^ reason
-
-(* A model is valid for [f] when it makes the simplified formula true
-   under three-valued evaluation (atoms looked up canonically) and its
-   literal set is theory-consistent. *)
-let model_valid (model : (Formula.atom * bool) list) (f : Formula.t) : bool =
-  let signs = List.map (fun (a, s) -> (Formula.atom_to_string a, s)) model in
-  let rec ev g =
-    match Formula.view g with
-    | Formula.True -> Some true
-    | Formula.False -> Some false
-    | Formula.Atom a ->
-        List.assoc_opt (Formula.atom_to_string (Formula.canon_atom a)) signs
-    | Formula.Not g' -> Option.map not (ev g')
-    | Formula.And gs ->
-        let vs = List.map ev gs in
-        if List.exists (fun x -> x = Some false) vs then Some false
-        else if List.for_all (fun x -> x = Some true) vs then Some true
-        else None
-    | Formula.Or gs ->
-        let vs = List.map ev gs in
-        if List.exists (fun x -> x = Some true) vs then Some true
-        else if List.for_all (fun x -> x = Some false) vs then Some false
-        else None
-  in
-  ev (Formula.simplify f) = Some true
-  && Theory.consistent (List.map (fun (a, s) -> Theory.lit s a) model)
-
-(* Any split of a conjunction into pushed prefix and queried suffix
-   must agree with one-shot solving of the whole conjunction — same
-   verdict, byte-identical model — and Sat models must actually be
-   models. *)
-let prop_assumptions_agree_with_one_shot =
-  QCheck.Test.make ~count:300
-    ~name:"solve_under_assumptions agrees with one-shot solve"
-    QCheck.(pair (list_of_size Gen.(int_range 0 3) gen_formula) gen_formula)
-    (fun (prefix, suffix) ->
-      let all = Formula.conj (prefix @ [ suffix ]) in
-      let one_shot = Solver.solve all in
-      let ctx = Solver.create_context () in
-      List.iter (Solver.push ctx) prefix;
-      let incr = Solver.solve_under_assumptions ctx suffix in
-      List.iter (fun _ -> Solver.pop ctx) prefix;
-      Solver.assumption_depth ctx = 0
-      && render_verdict one_shot = render_verdict incr
-      && match one_shot with Solver.Sat m -> model_valid m all | _ -> true)
-
-(* Learned conflict sets prune theory calls, never answers: verdicts and
-   models are byte-identical with learning off, whatever is already in
-   the store from earlier solves. *)
-let prop_learning_never_changes_verdicts =
-  QCheck.Test.make ~count:300 ~name:"learned conflicts never change a verdict"
-    gen_formula (fun f ->
-      let with_learning = Solver.solve f in
-      Solver.set_learning_enabled false;
-      let without_learning =
-        Fun.protect
-          ~finally:(fun () -> Solver.set_learning_enabled true)
-          (fun () -> Solver.solve f)
-      in
-      render_verdict with_learning = render_verdict without_learning)
 
 (* ------------------------------------------------------------------ *)
 (* Pre-solver fast path: abstract domain + BCP soundness                *)
@@ -433,19 +369,6 @@ let prop_learning_never_changes_verdicts =
 let with_fastpath_off f =
   Solver.set_fastpath_enabled false;
   Fun.protect ~finally:(fun () -> Solver.set_fastpath_enabled true) f
-
-(* The abstract evaluator may say Unknown, never wrong: A_unsat only on
-   formulas the full search also refutes, A_sat only on formulas it also
-   satisfies. *)
-let prop_absdom_never_wrong =
-  QCheck.Test.make ~count:500 ~name:"Absdom.eval sound vs the full search"
-    gen_formula (fun f ->
-      let full = with_fastpath_off (fun () -> Solver.solve f) in
-      match Absdom.eval f with
-      | Absdom.A_unsat -> (
-          match full with Solver.Sat _ -> false | _ -> true)
-      | Absdom.A_sat -> ( match full with Solver.Unsat -> false | _ -> true)
-      | Absdom.A_unknown -> true)
 
 (* Absdom.refute is the Unsat-only entry the solver drives: a refuted
    formula is also unsat by brute force over the generator's domain. *)
@@ -475,97 +398,15 @@ let test_absdom_interval_conflict () =
   (* x > 5 && x < 3: empty interval, refuted without any search *)
   let f = Formula.(conj [ gt (v "x") (i 5); lt (v "x") (i 3) ]) in
   Alcotest.(check bool) "empty interval refuted" true (Absdom.refute f);
-  Alcotest.(check bool) "eval agrees" true (Absdom.eval f = Absdom.A_unsat)
-
-let test_absdom_witness_sat () =
-  (* x == 2 && y > 1: the abstract domain can build and confirm a
-     concrete witness *)
-  let f = Formula.(conj [ eq (v "x") (i 2); gt (v "y") (i 1) ]) in
-  Alcotest.(check bool) "witness confirmed" true (Absdom.eval f = Absdom.A_sat)
+  (* x > 3 && x < 5: the interval {4} is not empty *)
+  let g = Formula.(conj [ gt (v "x") (i 3); lt (v "x") (i 5) ]) in
+  Alcotest.(check bool) "non-empty interval not refuted" false (Absdom.refute g)
 
 let test_absdom_var_var_unknown () =
   (* x < y constrains two unbounded variables: out of the domain's
-     reach, must stay Unknown rather than guess *)
+     reach, so it must not claim a refutation *)
   let f = Formula.(lt (v "x") (v "y")) in
-  Alcotest.(check bool) "var-var order unknown" true
-    (Absdom.eval f = Absdom.A_unknown)
-
-(* Learned clauses flow through the domain-local pending buffer and are
-   published by the end-of-solve flush: a solve that learns conflicts
-   advances both the learned count and the batched-publication count,
-   and an explicit flush on a drained buffer is a no-op. *)
-let test_learned_batched_publication () =
-  Solver.reset_learned ();
-  (* the abstract-domain fast path would retire this query before the
-     search learns anything; pin it off — learning is what's under test *)
-  Solver.set_fastpath_enabled false;
-  Fun.protect ~finally:(fun () -> Solver.set_fastpath_enabled true)
-  @@ fun () ->
-  let batched0 = Metrics.value Solver.learned_batched in
-  let learned0 = Metrics.value Solver.learned_conflicts in
-  (* x > 5 && x < 3 is boolean-satisfiable but theory-inconsistent:
-     the search must call the theory, conflict, and learn *)
-  let f =
-    Formula.conj
-      [
-        Formula.gt (v "batch_x") (i 5);
-        Formula.lt (v "batch_x") (i 3);
-      ]
-  in
-  (match Solver.solve f with
-  | Solver.Unsat -> ()
-  | _ -> Alcotest.fail "expected unsat");
-  let learned = Metrics.value Solver.learned_conflicts - learned0 in
-  Alcotest.(check bool) "the solve learned at least one conflict" true
-    (learned > 0);
-  Alcotest.(check int) "every learned clause was published in a batch"
-    learned
-    (Metrics.value Solver.learned_batched - batched0);
-  let batched1 = Metrics.value Solver.learned_batched in
-  Solver.flush_learned ();
-  Alcotest.(check int) "flushing a drained buffer publishes nothing"
-    batched1 (Metrics.value Solver.learned_batched);
-  Solver.reset_learned ()
-
-let test_context_push_pop_depth () =
-  let ctx = Solver.create_context () in
-  let pushes0 = Metrics.value Solver.assume_pushes in
-  let pops0 = Metrics.value Solver.assume_pops in
-  Alcotest.(check int) "fresh context is empty" 0 (Solver.assumption_depth ctx);
-  Solver.push ctx (Formula.eq (v "cx") (i 1));
-  Solver.push ctx (Formula.gt (v "cy") (i 0));
-  Alcotest.(check int) "two frames" 2 (Solver.assumption_depth ctx);
-  Alcotest.(check int) "assumptions outermost first" 2
-    (List.length (Solver.assumptions ctx));
-  Alcotest.(check bool) "consistent prefix" true
-    (Solver.assumptions_consistent ctx);
-  Solver.pop ctx;
-  Alcotest.(check int) "pop removes a frame" 1 (Solver.assumption_depth ctx);
-  Solver.pop ctx;
-  Alcotest.(check int) "push counter advanced" 2
-    (Metrics.value Solver.assume_pushes - pushes0);
-  Alcotest.(check int) "pop counter advanced" 2
-    (Metrics.value Solver.assume_pops - pops0);
-  Alcotest.check_raises "pop on empty stack rejected"
-    (Invalid_argument "Solver.pop: empty assumption stack") (fun () ->
-      Solver.pop ctx)
-
-let test_context_inconsistent_prefix () =
-  let ctx = Solver.create_context () in
-  Solver.push ctx (Formula.eq (v "ip_x") (i 1));
-  Solver.push ctx (Formula.eq (v "ip_x") (i 2));
-  Alcotest.(check bool) "conflicting prefix detected" false
-    (Solver.assumptions_consistent ctx);
-  (match Solver.solve_under_assumptions ctx Formula.tru with
-  | Solver.Unsat -> ()
-  | v2 -> Alcotest.fail ("expected unsat, got " ^ render_verdict v2));
-  (* popping back to the consistent frame revives the context *)
-  Solver.pop ctx;
-  Alcotest.(check bool) "consistency restored by pop" true
-    (Solver.assumptions_consistent ctx);
-  match Solver.solve_under_assumptions ctx (Formula.gt (v "ip_x") (i 0)) with
-  | Solver.Sat _ -> ()
-  | v2 -> Alcotest.fail ("expected sat, got " ^ render_verdict v2)
+  Alcotest.(check bool) "var-var order not refuted" false (Absdom.refute f)
 
 let suite =
   [
@@ -605,23 +446,11 @@ let suite =
       [
         Alcotest.test_case "interval conflict refuted" `Quick
           test_absdom_interval_conflict;
-        Alcotest.test_case "witness-confirmed sat" `Quick
-          test_absdom_witness_sat;
         Alcotest.test_case "var-var order stays unknown" `Quick
           test_absdom_var_var_unknown;
-        QCheck_alcotest.to_alcotest prop_absdom_never_wrong;
         QCheck_alcotest.to_alcotest prop_absdom_refute_sound;
         QCheck_alcotest.to_alcotest prop_bcp_refutes_sound;
         QCheck_alcotest.to_alcotest prop_fastpath_verdicts_identical;
-      ] );
-    ( "smt.context",
-      [
-        Alcotest.test_case "learned clauses publish in batches" `Quick
-          test_learned_batched_publication;
-        Alcotest.test_case "push/pop depth and counters" `Quick
-          test_context_push_pop_depth;
-        Alcotest.test_case "inconsistent prefix short-circuits" `Quick
-          test_context_inconsistent_prefix;
       ] );
     ( "smt.paper_example",
       [
@@ -637,8 +466,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_simplify_preserves_models;
         QCheck_alcotest.to_alcotest prop_nnf_preserves_models;
         QCheck_alcotest.to_alcotest prop_negation_flips_validity;
-        QCheck_alcotest.to_alcotest prop_assumptions_agree_with_one_shot;
-        QCheck_alcotest.to_alcotest prop_learning_never_changes_verdicts;
         QCheck_alcotest.to_alcotest prop_equal_iff_physical;
         QCheck_alcotest.to_alcotest prop_equal_agrees_with_compare;
       ] );
