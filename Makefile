@@ -19,7 +19,8 @@ TRACE_SPANS = engine.enforce engine.incremental engine.prepare \
   counter:core.intern.misses counter:core.intern.size \
   counter:smt.propagations counter:core.shard.contention \
   counter:smt.fastpath.interval counter:smt.fastpath.bcp \
-  counter:smt.fastpath.saved counter:corpus.synth.cases
+  counter:smt.fastpath.saved counter:corpus.synth.cases \
+  counter:oracle.test_index.builds
 
 # Names the serve-daemon trace must mention (tools/serve_smoke.sh
 # passes these to trace_check after driving the daemon).

@@ -40,16 +40,9 @@ type t = {
 let program_at (c : t) (stage : int) : Minilang.Ast.program =
   Minilang.Parser.program ~file:(Fmt.str "%s@stage%d.mj" c.case_id stage) (c.source stage)
 
-(** Names of regression tests added by the fix landing at [stage]: the
-    [test_] functions present at [stage] but not at [stage - 1]. *)
-let tests_added_at (c : t) (stage : int) : string list =
-  let tests s = Minilang.Interp.test_names (program_at c s) in
-  if stage = 0 then tests 0
-  else
-    let before = tests (stage - 1) in
-    List.filter (fun t -> not (List.mem t before)) (tests stage)
-
-(** Ticket for the fix that landed at [stage] (diff of stage-1 → stage). *)
+(** Ticket for the fix that landed at [stage] (diff of stage-1 → stage);
+    its regression tests are the [test_] functions present at [stage] but
+    not at [stage - 1]. *)
 let ticket_at (c : t) (stage : int) : Oracle.Ticket.t option =
   match
     List.find_opt (fun (s, _, _, _) -> s = stage) c.ticket_meta
@@ -61,18 +54,17 @@ let ticket_at (c : t) (stage : int) : Oracle.Ticket.t option =
            ~description:title
            ~discussion
            ~buggy_source:(c.source (stage - 1))
-           ~patched_source:(c.source stage)
-           ~regression_tests:(tests_added_at c stage))
+           ~patched_source:(c.source stage))
 
 (** All tickets of a case, oldest first. *)
 let tickets (c : t) : Oracle.Ticket.t list =
   List.filter_map (fun (s, _, _, _) -> ticket_at c s) c.ticket_meta
-  |> fun l -> l
 
-(** The ticket for the original incident — what LISA learns from. *)
+(** The ticket for the original incident — what LISA learns from.  Only
+    that ticket is built: its two stages are the only ones read. *)
 let original_ticket (c : t) : Oracle.Ticket.t =
-  match tickets c with
-  | t :: _ -> t
+  match c.ticket_meta with
+  | (s, _, _, _) :: _ -> Option.get (ticket_at c s)
   | [] -> invalid_arg (Fmt.str "case %s has no tickets" c.case_id)
 
 let n_bugs (c : t) : int = List.length c.bug_ids

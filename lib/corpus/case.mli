@@ -31,16 +31,16 @@ type t = {
 
 val program_at : t -> int -> Minilang.Ast.program
 
-(** [test_*] functions present at [stage] but not at [stage - 1]. *)
-val tests_added_at : t -> int -> string list
-
-(** Ticket for the fix landing at [stage] (diff of stage-1 → stage). *)
+(** Ticket for the fix landing at [stage] (diff of stage-1 → stage),
+    carrying the [test_*] functions present at [stage] but not at
+    [stage - 1] as its regression tests. *)
 val ticket_at : t -> int -> Oracle.Ticket.t option
 
 (** All tickets, oldest first. *)
 val tickets : t -> Oracle.Ticket.t list
 
-(** The ticket for the original incident — what LISA learns from. *)
+(** The ticket for the original incident — what LISA learns from.
+    Builds only that ticket, reading only its two stages. *)
 val original_ticket : t -> Oracle.Ticket.t
 
 val n_bugs : t -> int

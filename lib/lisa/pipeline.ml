@@ -124,7 +124,7 @@ let learn ?(config = default_config) (ticket : Oracle.Ticket.t) : outcome =
   let accepted, rejected =
     if not config.cross_check then (rules, [])
     else begin
-      let patched = Oracle.Ticket.patched_program ticket in
+      let patched = ticket.Oracle.Ticket.patched_program in
       (* cross-checking runs the concolic checker directly (no engine
          pool underneath to retry for us): retry injected faults a
          couple of times, then reject the rule as unverifiable rather

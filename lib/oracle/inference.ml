@@ -114,10 +114,9 @@ let target_of_guard (g : Diffing.Prog_diff.added_guard) : Semantics.Rule.target_
       | st :: _ -> Some (Semantics.Rule.Stmt_text (Pretty.stmt_head_to_string st))
       | [] -> None)
 
-let state_guard_rules (t : Ticket.t) (high_level : string) :
+let state_guard_rules ~(origin : string) ~(buggy : Ast.program)
+    ~(patched : Ast.program) (high_level : string) :
     Semantics.Rule.t list * string list =
-  let buggy = Ticket.buggy_program t in
-  let patched = Ticket.patched_program t in
   let d = Diffing.Prog_diff.compare_programs buggy patched in
   let guards = Diffing.Prog_diff.all_added_guards d in
   let reasoning = ref [] in
@@ -150,23 +149,19 @@ let state_guard_rules (t : Ticket.t) (high_level : string) :
                       :: !reasoning;
                     Some
                       (Semantics.Rule.make
-                         ~rule_id:
-                           (Fmt.str "%s.g%d" t.Ticket.ticket_id
-                              g.Diffing.Prog_diff.g_sid)
+                         ~rule_id:(Fmt.str "%s.g%d" origin g.Diffing.Prog_diff.g_sid)
                          ~description:
                            (Fmt.str "no execution may reach [%s] unless %s"
                               target_desc
                               (Smt.Formula.to_string condition))
-                         ~high_level ~origin:t.Ticket.ticket_id
+                         ~high_level ~origin
                          (Semantics.Rule.State_guard { target; condition })))))
       guards
   in
   (rules, List.rev !reasoning)
 
-let lock_rules (t : Ticket.t) (high_level : string) :
-    Semantics.Rule.t list * string list =
-  let buggy = Ticket.buggy_program t in
-  let patched = Ticket.patched_program t in
+let lock_rules ~(origin : string) ~(buggy : Ast.program) ~(patched : Ast.program)
+    (high_level : string) : Semantics.Rule.t list * string list =
   let key (v : Analysis.Lockscope.violation) =
     (v.Analysis.Lockscope.v_method, v.Analysis.Lockscope.v_op)
   in
@@ -178,11 +173,11 @@ let lock_rules (t : Ticket.t) (high_level : string) :
     List.mapi
       (fun i (meth, op) ->
         Semantics.Rule.make
-          ~rule_id:(Fmt.str "%s.l%d" t.Ticket.ticket_id i)
+          ~rule_id:(Fmt.str "%s.l%d" origin i)
           ~description:
             (Fmt.str "method %s must not perform blocking operation %s while holding a lock"
                meth op)
-          ~high_level ~origin:t.Ticket.ticket_id
+          ~high_level ~origin
           (Semantics.Rule.Lock_discipline { scope = Semantics.Rule.Lock_specific meth }))
       fixed
   in
@@ -299,8 +294,12 @@ let infer ?(noise = no_noise) (t : Ticket.t) : inferred =
         degraded_inference t "injected budget exhaustion"
     | None ->
         let high_level = first_sentence t.Ticket.discussion in
-        let guard_rules, guard_reasoning = state_guard_rules t high_level in
-        let lock_rules, lock_reasoning = lock_rules t high_level in
+        let origin = t.Ticket.ticket_id in
+        let buggy = t.Ticket.buggy_program and patched = t.Ticket.patched_program in
+        let guard_rules, guard_reasoning =
+          state_guard_rules ~origin ~buggy ~patched high_level
+        in
+        let lock_rules, lock_reasoning = lock_rules ~origin ~buggy ~patched high_level in
         let rules = apply_noise noise t.Ticket.ticket_id (guard_rules @ lock_rules) in
         Resilience.Breaker.success Resilience.Fault.Oracle;
         {

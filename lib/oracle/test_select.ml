@@ -19,8 +19,13 @@ type selection = {
   sel_tests : (string * float) list;  (** test name, similarity score *)
 }
 
+let index_builds =
+  Telemetry.Metrics.counter "oracle.test_index.builds"
+    ~doc:"TF-IDF test indexes built"
+
 (** Build the searchable index over a program's test functions. *)
 let index_of_tests (p : Ast.program) : Tfidf.index =
+  Telemetry.Metrics.bump index_builds;
   let docs =
     List.filter_map
       (fun (f : Ast.method_decl) ->
@@ -50,12 +55,29 @@ let query_of_path (rule : Semantics.Rule.t) (ep : Analysis.Paths.exec_path) : st
   in
   String.concat " " [ chain; decisions; rule.Semantics.Rule.description ]
 
+(* The last program this domain indexed and its index.  Keyed by
+   physical identity: ASTs are immutable, so an index built for [p] stays
+   valid for as long as [p] lives, and holding [p] here keeps its address
+   from being reused by another program.  Callers prepare all rules of one
+   program in a row, so one entry per domain suffices. *)
+let last_index : (Ast.program * Tfidf.index) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let index_for (p : Ast.program) : Tfidf.index =
+  let cell = Domain.DLS.get last_index in
+  match !cell with
+  | Some (p', ix) when p' == p -> ix
+  | _ ->
+      let ix = index_of_tests p in
+      cell := Some (p, ix);
+      ix
+
 (** Select the [k] most relevant tests for each path of an execution tree.
     Returns one selection per path (the concolic engine then uses the union
     of the selected tests as its concrete inputs). *)
 let select (p : Ast.program) (rule : Semantics.Rule.t)
     (tree : Analysis.Paths.exec_tree) ~(k : int) : selection list =
-  let ix = index_of_tests p in
+  let ix = index_for p in
   List.map
     (fun ep ->
       { sel_path = ep; sel_tests = Tfidf.top_k ix ~query:(query_of_path rule ep) ~k })

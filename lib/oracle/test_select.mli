@@ -7,14 +7,19 @@ type selection = {
   sel_tests : (string * float) list;  (** test name, similarity score *)
 }
 
-(** TF-IDF index over a program's [test_*] functions. *)
+(** TF-IDF index over a program's [test_*] functions, built afresh. *)
 val index_of_tests : Minilang.Ast.program -> Tfidf.index
 
 (** The query text describing one execution path: its call chain, guard
     conditions, and the rule's description. *)
 val query_of_path : Semantics.Rule.t -> Analysis.Paths.exec_path -> string
 
-(** Top-[k] tests per path of an execution tree. *)
+(** Top-[k] tests per path of an execution tree.  The index comes from
+    a one-entry, domain-local memo keyed by the program's physical
+    identity: selecting for every rule and tree of one program builds its
+    index once.  This relies on ASTs being immutable — a program value
+    never changes under its index — so a changed program is always a new
+    value and misses the memo. *)
 val select :
   Minilang.Ast.program ->
   Semantics.Rule.t ->

@@ -43,6 +43,8 @@ let pinned ~jobs =
     ("smt.memo.hits", 124);
     ("smt.memo.misses", 24);
     ("smt.memo.entries", 24);
+    (* no field before *)
+    ("oracle.test_index.builds", 14);
     ("engine.enforcements", 16);
     ("engine.jobs_run", 54);
     ("engine.report_hits", 0);

@@ -17,9 +17,6 @@ let test_every_case_has_tickets () =
         (List.length tickets >= 2);
       List.iter
         (fun (t : Oracle.Ticket.t) ->
-          (* sources parse *)
-          ignore (Oracle.Ticket.buggy_program t);
-          ignore (Oracle.Ticket.patched_program t);
           (* the diff is non-trivial *)
           let d = Oracle.Ticket.diff t in
           Alcotest.(check bool)
@@ -32,7 +29,7 @@ let test_every_case_has_tickets () =
             (t.Oracle.Ticket.ticket_id ^ " ships a regression test")
             true
             (t.Oracle.Ticket.regression_tests <> []);
-          let patched_tests = Minilang.Interp.test_names (Oracle.Ticket.patched_program t) in
+          let patched_tests = Minilang.Interp.test_names t.Oracle.Ticket.patched_program in
           List.iter
             (fun test ->
               Alcotest.(check bool) (test ^ " exists in patched") true
@@ -69,6 +66,60 @@ let test_regression_tests_catch_their_own_bug () =
                 patched_only)
         c.Corpus.Case.ticket_meta)
     all
+
+let builtin_and_synth =
+  lazy (all @ (Corpus.Synth.registry ~seed:42 ~scale:1 ()).Corpus.Registry.cases)
+
+(* a ticket's regression tests are the tests its fix stage added over
+   the stage before *)
+let test_ticket_regression_tests_from_stages () =
+  List.iter
+    (fun (c : Corpus.Case.t) ->
+      List.iter
+        (fun (stage, ticket_id, _, _) ->
+          let tests s = Minilang.Interp.test_names (Corpus.Case.program_at c s) in
+          let before = tests (stage - 1) in
+          let added = List.filter (fun t -> not (List.mem t before)) (tests stage) in
+          let t = Option.get (Corpus.Case.ticket_at c stage) in
+          Alcotest.(check (list string)) (ticket_id ^ " regression tests") added
+            t.Oracle.Ticket.regression_tests)
+        c.Corpus.Case.ticket_meta)
+    (Lazy.force builtin_and_synth)
+
+let test_original_ticket_is_first () =
+  List.iter
+    (fun (c : Corpus.Case.t) ->
+      let o = Corpus.Case.original_ticket c in
+      let t = List.hd (Corpus.Case.tickets c) in
+      let id = c.Corpus.Case.case_id in
+      Alcotest.(check string) (id ^ " ticket id") t.Oracle.Ticket.ticket_id
+        o.Oracle.Ticket.ticket_id;
+      Alcotest.(check string) (id ^ " buggy source") t.Oracle.Ticket.buggy_source
+        o.Oracle.Ticket.buggy_source;
+      Alcotest.(check string) (id ^ " patched source") t.Oracle.Ticket.patched_source
+        o.Oracle.Ticket.patched_source;
+      Alcotest.(check (list string)) (id ^ " regression tests")
+        t.Oracle.Ticket.regression_tests o.Oracle.Ticket.regression_tests)
+    (Lazy.force builtin_and_synth)
+
+(* building the original ticket reads its two stages and no other *)
+let test_original_ticket_reads_two_stages () =
+  List.iter
+    (fun (c : Corpus.Case.t) ->
+      let reads = ref [] in
+      let counted =
+        {
+          c with
+          Corpus.Case.source =
+            (fun s ->
+              reads := s :: !reads;
+              c.Corpus.Case.source s);
+        }
+      in
+      ignore (Corpus.Case.original_ticket counted);
+      Alcotest.(check (list int)) (c.Corpus.Case.case_id ^ " stages read") [ 0; 1 ]
+        (List.sort compare !reads))
+    (Lazy.force builtin_and_synth)
 
 let test_bug_ids_unique () =
   let ids = List.concat_map (fun (c : Corpus.Case.t) -> c.Corpus.Case.bug_ids) all in
@@ -151,6 +202,12 @@ let suite =
         Alcotest.test_case "every case has tickets" `Quick test_every_case_has_tickets;
         Alcotest.test_case "regression tests catch their bug" `Quick
           test_regression_tests_catch_their_own_bug;
+        Alcotest.test_case "regression tests = added tests" `Quick
+          test_ticket_regression_tests_from_stages;
+        Alcotest.test_case "original ticket is the first" `Quick
+          test_original_ticket_is_first;
+        Alcotest.test_case "original ticket reads two stages" `Quick
+          test_original_ticket_reads_two_stages;
         Alcotest.test_case "bug ids unique" `Quick test_bug_ids_unique;
         Alcotest.test_case "unknown-bug cases" `Quick test_unknown_bug_cases;
         Alcotest.test_case "commit history" `Quick test_commit_history_mentions_tickets;

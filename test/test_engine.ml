@@ -313,7 +313,7 @@ let test_memo_shared_across_domains () =
 
 (* restore seeds the store in one lock hold: entries round-trip,
    duplicates are skipped, counters stay untouched *)
-let test_memo_restore_batch () =
+let test_memo_restore_round_trip () =
   with_memo (fun () ->
       Memo.reset ();
       let mk i = Formula.gt (Formula.tvar "memo_restore_x") (Formula.tint i) in
@@ -429,6 +429,26 @@ let test_report_cache_without_incremental () =
     (Semantics.Rulebook.size book)
     (Engine.Scheduler.stats engine).Engine.Stats.report_hits
 
+(* one enforcement prepares every rule of the program against one test
+   index: the index is built once per program, not per rule x tree *)
+let test_one_index_per_enforcement () =
+  let book = Lazy.force zk_book in
+  let guards =
+    List.filter
+      (fun (r : Semantics.Rule.t) ->
+        match r.Semantics.Rule.body with
+        | Semantics.Rule.State_guard _ -> true
+        | Semantics.Rule.Lock_discipline _ -> false)
+      (Semantics.Rulebook.rules book)
+  in
+  Alcotest.(check bool) "book has >= 2 guard rules" true (List.length guards >= 2);
+  let engine = Engine.Scheduler.create ~config:Engine.Scheduler.cold_config () in
+  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
+  ignore (Engine.Scheduler.enforce engine p book);
+  Alcotest.(check (option int)) "one index build" (Some 1)
+    (List.assoc_opt "oracle.test_index.builds"
+       (Engine.Stats.counters (Engine.Scheduler.stats engine)))
+
 let test_invalidate_forgets () =
   Memo.reset ();
   let engine = Engine.Scheduler.create ~config:Engine.Scheduler.default_config () in
@@ -523,9 +543,9 @@ let test_fastpath_synth_reduction () =
     (float_of_int full_on <= 0.75 *. float_of_int full_off)
 
 (* The fault-tolerance contract must survive the default checker, which
-   judges each trace on its own (the test name predates that): one-seed
-   zookeeper chaos smoke, all invariants green. *)
-let test_chaos_smoke_with_trie () =
+   judges each trace on its own: one-seed zookeeper chaos smoke, all
+   invariants green. *)
+let test_chaos_smoke_invariants () =
   let result = Lisa.Chaos.run ~seeds:[ 1 ] ~smoke:true () in
   List.iter
     (fun (name, ok) -> Alcotest.(check bool) name true ok)
@@ -570,8 +590,8 @@ let suite =
         Alcotest.test_case "hit counting" `Quick test_memo_hit_counting;
         Alcotest.test_case "shared store across domains" `Quick
           test_memo_shared_across_domains;
-        Alcotest.test_case "restore batches per shard" `Quick
-          test_memo_restore_batch;
+        Alcotest.test_case "restore round-trips the store" `Quick
+          test_memo_restore_round_trip;
         Alcotest.test_case "id-keyed hit on fresh construction" `Quick
           test_memo_id_keyed_hit_on_fresh_construction;
       ] );
@@ -584,11 +604,13 @@ let suite =
         Alcotest.test_case "same version twice reused" `Quick test_same_version_twice_all_reused;
         Alcotest.test_case "report cache without incremental" `Quick test_report_cache_without_incremental;
         Alcotest.test_case "invalidate forgets" `Quick test_invalidate_forgets;
+        Alcotest.test_case "one test index per enforcement" `Quick
+          test_one_index_per_enforcement;
       ] );
-    ( "engine.trie",
+    ( "engine.chaos",
       [
-        Alcotest.test_case "chaos smoke with trie on" `Slow
-          test_chaos_smoke_with_trie;
+        Alcotest.test_case "chaos smoke invariants" `Slow
+          test_chaos_smoke_invariants;
       ] );
     ( "engine.fastpath",
       [

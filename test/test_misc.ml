@@ -108,7 +108,7 @@ let test_inference_no_guard_patch () =
   let ticket =
     Oracle.Ticket.make ~ticket_id:"SYN-1" ~system:"synthetic" ~title:"refactor"
       ~description:"pure refactoring" ~discussion:"No behaviour change."
-      ~buggy_source:buggy ~patched_source:patched ~regression_tests:[]
+      ~buggy_source:buggy ~patched_source:patched
   in
   let inf = Oracle.Inference.infer ticket in
   Alcotest.(check int) "no rules inferred" 0 (List.length inf.Oracle.Inference.inf_rules);

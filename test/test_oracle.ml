@@ -213,6 +213,75 @@ let test_rag_selection_on_corpus () =
        (fun n -> Astring_contains.contains n "eph" || Astring_contains.contains n "zk1208")
        (List.filteri (fun i _ -> i < 2) names))
 
+(* Every rule x execution tree a scan of [registry] prepares: the
+   learned book of each system against each of its scan versions. *)
+let rule_trees (registry : Corpus.Registry.t) =
+  List.concat_map
+    (fun system ->
+      let book = Lisa.System_scan.learn_system_book ~registry system in
+      List.concat_map
+        (fun version ->
+          let p = Corpus.Registry.program_of registry system ~version in
+          let g = Analysis.Callgraph.build p in
+          List.concat_map
+            (fun (rule : Semantics.Rule.t) ->
+              match Semantics.Rule.target rule with
+              | None -> []
+              | Some target ->
+                  List.map
+                    (fun (_, (st : Minilang.Ast.stmt)) ->
+                      (p, rule, Analysis.Paths.exec_tree p g st.Minilang.Ast.sid))
+                    (Semantics.Rulebook.resolve_targets p target))
+            (Semantics.Rulebook.rules book))
+        registry.Corpus.Registry.scan_versions)
+    registry.Corpus.Registry.systems
+
+(* the selection [select] makes, over an index built afresh *)
+let reference_select p rule (tree : Analysis.Paths.exec_tree) ~k =
+  let ix = Oracle.Test_select.index_of_tests p in
+  List.map
+    (fun ep ->
+      {
+        Oracle.Test_select.sel_path = ep;
+        sel_tests =
+          Oracle.Tfidf.top_k ix ~query:(Oracle.Test_select.query_of_path rule ep) ~k;
+      })
+    tree.Analysis.Paths.et_paths
+
+let test_memoized_select_matches_fresh_index () =
+  let registries =
+    [ Corpus.Registry.builtin; Corpus.Synth.registry ~seed:42 ~scale:1 () ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun registry ->
+      List.iter
+        (fun (p, (rule : Semantics.Rule.t), tree) ->
+          incr checked;
+          Alcotest.(check bool)
+            (rule.Semantics.Rule.rule_id ^ " selection")
+            true
+            (Oracle.Test_select.select p rule tree ~k:4
+            = reference_select p rule tree ~k:4))
+        (rule_trees registry))
+    registries;
+  Alcotest.(check bool) "some trees checked" true (!checked > 0)
+
+(* selecting over p1, p2, p1 in turn: the second p1 selection is p1's
+   own, not the index left behind by p2 *)
+let test_memo_never_serves_a_stale_index () =
+  let p1, rule, tree =
+    List.hd (rule_trees Corpus.Registry.builtin)
+  in
+  let p2 = Corpus.Case.program_at (List.nth Corpus.Hbase.cases 0) 1 in
+  let first = Oracle.Test_select.select p1 rule tree ~k:4 in
+  let other = Oracle.Test_select.select p2 rule tree ~k:4 in
+  let again = Oracle.Test_select.select p1 rule tree ~k:4 in
+  Alcotest.(check bool) "p2 selects differently" true (other <> first);
+  Alcotest.(check bool) "p2 selection is p2's own" true
+    (other = reference_select p2 rule tree ~k:4);
+  Alcotest.(check bool) "p1 selection unchanged" true (again = first)
+
 let test_random_selection_seeded () =
   let p = Corpus.Case.program_at zk_case 2 in
   let a = Oracle.Test_select.select_random p ~seed:3 ~k:2 in
@@ -251,5 +320,12 @@ let suite =
         QCheck_alcotest.to_alcotest prop_tfidf_cosine_symmetric;
         Alcotest.test_case "RAG prefers related tests" `Quick test_rag_selection_on_corpus;
         Alcotest.test_case "seeded random selection" `Quick test_random_selection_seeded;
+      ] );
+    ( "oracle.test_index",
+      [
+        Alcotest.test_case "memoized select == fresh index" `Quick
+          test_memoized_select_matches_fresh_index;
+        Alcotest.test_case "p1, p2, p1: no stale index" `Quick
+          test_memo_never_serves_a_stale_index;
       ] );
   ]
