@@ -56,16 +56,24 @@ let ticket_at (c : t) (stage : int) : Oracle.Ticket.t option =
            ~buggy_source:(c.source (stage - 1))
            ~patched_source:(c.source stage))
 
+(** The [i]-th ticket of a case, oldest first; only that ticket is
+    built. *)
+let ticket (c : t) (i : int) : Oracle.Ticket.t option =
+  if i < 0 then None
+  else
+    Option.bind (List.nth_opt c.ticket_meta i) (fun (s, _, _, _) ->
+        ticket_at c s)
+
 (** All tickets of a case, oldest first. *)
 let tickets (c : t) : Oracle.Ticket.t list =
-  List.filter_map (fun (s, _, _, _) -> ticket_at c s) c.ticket_meta
+  List.filter_map (ticket c) (List.init (List.length c.ticket_meta) Fun.id)
 
 (** The ticket for the original incident — what LISA learns from.  Only
     that ticket is built: its two stages are the only ones read. *)
 let original_ticket (c : t) : Oracle.Ticket.t =
-  match c.ticket_meta with
-  | (s, _, _, _) :: _ -> Option.get (ticket_at c s)
-  | [] -> invalid_arg (Fmt.str "case %s has no tickets" c.case_id)
+  match ticket c 0 with
+  | Some ticket -> ticket
+  | None -> invalid_arg (Fmt.str "case %s has no tickets" c.case_id)
 
 let n_bugs (c : t) : int = List.length c.bug_ids
 

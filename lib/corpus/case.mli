@@ -36,6 +36,11 @@ val program_at : t -> int -> Minilang.Ast.program
     [stage - 1] as its regression tests. *)
 val ticket_at : t -> int -> Oracle.Ticket.t option
 
+(** [ticket c i]: the [i]-th ticket of [c], oldest first (the fix of
+    the [i]-th [ticket_meta] entry); [None] when [i] is out of range.
+    Builds only that ticket, reading only its two stages. *)
+val ticket : t -> int -> Oracle.Ticket.t option
+
 (** All tickets, oldest first. *)
 val tickets : t -> Oracle.Ticket.t list
 

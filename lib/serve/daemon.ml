@@ -6,9 +6,21 @@
     accept loop never blocks on the worker) → worker domain pops in
     per-tenant round-robin order → per-tenant circuit breaker
     ({!Resilience.Kbreaker}; open = [rejected]/[breaker_open]) →
+    validation to the request's {e coordinates} ([(system, version)] or
+    [(case, ticket, version)], checked against the registry without
+    reading a source) → key memo (coordinates → response-cache key) →
     fingerprint-keyed response cache → the system's long-lived
     {!Engine.Scheduler} (report cache, {!Smt.Memo} and hash-cons
     tables all warm from previous requests) → response.
+
+    Only a key-memo miss assembles and parses the release, learns (or
+    reuses) the rulebook and fingerprints both into the key, so a
+    response-cache hit on memoized coordinates reads no source.  The
+    memo holds 32-char keys, never programs, books or verdicts, and
+    gains an entry only once resolution and keying succeeded: it is
+    bounded by (systems + Σ tickets) × (max_version + 1) of the
+    daemon's fixed registry.  Failing or invalid requests never enter
+    it.
 
     With a cache dir, the response cache and the SMT verdict memo are
     persisted as {!Snapshot}s ({!Smt.Wire} forms only — interned values
@@ -44,10 +56,22 @@ let default_config =
     registry = Corpus.Registry.builtin;
   }
 
+(* a validated enforce request, canonicalised to what its response key
+   depends on: a system request drops [ticket]; a case request's system
+   is its case's, whatever the request said *)
+type coords = {
+  co_system : string;
+  co_version : int;
+  co_case : (string * int) option;  (** case id, ticket *)
+}
+
 type t = {
   cfg : config;
+  key_tags : string list;
+      (** the response key's fixed tail: checker tag, triage tag *)
   engines : (string, Engine.Scheduler.t) Hashtbl.t;  (** per system *)
   books : (string, Semantics.Rulebook.t) Hashtbl.t;  (** per scope key *)
+  keys : (coords, string) Hashtbl.t;  (** the key memo *)
   responses : (string, Protocol.summary) Hashtbl.t;  (** the verdict cache *)
   breaker : string Resilience.Kbreaker.t;
   mutable warm : (string * string) list;  (** per-snapshot load outcome *)
@@ -119,12 +143,33 @@ let load_caches (t : t) (dir : string) : unit =
                   (Smt.Wire.to_formula wf, Smt.Wire.to_verdict wv))
                 entries)))
 
+(* every engine runs the default checker, so its tag is fixed for the
+   daemon's life; triage knobs are part of the key: a summary with
+   tiers must never answer a request from a daemon running without
+   triage (or with different replay budgets), and vice versa *)
+let key_tags_of (config : config) : string list =
+  let triage_tag =
+    match config.triage with
+    | None -> "triage:off"
+    | Some c when not c.Triage.enabled -> "triage:off"
+    | Some c ->
+        Printf.sprintf "triage:%d:%d:%d"
+          c.Triage.replay_fuel c.Triage.max_attempts c.Triage.max_nodes
+  in
+  [
+    Engine.Checker.config_tag
+      Engine.Scheduler.default_config.Engine.Scheduler.checker;
+    triage_tag;
+  ]
+
 let create ?(config = default_config) () : t =
   let t =
     {
       cfg = config;
+      key_tags = key_tags_of config;
       engines = Hashtbl.create 4;
       books = Hashtbl.create 8;
+      keys = Hashtbl.create 64;
       responses = Hashtbl.create 64;
       breaker =
         Resilience.Kbreaker.create ~threshold:config.breaker_threshold
@@ -146,6 +191,8 @@ let config (t : t) = t.cfg
 let warm_report (t : t) = t.warm
 
 let response_cache_size (t : t) = Hashtbl.length t.responses
+
+let key_memo_size (t : t) = Hashtbl.length t.keys
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
@@ -211,13 +258,15 @@ let book_for_system (t : t) (system : string) : Semantics.Rulebook.t =
       Hashtbl.replace t.books key b;
       b
 
-let book_for_case (t : t) (c : Corpus.Case.t) (which : int)
-    (ticket : Oracle.Ticket.t) : Semantics.Rulebook.t =
+let book_for_case (t : t) (c : Corpus.Case.t) (which : int) :
+    Semantics.Rulebook.t =
   let key = Printf.sprintf "case:%s:%d" c.Corpus.Case.case_id which in
   match Hashtbl.find_opt t.books key with
   | Some b -> b
   | None ->
-      let outcome = Lisa.Pipeline.learn ticket in
+      let outcome =
+        Lisa.Pipeline.learn (Option.get (Corpus.Case.ticket c which))
+      in
       let b =
         Semantics.Rulebook.of_rules ~system:c.Corpus.Case.system
           outcome.Lisa.Pipeline.accepted
@@ -225,14 +274,8 @@ let book_for_case (t : t) (c : Corpus.Case.t) (which : int)
       Hashtbl.replace t.books key b;
       b
 
-type resolved = {
-  rv_system : string;
-  rv_version : int;
-  rv_program : Minilang.Ast.program;
-  rv_book : Semantics.Rulebook.t;
-}
-
-let resolve (t : t) (req : Protocol.request) : (resolved, string) result =
+(* validation reads the registry's tables only: no source, no ticket *)
+let coords_of (t : t) (req : Protocol.request) : (coords, string) result =
   let reg = t.cfg.registry in
   match req.Protocol.req_version with
   | None -> Error "missing \"version\" (target release)"
@@ -247,37 +290,51 @@ let resolve (t : t) (req : Protocol.request) : (resolved, string) result =
           match Corpus.Registry.find reg case_id with
           | None -> Error (Printf.sprintf "unknown case %S" case_id)
           | Some c ->
-              let tickets = Corpus.Case.tickets c in
+              let n = List.length c.Corpus.Case.ticket_meta in
               let which = req.Protocol.req_ticket in
-              if which < 0 || which >= List.length tickets then
+              if which < 0 || which >= n then
                 Error
-                  (Printf.sprintf "case %s has only %d ticket(s)" case_id
-                     (List.length tickets))
+                  (Printf.sprintf "case %s has only %d ticket(s)" case_id n)
               else
-                let ticket = List.nth tickets which in
-                let system = c.Corpus.Case.system in
                 Ok
                   {
-                    rv_system = system;
-                    rv_version = version;
-                    rv_program =
-                      Corpus.Registry.program_of reg system ~version;
-                    rv_book = book_for_case t c which ticket;
+                    co_system = c.Corpus.Case.system;
+                    co_version = version;
+                    co_case = Some (case_id, which);
                   })
       | None, Some system ->
           if not (List.mem system reg.Corpus.Registry.systems) then
             Error
               (Printf.sprintf "unknown system %S (known: %s)" system
                  (String.concat ", " reg.Corpus.Registry.systems))
-          else
-            Ok
-              {
-                rv_system = system;
-                rv_version = version;
-                rv_program = Corpus.Registry.program_of reg system ~version;
-                rv_book = book_for_system t system;
-              }
+          else Ok { co_system = system; co_version = version; co_case = None }
       | None, None -> Error "request needs \"system\" or \"case\"")
+
+type resolved = {
+  rv_system : string;
+  rv_version : int;
+  rv_program : Minilang.Ast.program;
+  rv_book : Semantics.Rulebook.t;
+}
+
+(* the expensive half, for validated coordinates only: assemble and
+   parse the release, learn (or reuse) the book; may raise on a source
+   that does not parse *)
+let resolve (t : t) (co : coords) : resolved =
+  let reg = t.cfg.registry in
+  {
+    rv_system = co.co_system;
+    rv_version = co.co_version;
+    rv_program =
+      Corpus.Registry.program_of reg co.co_system ~version:co.co_version;
+    rv_book =
+      (match co.co_case with
+      | None -> book_for_system t co.co_system
+      | Some (case_id, which) ->
+          book_for_case t
+            (Option.get (Corpus.Registry.find reg case_id))
+            which);
+  }
 
 (* the response-cache key: stable fingerprints only — program text,
    rulebook text, checker knobs, protocol version.  Nothing process- or
@@ -290,34 +347,17 @@ let cache_key (t : t) (rv : resolved) : string =
             (List.map Semantics.Rule.to_string
                (Semantics.Rulebook.rules rv.rv_book))))
   in
-  let checker_tag =
-    Engine.Checker.config_tag
-      (Engine.Scheduler.config (engine_for t rv.rv_system)).Engine.Scheduler
-        .checker
-  in
-  (* triage knobs are part of the key: a summary with tiers must never
-     answer a request from a daemon running without triage (or with
-     different replay budgets), and vice versa *)
-  let triage_tag =
-    match t.cfg.triage with
-    | None -> "triage:off"
-    | Some c when not c.Triage.enabled -> "triage:off"
-    | Some c ->
-        Printf.sprintf "triage:%d:%d:%d"
-          c.Triage.replay_fuel c.Triage.max_attempts c.Triage.max_nodes
-  in
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          [
-            string_of_int Protocol.version;
-            rv.rv_system;
-            string_of_int rv.rv_version;
-            Engine.Fingerprint.program rv.rv_program;
-            book_fp;
-            checker_tag;
-            triage_tag;
-          ]))
+          ([
+             string_of_int Protocol.version;
+             rv.rv_system;
+             string_of_int rv.rv_version;
+             Engine.Fingerprint.program rv.rv_program;
+             book_fp;
+           ]
+          @ t.key_tags)))
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -352,6 +392,98 @@ let fail (t : t) (req : Protocol.request) (message : string) : Protocol.response
   event ~id ~tenant Event.Warn "error: %s" message;
   Protocol.Error_resp { id; tenant; message }
 
+(* the response key of validated coordinates, memoized: only the first
+   request for them forces [rv] to fingerprint program and book *)
+let key_of (t : t) (co : coords) (rv : resolved Lazy.t) : string =
+  match Hashtbl.find_opt t.keys co with
+  | Some key -> key
+  | None ->
+      let key = cache_key t (Lazy.force rv) in
+      Hashtbl.replace t.keys co key;
+      key
+
+(* a response-cache miss: enforce, triage the findings, cache the
+   verdict unless it is degraded *)
+let enforce_uncached (t : t) ~(queue_ms : float) (req : Protocol.request)
+    (key : string) (rv : resolved) : Protocol.response =
+  let id = req.Protocol.req_id and tenant = req.Protocol.req_tenant in
+  let engine = engine_for t rv.rv_system in
+  let s0 = Engine.Scheduler.stats engine in
+  let t0 = Clock.now () in
+  match Engine.Scheduler.enforce engine rv.rv_program rv.rv_book with
+  | exception e -> fail t req (Printexc.to_string e)
+  | reports ->
+      let wall_ms = (Clock.now () -. t0) *. 1000. in
+      let s1 = Engine.Scheduler.stats engine in
+      let findings = Engine.Scheduler.finding_ids reports in
+      let degraded = Engine.Scheduler.degraded_ids reports in
+      (* witness-replay triage over the violating rules only:
+         clean verdicts never pay for replay, and a triage-off
+         daemon renders the v1-identical tier-less form *)
+      let tiers =
+        match t.cfg.triage with
+        | Some tcfg when findings <> [] ->
+            let violating =
+              List.filter Engine.Checker.has_violations reports
+            in
+            Triage.triage_reports ~config:tcfg rv.rv_program violating
+            |> List.filter_map (fun tr ->
+                   match Triage.rule_tier tr with
+                   | Some tier ->
+                       Some
+                         ( tr.Triage.t_report.Engine.Checker.rep_rule
+                             .Semantics.Rule.rule_id,
+                           Triage.tier_to_string tier )
+                   | None -> None)
+        | _ -> []
+      in
+      let summary =
+        {
+          Protocol.sum_verdict =
+            (if findings = [] then "clean" else "violations");
+          sum_findings = findings;
+          sum_degraded = degraded;
+          sum_tiers = tiers;
+          sum_traces =
+            List.fold_left
+              (fun n (r : Engine.Checker.rule_report) ->
+                n + List.length r.Engine.Checker.rep_traces)
+              0 reports;
+          sum_rules = Semantics.Rulebook.size rv.rv_book;
+        }
+      in
+      (* degraded verdicts describe a bad moment, not the
+         release: they are answered but never cached (same
+         policy as the engine's own report cache) *)
+      if degraded = [] then Hashtbl.replace t.responses key summary;
+      Resilience.Kbreaker.success t.breaker tenant;
+      Atomic.incr t.served;
+      event ~id ~tenant Event.Info "%s v%d: %s (%d finding(s), %.0fms)"
+        rv.rv_system rv.rv_version summary.Protocol.sum_verdict
+        (List.length findings) wall_ms;
+      Protocol.Ok_enforce
+        {
+          id;
+          tenant;
+          summary;
+          cached = false;
+          stats =
+            {
+              Protocol.rs_queue_ms = queue_ms;
+              rs_run_ms = wall_ms;
+              rs_jobs_run =
+                s1.Engine.Stats.jobs_run - s0.Engine.Stats.jobs_run;
+              rs_report_hits =
+                s1.Engine.Stats.report_hits
+                - s0.Engine.Stats.report_hits;
+              rs_smt_hits =
+                s1.Engine.Stats.smt_hits - s0.Engine.Stats.smt_hits;
+              rs_solver_calls =
+                s1.Engine.Stats.solver_calls
+                - s0.Engine.Stats.solver_calls;
+            };
+        }
+
 let enforce_request (t : t) ~(queue_ms : float) (req : Protocol.request) :
     Protocol.response =
   let id = req.Protocol.req_id and tenant = req.Protocol.req_tenant in
@@ -361,17 +493,23 @@ let enforce_request (t : t) ~(queue_ms : float) (req : Protocol.request) :
     Protocol.Rejected { id; tenant; reason = "breaker_open" }
   end
   else
-    match resolve t req with
+    match coords_of t req with
     | Error msg -> fail t req msg
-    | Ok rv -> (
-        let key = cache_key t rv in
-        match Hashtbl.find_opt t.responses key with
-        | Some summary ->
+    | Ok co -> (
+        (* resolution parses sources and learns books, so it may raise:
+           that fails this request, never the worker *)
+        let rv = lazy (resolve t co) in
+        match
+          let key = key_of t co rv in
+          (key, Hashtbl.find_opt t.responses key)
+        with
+        | exception e -> fail t req (Printexc.to_string e)
+        | _, Some summary ->
             Resilience.Kbreaker.success t.breaker tenant;
             Atomic.incr t.served;
             Atomic.incr t.cache_hits;
             event ~id ~tenant Event.Info
-              "%s v%d: %s (warm response cache)" rv.rv_system rv.rv_version
+              "%s v%d: %s (warm response cache)" co.co_system co.co_version
               summary.Protocol.sum_verdict;
             Protocol.Ok_enforce
               {
@@ -389,83 +527,10 @@ let enforce_request (t : t) ~(queue_ms : float) (req : Protocol.request) :
                     rs_solver_calls = 0;
                   };
               }
-        | None -> (
-            let engine = engine_for t rv.rv_system in
-            let s0 = Engine.Scheduler.stats engine in
-            let t0 = Clock.now () in
-            match Engine.Scheduler.enforce engine rv.rv_program rv.rv_book with
+        | key, None -> (
+            match Lazy.force rv with
             | exception e -> fail t req (Printexc.to_string e)
-            | reports ->
-                let wall_ms = (Clock.now () -. t0) *. 1000. in
-                let s1 = Engine.Scheduler.stats engine in
-                let findings = Engine.Scheduler.finding_ids reports in
-                let degraded = Engine.Scheduler.degraded_ids reports in
-                (* witness-replay triage over the violating rules only:
-                   clean verdicts never pay for replay, and a triage-off
-                   daemon renders the v1-identical tier-less form *)
-                let tiers =
-                  match t.cfg.triage with
-                  | Some tcfg when findings <> [] ->
-                      let violating =
-                        List.filter Engine.Checker.has_violations reports
-                      in
-                      Triage.triage_reports ~config:tcfg rv.rv_program violating
-                      |> List.filter_map (fun tr ->
-                             match Triage.rule_tier tr with
-                             | Some tier ->
-                                 Some
-                                   ( tr.Triage.t_report.Engine.Checker.rep_rule
-                                       .Semantics.Rule.rule_id,
-                                     Triage.tier_to_string tier )
-                             | None -> None)
-                  | _ -> []
-                in
-                let summary =
-                  {
-                    Protocol.sum_verdict =
-                      (if findings = [] then "clean" else "violations");
-                    sum_findings = findings;
-                    sum_degraded = degraded;
-                    sum_tiers = tiers;
-                    sum_traces =
-                      List.fold_left
-                        (fun n (r : Engine.Checker.rule_report) ->
-                          n + List.length r.Engine.Checker.rep_traces)
-                        0 reports;
-                    sum_rules = Semantics.Rulebook.size rv.rv_book;
-                  }
-                in
-                (* degraded verdicts describe a bad moment, not the
-                   release: they are answered but never cached (same
-                   policy as the engine's own report cache) *)
-                if degraded = [] then Hashtbl.replace t.responses key summary;
-                Resilience.Kbreaker.success t.breaker tenant;
-                Atomic.incr t.served;
-                event ~id ~tenant Event.Info "%s v%d: %s (%d finding(s), %.0fms)"
-                  rv.rv_system rv.rv_version summary.Protocol.sum_verdict
-                  (List.length findings) wall_ms;
-                Protocol.Ok_enforce
-                  {
-                    id;
-                    tenant;
-                    summary;
-                    cached = false;
-                    stats =
-                      {
-                        Protocol.rs_queue_ms = queue_ms;
-                        rs_run_ms = wall_ms;
-                        rs_jobs_run =
-                          s1.Engine.Stats.jobs_run - s0.Engine.Stats.jobs_run;
-                        rs_report_hits =
-                          s1.Engine.Stats.report_hits
-                          - s0.Engine.Stats.report_hits;
-                        rs_smt_hits =
-                          s1.Engine.Stats.smt_hits - s0.Engine.Stats.smt_hits;
-                        rs_solver_calls =
-                          s1.Engine.Stats.solver_calls
-                          - s0.Engine.Stats.solver_calls;
-                      };
-                  }))
+            | rv -> enforce_uncached t ~queue_ms req key rv))
 
 let handle_timed (t : t) ~(queue_ms : float) (req : Protocol.request) :
     Protocol.response =
@@ -487,13 +552,17 @@ let handle_timed (t : t) ~(queue_ms : float) (req : Protocol.request) :
 let handle_request (t : t) (req : Protocol.request) : Protocol.response =
   handle_timed t ~queue_ms:0. req
 
+(* a line that is not a request has no id or tenant to answer to, and
+   no tenant breaker to count against *)
+let unparseable (t : t) (message : string) : Protocol.response =
+  Atomic.incr t.errors;
+  event Event.Warn "unparseable request: %s" message;
+  Protocol.Error_resp { id = ""; tenant = "default"; message }
+
 let handle_line (t : t) (line : string) : Protocol.response =
   match Protocol.parse_request line with
   | Ok req -> handle_request t req
-  | Error message ->
-      Atomic.incr t.errors;
-      event Event.Warn "unparseable request: %s" message;
-      Protocol.Error_resp { id = ""; tenant = "default"; message }
+  | Error message -> unparseable t message
 
 (* ------------------------------------------------------------------ *)
 (* Queue pump (shared by the channel and socket servers)               *)
@@ -536,11 +605,7 @@ let accept_line (t : t) (q : job Queue.t) ~(reply : string -> unit)
   else
     match Protocol.parse_request line with
     | Error message ->
-        Atomic.incr t.errors;
-        event Event.Warn "unparseable request: %s" message;
-        reply
-          (Protocol.render_response
-             (Protocol.Error_resp { id = ""; tenant = "default"; message }));
+        reply (Protocol.render_response (unparseable t message));
         false
     | Ok req -> (
         let id = req.Protocol.req_id and tenant = req.Protocol.req_tenant in

@@ -4,9 +4,10 @@
     system (hash-cons tables, report cache, {!Smt.Memo}, and the
     solver's theory memo all stay warm across requests), a
     fingerprint-keyed response cache (optionally persisted through
-    {!Snapshot}), a bounded fair admission {!Queue}, and a per-tenant
-    {!Resilience.Kbreaker} so one pathological stream degrades only its
-    own tenant.  See [lib/serve/README.md] for protocol, backpressure,
+    {!Snapshot}) behind a memo from request coordinates to cache key,
+    so a hit parses nothing; a bounded fair admission {!Queue}; and a
+    per-tenant {!Resilience.Kbreaker} so one pathological stream
+    degrades only its own tenant.  See [lib/serve/README.md] for protocol, backpressure,
     and fairness semantics.
 
     All daemon logging goes through the [Telemetry.Event] scope
@@ -52,8 +53,8 @@ val config : t -> config
     ("smt-memo", "cold: digest mismatch")].  Empty without a cache dir. *)
 val warm_report : t -> (string * string) list
 
-(** Parse one JSONL line and serve it (parse failures become [error]
-    responses).  Bypasses the admission queue — this is the direct
+(** Parse one JSONL line and serve it (parse failures, and requests
+    whose sources fail to parse or learn, become [error] responses).  Bypasses the admission queue — this is the direct
     entry point benchmarks and tests drive. *)
 val handle_line : t -> string -> Protocol.response
 
@@ -68,6 +69,12 @@ val save : t -> int
 val counters : t -> (string * int) list
 
 val response_cache_size : t -> int
+
+(** Entries in the key memo (request coordinates → response-cache key).
+    Bounded by (systems + Σ tickets) × (max_version + 1) of the
+    registry; only requests that resolved and keyed successfully add
+    one. *)
+val key_memo_size : t -> int
 
 (** Serve JSONL over channels (stdin/stdout mode): accept loop on the
     calling domain, one worker domain draining the queue.  Returns

@@ -121,6 +121,39 @@ let test_original_ticket_reads_two_stages () =
         (List.sort compare !reads))
     (Lazy.force builtin_and_synth)
 
+(* the i-th ticket is the i-th of [tickets], built from its own two
+   stages only; out of range is [None] *)
+let test_ith_ticket_reads_its_stages () =
+  List.iter
+    (fun (c : Corpus.Case.t) ->
+      let id = c.Corpus.Case.case_id in
+      let reads = ref [] in
+      let counted =
+        {
+          c with
+          Corpus.Case.source =
+            (fun s ->
+              reads := s :: !reads;
+              c.Corpus.Case.source s);
+        }
+      in
+      List.iteri
+        (fun i (t : Oracle.Ticket.t) ->
+          reads := [];
+          match Corpus.Case.ticket counted i with
+          | None -> Alcotest.failf "%s ticket %d missing" id i
+          | Some u ->
+              let stage, _, _, _ = List.nth c.Corpus.Case.ticket_meta i in
+              Alcotest.(check string) (Fmt.str "%s ticket %d id" id i)
+                t.Oracle.Ticket.ticket_id u.Oracle.Ticket.ticket_id;
+              Alcotest.(check (list int)) (Fmt.str "%s ticket %d stages read" id i)
+                [ stage - 1; stage ] (List.sort compare !reads))
+        (Corpus.Case.tickets c);
+      let n = List.length c.Corpus.Case.ticket_meta in
+      Alcotest.(check bool) (id ^ " past the last ticket") true
+        (Corpus.Case.ticket c n = None && Corpus.Case.ticket c (-1) = None))
+    (Lazy.force builtin_and_synth)
+
 let test_bug_ids_unique () =
   let ids = List.concat_map (fun (c : Corpus.Case.t) -> c.Corpus.Case.bug_ids) all in
   Alcotest.(check int) "bug ids unique" (List.length ids)
@@ -208,6 +241,8 @@ let suite =
           test_original_ticket_is_first;
         Alcotest.test_case "original ticket reads two stages" `Quick
           test_original_ticket_reads_two_stages;
+        Alcotest.test_case "i-th ticket reads its two stages" `Quick
+          test_ith_ticket_reads_its_stages;
         Alcotest.test_case "bug ids unique" `Quick test_bug_ids_unique;
         Alcotest.test_case "unknown-bug cases" `Quick test_unknown_bug_cases;
         Alcotest.test_case "commit history" `Quick test_commit_history_mentions_tickets;

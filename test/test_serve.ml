@@ -625,6 +625,224 @@ let test_daemon_channels_overload_and_drain () =
   Alcotest.(check int) "daemon counted the sheds" 2
     (List.assoc "shed" (Serve.Daemon.counters d))
 
+(* the builtin corpus with every case passed through [f] *)
+let builtin_with (f : Corpus.Case.t -> Corpus.Case.t) : Corpus.Registry.t =
+  let reg = Corpus.Registry.builtin in
+  Corpus.Registry.make ~name:reg.Corpus.Registry.name
+    ~max_version:reg.Corpus.Registry.max_version
+    ~scan_versions:reg.Corpus.Registry.scan_versions
+    ~meta:reg.Corpus.Registry.meta
+    (List.map
+       (fun system ->
+         Corpus.Registry.provider ~system
+           (List.map f (Corpus.Registry.cases_of reg system)))
+       reg.Corpus.Registry.systems)
+
+let first_case () = List.hd Corpus.Registry.builtin.Corpus.Registry.cases
+
+let case_line ?(tenant = "t") ?(id = "r") ?(ticket = 0) case_id version =
+  Printf.sprintf
+    "{\"id\":%S,\"tenant\":%S,\"case\":%S,\"ticket\":%d,\"version\":%d}"
+    id tenant case_id ticket version
+
+let status_of_response = function
+  | Serve.Protocol.Ok_enforce _ -> "ok"
+  | Serve.Protocol.Error_resp _ -> "error"
+  | Serve.Protocol.Rejected { reason; _ } -> "rejected:" ^ reason
+  | Serve.Protocol.Overloaded _ -> "overloaded"
+  | _ -> "other"
+
+(* a source that does not parse fails its request with an error
+   response; the daemon (and the channel server's worker) keeps serving *)
+let test_daemon_resolve_failure_answered () =
+  let broken = first_case () in
+  let registry =
+    builtin_with (fun c ->
+        if c.Corpus.Case.case_id <> broken.Corpus.Case.case_id then c
+        else
+          {
+            c with
+            Corpus.Case.source =
+              (fun stage ->
+                if stage = 1 then "class { broken" else c.Corpus.Case.source stage);
+          })
+  in
+  let other =
+    List.find
+      (fun s -> s <> broken.Corpus.Case.system)
+      registry.Corpus.Registry.systems
+  in
+  let lines =
+    [
+      case_line ~id:"case" broken.Corpus.Case.case_id 1;
+      req_line ~id:"sys" ~system:broken.Corpus.Case.system 1;
+      req_line ~id:"other" ~system:other 1;
+    ]
+  in
+  let config = { Serve.Daemon.default_config with Serve.Daemon.registry } in
+  let d = Serve.Daemon.create ~config () in
+  Alcotest.(check (list string))
+    "both broken scopes error, the other system is served"
+    [ "error"; "error"; "ok" ]
+    (List.map (fun l -> status_of_response (Serve.Daemon.handle_line d l)) lines);
+  Alcotest.(check int) "errors counted" 2
+    (List.assoc "errors" (Serve.Daemon.counters d));
+  Alcotest.(check int) "failed resolutions are not memoized" 1
+    (Serve.Daemon.key_memo_size d);
+  let dir = temp_dir () in
+  let input = Filename.concat dir "in.jsonl" in
+  let output = Filename.concat dir "out.jsonl" in
+  Out_channel.with_open_bin input (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  let d =
+    Serve.Daemon.create
+      ~config:{ config with Serve.Daemon.drain_after_eof = true }
+      ()
+  in
+  In_channel.with_open_bin input (fun ic ->
+      Out_channel.with_open_bin output (fun oc ->
+          Serve.Daemon.serve_channels d ic oc));
+  let replies = In_channel.with_open_bin output In_channel.input_lines in
+  Alcotest.(check (list string))
+    "the worker answers all three, in order"
+    [ "error"; "error"; "ok" ]
+    (List.map
+       (fun l ->
+         match Serve.Protocol.parse_response l with
+         | Ok r -> status_of_response r
+         | Error e -> Alcotest.failf "bad reply %S: %s" l e)
+       replies)
+
+(* every enforce key of the builtin corpus: each system and each case
+   ticket, at every version *)
+let all_keys (reg : Corpus.Registry.t) : string list =
+  let versions = List.init (reg.Corpus.Registry.max_version + 1) Fun.id in
+  List.concat_map
+    (fun v ->
+      List.map (fun s -> req_line ~id:"k" ~system:s v) reg.Corpus.Registry.systems
+      @ List.concat_map
+          (fun (c : Corpus.Case.t) ->
+            List.mapi
+              (fun ticket _ -> case_line ~id:"k" ~ticket c.Corpus.Case.case_id v)
+              c.Corpus.Case.ticket_meta)
+          reg.Corpus.Registry.cases)
+    versions
+
+(* a response-cache hit on memoized coordinates reads no case source:
+   no ticket is built, no release assembled *)
+let test_daemon_hit_reads_no_source () =
+  let reads = Atomic.make 0 in
+  let registry =
+    builtin_with (fun c ->
+        {
+          c with
+          Corpus.Case.source =
+            (fun stage ->
+              Atomic.incr reads;
+              c.Corpus.Case.source stage);
+        })
+  in
+  let d =
+    Serve.Daemon.create
+      ~config:{ Serve.Daemon.default_config with Serve.Daemon.registry }
+      ()
+  in
+  let keys = all_keys registry in
+  let warm = List.map (signature d) keys in
+  Alcotest.(check bool) "warm-up read sources" true (Atomic.get reads > 0);
+  Atomic.set reads 0;
+  let replay = List.map (Serve.Daemon.handle_line d) keys in
+  Alcotest.(check int) "replay read no source" 0 (Atomic.get reads);
+  List.iteri
+    (fun i r ->
+      match r with
+      | Serve.Protocol.Ok_enforce { cached; _ } ->
+          Alcotest.(check bool) (List.nth keys i ^ " cached") true cached
+      | r ->
+          Alcotest.failf "%s: %s" (List.nth keys i)
+            (Serve.Protocol.render_response r))
+    replay;
+  Alcotest.(check (list string))
+    "replayed verdicts byte-identical" warm
+    (List.map Serve.Protocol.verdict_signature replay)
+
+let test_daemon_key_memo_bounded () =
+  let d = Serve.Daemon.create () in
+  let size () = Serve.Daemon.key_memo_size d in
+  let sys_ticket ticket =
+    Printf.sprintf
+      "{\"id\":\"r\",\"system\":\"zookeeper\",\"ticket\":%d,\"version\":1}"
+      ticket
+  in
+  Alcotest.(check string) "ticket 0" "ok"
+    (status_of_response (Serve.Daemon.handle_line d (sys_ticket 0)));
+  (match Serve.Daemon.handle_line d (sys_ticket 7) with
+  | Serve.Protocol.Ok_enforce { cached; _ } ->
+      Alcotest.(check bool) "ticket 7 hits ticket 0's verdict" true cached
+  | r -> Alcotest.failf "ticket 7: %s" (Serve.Protocol.render_response r));
+  Alcotest.(check int) "a system request ignores its ticket" 1 (size ());
+  (* on their own tenant: three failures would open "t"'s breaker *)
+  let tenant = "bad" in
+  let case_id = (first_case ()).Corpus.Case.case_id in
+  List.iter
+    (fun (what, line) ->
+      Alcotest.(check string) what "error"
+        (status_of_response (Serve.Daemon.handle_line d line));
+      Alcotest.(check int) (what ^ " adds no entry") 1 (size ()))
+    [
+      ("unknown case", case_line ~tenant "no-such-case" 1);
+      ("version out of range", req_line ~tenant 99);
+      ("ticket out of range", case_line ~tenant ~ticket:9 case_id 1);
+    ];
+  (* the memo holds keys, not verdicts: a degraded verdict is never
+     cached, so its coordinates' next request runs again *)
+  Resilience.Injector.arm
+    (Resilience.Plan.make ~points:[ Resilience.Fault.Concolic ]
+       ~kinds:[ Resilience.Fault.Crash ] ~seed:5 ~rate:1.0 ());
+  let degraded () =
+    match Serve.Daemon.handle_line d (req_line 2) with
+    | Serve.Protocol.Ok_enforce { cached; summary; _ } ->
+        Alcotest.(check bool) "verdict degraded" true
+          (summary.Serve.Protocol.sum_degraded <> []);
+        cached
+    | r -> Alcotest.failf "degraded request: %s" (Serve.Protocol.render_response r)
+  in
+  Alcotest.(check bool) "first degraded answer uncached" false (degraded ());
+  Alcotest.(check int) "its key is memoized" 2 (size ());
+  Alcotest.(check bool) "next request still uncached" false (degraded ());
+  Alcotest.(check int) "memo unchanged" 2 (size ())
+
+(* response-cache keys as computed before the key memo existed: snapshots
+   written by earlier daemons must keep warm-starting this one *)
+let test_daemon_keys_pinned () =
+  let dir = temp_dir () in
+  let d =
+    Serve.Daemon.create
+      ~config:{ Serve.Daemon.default_config with Serve.Daemon.cache_dir = Some dir }
+      ()
+  in
+  let c = first_case () in
+  Alcotest.(check string) "first builtin case" "zk-ephemeral" c.Corpus.Case.case_id;
+  let keys_after line =
+    ignore (Serve.Daemon.handle_line d line);
+    ignore (Serve.Daemon.save d);
+    match
+      Serve.Snapshot.load
+        ~path:(Filename.concat dir "responses.snap")
+        ~kind:(Printf.sprintf "responses/v%d" Serve.Protocol.version)
+    with
+    | Ok (entries : (string * Serve.Protocol.summary) list) ->
+        List.sort compare (List.map fst entries)
+    | Error e -> Alcotest.failf "responses snapshot: %s" e
+  in
+  Alcotest.(check (list string))
+    "zookeeper v1" [ "9dfe3bad74c32ac8d31c99c631961a96" ]
+    (keys_after (req_line 1));
+  Alcotest.(check (list string))
+    "zk-ephemeral ticket 0 v2"
+    [ "2e26eb93d7d601f92a9d3e2d1cfb663b"; "9dfe3bad74c32ac8d31c99c631961a96" ]
+    (keys_after (case_line c.Corpus.Case.case_id 2))
+
 let suite =
   [
     ( "serve.protocol",
@@ -681,5 +899,13 @@ let suite =
           (isolated test_daemon_breaker_rejects_failing_tenant);
         Alcotest.test_case "channel server sheds deterministically" `Slow
           (isolated test_daemon_channels_overload_and_drain);
+        Alcotest.test_case "a failing resolve is answered, worker lives" `Slow
+          (isolated test_daemon_resolve_failure_answered);
+        Alcotest.test_case "a hit reads no source" `Slow
+          (isolated test_daemon_hit_reads_no_source);
+        Alcotest.test_case "key memo is bounded and holds no verdict" `Slow
+          (isolated test_daemon_key_memo_bounded);
+        Alcotest.test_case "response-cache keys are pinned" `Slow
+          (isolated test_daemon_keys_pinned);
       ] );
   ]
