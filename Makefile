@@ -35,8 +35,9 @@ TRIAGE_TRACE_SPANS = triage.witness counter:triage.tier.witnessed \
 # (which holds the engine, solver, triage and synth equivalence gates
 # and the benchmark's --smoke rule), Chrome-trace exports of the engine
 # scan and the triaged scan validated against $(TRACE_SPANS) and
-# $(TRIAGE_TRACE_SPANS), the chaos fault-injection invariants on the
-# zookeeper slice of the E11 workload, and the serve-daemon smoke
+# $(TRIAGE_TRACE_SPANS), the chaos evidence-loss invariants on the
+# hbase slice of the E11 workload (small fuel and node budgets; output
+# identical on a repeat run and at jobs 1, 2 and 4), and the serve-daemon smoke
 # (overload shed, warm-restart byte identity, corrupted-snapshot cold
 # fallback, serve.* trace names).
 check:
@@ -61,8 +62,9 @@ trace:
 bench:
 	dune exec bench/main.exe
 
-# Full chaos suite: all four systems, seeds 1-3, plus the jobs=4 leg
-# and the post-chaos byte-identical re-run check.
+# Full chaos suite: all four systems at four fuel/node-budget levels,
+# each at jobs 1, 1, 2 and 4, a raising oracle client, and the
+# default-budget byte-identical re-run check.
 chaos:
 	dune exec bench/main.exe -- --experiment chaos
 

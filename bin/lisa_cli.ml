@@ -303,17 +303,6 @@ let ci_cmd =
       $ logs_t $ case_arg $ jobs_arg $ triage_arg)
 
 let engine_cmd =
-  let fault_seed_arg =
-    let doc =
-      "Arm the deterministic fault injector with this seed before the scan \
-       (chaos mode: solver, concolic, oracle, and cache calls may fail)."
-    in
-    Arg.(value & opt (some int) None & info [ "fault-seed" ] ~docv:"SEED" ~doc)
-  in
-  let fault_rate_arg =
-    let doc = "Per-call fault probability when $(b,--fault-seed) is set." in
-    Arg.(value & opt float 0.05 & info [ "fault-rate" ] ~docv:"P" ~doc)
-  in
   let trace_arg =
     let doc =
       "Record every pipeline stage through the telemetry tracer and write \
@@ -349,24 +338,20 @@ let engine_cmd =
     in
     Arg.(value & flag & info [ "triage" ] ~doc)
   in
-  let run jobs fault_seed fault_rate trace noise_rate noise_seed no_cross_check
-      triage =
-    (match fault_seed with
-    | Some seed ->
-        Resilience.Injector.arm (Resilience.Plan.make ~seed ~rate:fault_rate ())
-    | None -> ());
+  let run jobs trace noise_rate noise_seed no_cross_check triage =
     if trace <> None then Telemetry.Trace.set_enabled true;
-    Fun.protect ~finally:Resilience.Injector.disarm @@ fun () ->
     let engine_config =
       { Engine.Scheduler.default_config with Engine.Scheduler.jobs }
     in
     let config =
       {
         Lisa.Pipeline.default_config with
-        Lisa.Pipeline.noise =
-          (if noise_rate > 0.0 then
-             { Oracle.Inference.epsilon = noise_rate; seed = noise_seed }
-           else Oracle.Inference.no_noise);
+        Lisa.Pipeline.oracle =
+          (if noise_rate > 0.0 then fun t ->
+             Oracle.Inference.infer
+               ~noise:{ Oracle.Inference.epsilon = noise_rate; seed = noise_seed }
+               t
+           else Oracle.Inference.default_client);
         cross_check = not no_cross_check;
       }
     in
@@ -397,9 +382,9 @@ let engine_cmd =
           v1/v2/v3/v5) through the parallel, incremental, cached enforcement \
           engine and print its statistics")
     Term.(
-      const (fun () j s r t nr ns ncc tr -> run j s r t nr ns ncc tr)
-      $ logs_t $ jobs_arg $ fault_seed_arg $ fault_rate_arg $ trace_arg
-      $ noise_rate_arg $ noise_seed_arg $ no_cross_check_arg $ triage_arg)
+      const (fun () j t nr ns ncc tr -> run j t nr ns ncc tr)
+      $ logs_t $ jobs_arg $ trace_arg $ noise_rate_arg $ noise_seed_arg
+      $ no_cross_check_arg $ triage_arg)
 
 let run_tests_cmd =
   let run case_id stage =

@@ -29,24 +29,15 @@ let create ?(capacity = 1 lsl 16) ~(name : string) () : ('k, 'v) t =
 
 let name t = t.name
 
-(** Counted lookup: bumps the hit or miss counter.  An injection point:
-    a cache fault of any kind degrades the lookup to a miss — the engine
-    recomputes, it never crashes on a lost cache. *)
+(** Counted lookup: bumps the hit or miss counter. *)
 let find (t : ('k, 'v) t) (k : 'k) : 'v option =
-  match Resilience.Injector.draw Resilience.Fault.Cache_lookup with
-  | Some _ ->
-      Mutex.lock t.lock;
-      t.misses <- t.misses + 1;
-      Mutex.unlock t.lock;
-      None
-  | None ->
-      Mutex.lock t.lock;
-      let r = Hashtbl.find_opt t.table k in
-      (match r with
-      | Some _ -> t.hits <- t.hits + 1
-      | None -> t.misses <- t.misses + 1);
-      Mutex.unlock t.lock;
-      r
+  Mutex.lock t.lock;
+  let r = Hashtbl.find_opt t.table k in
+  (match r with
+  | Some _ -> t.hits <- t.hits + 1
+  | None -> t.misses <- t.misses + 1);
+  Mutex.unlock t.lock;
+  r
 
 (** Uncounted lookup (for peeking without skewing statistics). *)
 let peek (t : ('k, 'v) t) (k : 'k) : 'v option =

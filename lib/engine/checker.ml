@@ -97,21 +97,21 @@ type rule_report = {
   rep_branches_total : int;
   rep_branches_recorded : int;
   rep_undecided : trace_verdict list;
-      (** subset of traces the solver could not judge (node budget hit,
-          circuit open, injected budget fault) *)
+      (** subset of traces the solver could not judge: its node budget
+          ran out, so the trace is neither verified nor a violation *)
   rep_degraded : string list;
       (** degradation reasons: why this report may under-approximate the
-          truth — skipped/out-of-fuel concolic runs, undecided solver
-          verdicts, quarantined jobs.  Empty on a healthy run. *)
+          truth — out-of-fuel concolic runs, undecided solver verdicts,
+          quarantined jobs.  Empty on a healthy run. *)
 }
 
 let has_violations (r : rule_report) =
   r.rep_violations <> [] || r.rep_lock_findings <> []
 
 (** A report that may under-approximate the truth: some of its evidence
-    was lost to budget exhaustion, open breakers, or quarantine.  A
-    degraded report without violations is "pass with an asterisk", never
-    a clean pass. *)
+    was lost to fuel or node-budget exhaustion, or its job was
+    quarantined.  A degraded report without violations is "pass with an
+    asterisk", never a clean pass. *)
 let is_degraded (r : rule_report) = r.rep_degraded <> []
 
 (* runs whose outcome means "evidence lost", not "program misbehaved" *)
@@ -126,9 +126,9 @@ let degraded_run_reasons (runs : Symexec.Concolic.run_result list) :
         r.Symexec.Concolic.r_lost)
     runs
 
-(** Placeholder report for a rule whose job exhausted its retries: no
-    evidence either way, the reason on record.  [rep_sanity_ok] is false
-    — a quarantined rule must never read as a verified one. *)
+(** Placeholder report for a rule whose job raised: no evidence either
+    way, the exception on record.  [rep_sanity_ok] is false — a
+    quarantined rule must never read as a verified one. *)
 let quarantined_report (rule : Semantics.Rule.t) ~(reason : string) :
     rule_report =
   {

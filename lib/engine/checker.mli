@@ -64,8 +64,8 @@ type rule_report = {
   rep_branches_total : int;
   rep_branches_recorded : int;
   rep_undecided : trace_verdict list;
-      (** subset of traces the solver could not judge (node budget hit,
-          circuit open, injected budget fault) *)
+      (** subset of traces the solver could not judge: its node budget
+          ran out, so the trace is neither verified nor a violation *)
   rep_degraded : string list;
       (** degradation reasons: why this report may under-approximate the
           truth.  Empty on a healthy run. *)
@@ -73,12 +73,13 @@ type rule_report = {
 
 val has_violations : rule_report -> bool
 
-(** Some of this report's evidence was lost (budgets, breakers,
-    quarantine): a pass with an asterisk, never a clean pass. *)
+(** Some of this report's evidence was lost (fuel or node budget
+    exhausted, job quarantined): a pass with an asterisk, never a clean
+    pass. *)
 val is_degraded : rule_report -> bool
 
-(** Placeholder report for a rule whose job exhausted its retries: no
-    evidence either way, the reason on record, [rep_sanity_ok = false]. *)
+(** Placeholder report for a rule whose job raised: no evidence either
+    way, the exception on record, [rep_sanity_ok = false]. *)
 val quarantined_report : Semantics.Rule.t -> reason:string -> rule_report
 
 (** {1 The two-phase API used by the engine} *)

@@ -3,7 +3,7 @@
     [map_results ~jobs f items] applies [f] to every item and returns a
     per-slot [('b, exn) result] array in input order — {e every} failed
     job keeps its own exception in its own slot, so a caller can report
-    (and retry) each failure instead of losing all but the first.  With
+    each failure instead of losing all but the first.  With
     [jobs <= 1] it runs serially on the calling domain — bit-for-bit
     the serial semantics, which is what keeps tier-1 tests stable.
     With [jobs > 1] it spawns up to [jobs] domains that drain a shared
@@ -14,9 +14,7 @@
     same verdicts the misses compute).
 
     A worker exception never kills the pool: the surviving workers
-    finish the remaining items, and the failure stays in its slot.
-    [map] is the historic raising wrapper (first error by input index,
-    so deterministically the same one at any pool width). *)
+    finish the remaining items, and the failure stays in its slot. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
@@ -46,15 +44,3 @@ let map_results ~(jobs : int) (f : 'a -> 'b) (items : 'a array) :
         | None -> assert false (* every index below [n] was claimed *))
       results
   end
-
-(** Indexed failures of a [map_results] run, in slot order. *)
-let failures (results : ('b, exn) result array) : (int * exn) list =
-  let acc = ref [] in
-  Array.iteri
-    (fun i r -> match r with Error e -> acc := (i, e) :: !acc | Ok _ -> ())
-    results;
-  List.rev !acc
-
-let map ~(jobs : int) (f : 'a -> 'b) (items : 'a array) : 'b array =
-  let results = map_results ~jobs f items in
-  Array.map (function Ok v -> v | Error e -> raise e) results

@@ -10,17 +10,9 @@ val default_jobs : unit -> int
 
 (** Per-slot results: every failed item keeps its own exception in its
     own slot (no error loss), every other item still computes.  The
-    fault-tolerant entry point the engine's retry/quarantine loop
-    drives. *)
+    engine quarantines each failed slot. *)
 val map_results :
   jobs:int ->
   ('a -> 'b) ->
   'a array ->
   ('b, exn) result array
-
-(** The indexed failures of a [map_results] run, in slot order. *)
-val failures : ('b, exn) result array -> (int * exn) list
-
-(** Raising wrapper: re-raises the first failure by input index
-    (deterministically the same one at any pool width). *)
-val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array

@@ -48,8 +48,6 @@ let incremental_reuses =
   Metrics.counter "engine.incremental_reuses"
     ~doc:"jobs skipped by the diff-based incremental pre-pass"
 
-let retries = Metrics.counter "engine.retries" ~doc:"failed jobs re-run after backoff"
-
 let degraded_jobs =
   Metrics.counter "engine.degraded_jobs"
     ~doc:"jobs whose report carries a degradation reason"
@@ -60,11 +58,6 @@ type config = {
   smt_cache : bool;  (** layer 4: {!Smt.Memo} verdict cache *)
   incremental : bool;  (** layer 1: diff-based cross-version reuse *)
   checker : Checker.config;
-  max_retries : int;
-      (** failed jobs are re-run up to this many times before quarantine *)
-  retry_backoff_ms : int;
-      (** base backoff before a retry round, doubled per attempt and
-          capped at 8x; 0 = retry immediately (what tests use) *)
 }
 
 let default_config =
@@ -74,8 +67,6 @@ let default_config =
     smt_cache = true;
     incremental = true;
     checker = Checker.default_config;
-    max_retries = 2;
-    retry_backoff_ms = 5;
   }
 
 (** The cold, serial configuration: every caching layer off, so each
@@ -126,13 +117,6 @@ let invalidate t =
 
 let no_change_summary =
   { Incremental.ch_methods = []; Incremental.ch_stmt_texts = [] }
-
-(* capped exponential backoff: base, 2*base, 4*base, ... <= 8*base *)
-let backoff_ms (cfg : config) ~(attempt : int) : int =
-  if cfg.retry_backoff_ms <= 0 then 0
-  else
-    let factor = 1 lsl min 3 (max 0 (attempt - 1)) in
-    min (cfg.retry_backoff_ms * factor) (8 * cfg.retry_backoff_ms)
 
 (** Enforce a rulebook against a program version through the engine. *)
 let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
@@ -190,10 +174,10 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
   Metrics.bump ~by:(List.length cached) report_hits;
   Metrics.bump ~by:(List.length to_run) report_misses;
   (* layer 3: execute the misses on the worker pool, expensive first.
-     The pool collects per-slot results instead of re-raising: failed
-     jobs are retried with capped deterministic backoff, and jobs still
-     failing after [max_retries] rounds are quarantined behind a
-     placeholder report — one crashing rule never takes down the run. *)
+     The pool collects per-slot results instead of re-raising, and a job
+     that raised is quarantined at once behind a placeholder report: the
+     dynamic phase is deterministic, so a re-run would raise again, and
+     one crashing rule never takes down the run. *)
   let scheduled = Array.of_list (Job.schedule (List.map fst to_run)) in
   let run_job (job : Job.t) =
     Trace.with_span ~cat:"engine" ~args:[ ("rule", job.Job.rule_id) ]
@@ -207,39 +191,7 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
     Trace.with_span ~cat:"engine"
       ~args:[ ("scheduled", string_of_int (Array.length scheduled)) ]
       "engine.execute"
-    @@ fun () ->
-    let results =
-      Pool.map_results ~jobs:cfg.jobs run_job scheduled
-    in
-    let rec retry_failures attempt =
-      let failed = Pool.failures results in
-      if failed <> [] && attempt <= cfg.max_retries then begin
-        let ms = backoff_ms cfg ~attempt in
-        List.iter
-          (fun (slot, e) ->
-            Resilience.Events.emit
-              (Resilience.Events.Job_retry
-                 {
-                   job = scheduled.(slot).Job.rule_id;
-                   attempt;
-                   backoff_ms = ms;
-                   reason = Printexc.to_string e;
-                 }))
-          failed;
-        Metrics.bump ~by:(List.length failed) retries;
-        if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.);
-        let slots = Array.of_list (List.map fst failed) in
-        let rerun =
-          Pool.map_results ~jobs:cfg.jobs
-            (fun slot -> run_job scheduled.(slot))
-            slots
-        in
-        Array.iteri (fun k r -> results.(slots.(k)) <- r) rerun;
-        retry_failures (attempt + 1)
-      end
-    in
-    retry_failures 1;
-    results
+    @@ fun () -> Pool.map_results ~jobs:cfg.jobs run_job scheduled
   in
   let executed =
     Array.to_list results
@@ -251,11 +203,7 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
                let reason = Printexc.to_string e in
                Resilience.Events.emit
                  (Resilience.Events.Job_quarantined
-                    {
-                      job = job.Job.rule_id;
-                      attempts = cfg.max_retries + 1;
-                      reason;
-                    });
+                    { job = job.Job.rule_id; reason });
                Stats.quarantine t.recorder job.Job.rule_id;
                let report =
                  Checker.quarantined_report
@@ -273,9 +221,10 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
   let ran =
     List.map
       (fun ((job : Job.t), report, wall) ->
-        (* degraded reports never enter the cache: they describe a bad
-           moment (open breaker, exhausted budget), not the program, and
-           must not poison later healthy enforcements *)
+        (* degraded reports never enter the cache: they describe the
+           budgets they ran under (fuel, node budget) or a crash, not
+           the program alone, and must not poison later enforcements
+           under other budgets *)
         if cfg.report_cache && not (Checker.is_degraded report) then
           Cache.add t.reports job.Job.key report;
         if Checker.is_degraded report then Metrics.bump degraded_jobs;

@@ -16,11 +16,6 @@ type config = {
   smt_cache : bool;
   incremental : bool;
   checker : Checker.config;
-  max_retries : int;
-      (** failed jobs are re-run up to this many times before quarantine *)
-  retry_backoff_ms : int;
-      (** base backoff before a retry round, doubled per attempt and
-          capped at 8x; 0 = retry immediately *)
 }
 
 (** jobs = 1, all layers on. *)
@@ -46,7 +41,9 @@ val report_cache_size : t -> int
 val invalidate : t -> unit
 
 (** Enforce a rulebook against a program version.  Reports return in
-    rulebook order, identical for every pool width. *)
+    rulebook order, identical for every pool width.  A rule whose job
+    raises is quarantined at once: its report is
+    {!Checker.quarantined_report} with the exception as the reason. *)
 val enforce :
   t -> Ast.program -> Semantics.Rulebook.t -> Checker.rule_report list
 

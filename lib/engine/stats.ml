@@ -39,12 +39,14 @@ type t = {
       (** full DPLL(T) searches avoided (sum of the fast-path rungs) *)
   wall_s : float;  (** total [enforce] wall time *)
   job_times : job_time list;  (** newest first, bounded by the ring *)
-  retries : int;  (** failed jobs re-run after backoff *)
+  retries : int;
+      (** always 0: the engine never retries a job.  Kept only
+          because the benchmark reports it as [engine.retries] *)
   degraded_jobs : int;
       (** jobs whose report carries a degradation reason (out-of-fuel
           runs, undecided verdicts, quarantine placeholders) *)
   quarantined : string list;
-      (** rule ids whose jobs exhausted their retries, newest first *)
+      (** rule ids whose jobs raised and were quarantined, newest first *)
   counters : (string * int) list;
       (** every registry metric's total over our runs, in declaration
           order *)
@@ -140,7 +142,7 @@ let snapshot r : t =
     fastpath_saved = count "smt.fastpath.saved";
     wall_s;
     job_times;
-    retries = count "engine.retries";
+    retries = 0;
     degraded_jobs = count "engine.degraded_jobs";
     quarantined;
     counters;
@@ -163,10 +165,9 @@ let to_string (s : t) : string =
   in
   (* Resilience counters only appear once something went wrong, so the
      healthy-run string is byte-identical to the pre-resilience engine. *)
-  if s.retries = 0 && s.degraded_jobs = 0 && s.quarantined = [] then base
+  if s.degraded_jobs = 0 && s.quarantined = [] then base
   else
-    Fmt.str "%s, %d retrie(s), %d degraded job(s), %d quarantined" base
-      s.retries s.degraded_jobs
+    Fmt.str "%s, %d degraded job(s), %d quarantined" base s.degraded_jobs
       (List.length s.quarantined)
 
 (* Bounded selection of the [n] largest by [jt_wall_s] — O(len × n)

@@ -33,10 +33,12 @@ type t = {
       (** full DPLL(T) searches avoided (sum of the fast-path rungs) *)
   wall_s : float;
   job_times : job_time list;  (** newest first, bounded by the ring *)
-  retries : int;  (** failed jobs re-run after backoff *)
+  retries : int;
+      (** always 0: the engine never retries a job.  Kept only
+          because the benchmark reports it as [engine.retries] *)
   degraded_jobs : int;  (** jobs whose report carries a degradation *)
   quarantined : string list;
-      (** rule ids whose jobs exhausted their retries, newest first *)
+      (** rule ids whose jobs raised and were quarantined, newest first *)
   counters : (string * int) list;  (** see {!counters} *)
 }
 

@@ -1,28 +1,46 @@
-(** Chaos suite — the E11 workload under seeded fault plans.
+(** Chaos suite — the E11 workload under deterministic evidence loss.
 
-    The whole-system scan ({!System_scan}) is re-run with the
-    {!Resilience} injector armed: every solver call, concolic run,
-    oracle inference, and cache lookup may crash, exhaust its budget, or
-    fail transiently, according to a plan that is a pure function of
-    (seed, injection point, call index).  The suite then checks the
-    engine's fault-tolerance contract:
+    Apart from the oracle, every failure in the pipeline is
+    deterministic: a concolic run out of fuel, a solver search past its
+    node budget.  The whole-system scan ({!System_scan}) is re-run at
+    small fuel and node budgets, and learning is run through an oracle
+    client that always raises.  The suite then checks the contract for
+    lost evidence:
 
-    - the engine {e never} lets an injected fault escape [enforce]
-      (failed jobs retry, then quarantine behind placeholder reports);
-    - two runs of the same seed produce identical findings, degraded
-      sets, quarantine sets, retry counts, and fault counts;
-    - chaos findings are a subset of the no-fault baseline (faults can
-      only lose evidence, never invent violations);
-    - after the chaos runs, a no-fault re-run renders byte-for-byte the
-      same Markdown as the baseline (no state poisoning: degraded
-      reports stay out of the report cache and incremental memory);
-    - a total oracle outage degrades learning to zero accepted rules
-      instead of raising;
-    - a [jobs = 4] leg survives the same plan (worker domains included).
+    - the baseline loses nothing: no degraded or quarantined report;
+    - no exception escapes [enforce];
+    - every level loses some evidence (a level that degrades nothing
+      tests nothing);
+    - every level renders identically on a repeat run and at jobs 1, 2
+      and 4: lost evidence depends on the budgets, never on the
+      schedule or on earlier runs;
+    - each level's findings are a subset of the baseline's (lost
+      evidence can hide a violation, never invent one);
+    - a default-budget re-run after all levels renders byte-identical
+      to the baseline (degraded reports stay out of the report cache
+      and the incremental memory);
+    - an oracle that always raises costs the ticket its rules, after
+      two retries, and never raises out of learning. *)
 
-    Everything is deterministic: backoff is set to zero, the breaker
-    cooldown counts calls, and the shared caches are reset between
-    runs. *)
+type level = {
+  lv_name : string;
+  lv_fuel : int option;
+  lv_node_budget : int option;
+}
+
+let levels =
+  [
+    { lv_name = "fuel 3"; lv_fuel = Some 3; lv_node_budget = None };
+    { lv_name = "node budget 1"; lv_fuel = None; lv_node_budget = Some 1 };
+    { lv_name = "node budget 3"; lv_fuel = None; lv_node_budget = Some 3 };
+    {
+      lv_name = "fuel 500, node budget 2";
+      lv_fuel = Some 500;
+      lv_node_budget = Some 2;
+    };
+  ]
+
+let baseline_level = { lv_name = "baseline"; lv_fuel = None; lv_node_budget = None }
 
 type observation = {
   ob_findings : (string * int * string list) list;
@@ -30,53 +48,44 @@ type observation = {
   ob_degraded : (string * int * string list) list;
       (** (system, version, degraded rule ids) in scan order *)
   ob_quarantined : string list;  (** sorted rule ids *)
-  ob_retries : int;
-  ob_faults : int;  (** faults injected during this run *)
   ob_crash : string option;  (** an exception escaped [enforce] *)
+  ob_render : string;  (** full Markdown of every report, in scan order *)
 }
 
-type seed_result = {
-  sr_seed : int;
-  sr_first : observation;
-  sr_second : observation;  (** same seed, fresh state: must equal first *)
-}
+type level_result = { lr_level : level; lr_runs : (int * observation) list }
+
+type outage = { out_accepted : int; out_retries : int; out_raised : string option }
 
 type result = {
   res_systems : string list;
-  res_rate : float;
   res_baseline : observation;
-  res_baseline_render : string;  (** full Markdown of the no-fault scan *)
-  res_seeds : seed_result list;
-  res_parallel : observation;  (** jobs = 4 leg under the first seed *)
-  res_post_render : string;  (** no-fault re-run after all the chaos *)
-  res_oracle_outage_ok : bool;
+  res_levels : level_result list;
+  res_post : observation;
+  res_outage : outage;
 }
 
 let versions = [ 1; 2; 3; 5 ]
 
-(* every run starts from the same shared-state origin: empty SMT verdict
-   cache, closed breakers, rewound injection counters *)
+(* read at load time, before anything lowers it *)
+let stock_node_budget = Smt.Solver.default_node_budget ()
+
 let reset_shared_state () =
-  Resilience.Injector.disarm ();
-  Resilience.Injector.reset ();
-  Resilience.Breaker.reset_all ();
+  Smt.Solver.set_default_node_budget stock_node_budget;
   Smt.Memo.reset ()
 
 (* one full pass of the E11 workload through a fresh engine *)
-let run_once ?plan ?(jobs = 1) (books : (string * Semantics.Rulebook.t) list) :
-    observation * string =
+let run_once ~(level : level) ~(jobs : int)
+    (books : (string * Semantics.Rulebook.t) list) : observation =
   reset_shared_state ();
-  (match plan with Some pl -> Resilience.Injector.arm pl | None -> ());
-  Fun.protect ~finally:Resilience.Injector.disarm @@ fun () ->
-  let faults0 = Resilience.Injector.injected_count () in
+  Option.iter Smt.Solver.set_default_node_budget level.lv_node_budget;
+  Fun.protect ~finally:reset_shared_state @@ fun () ->
+  let checker = Engine.Checker.default_config in
+  let checker =
+    { checker with fuel = Option.value level.lv_fuel ~default:checker.fuel }
+  in
   let engine =
     Engine.Scheduler.create
-      ~config:
-        {
-          Engine.Scheduler.default_config with
-          Engine.Scheduler.jobs;
-          retry_backoff_ms = 0;
-        }
+      ~config:{ Engine.Scheduler.default_config with jobs; checker }
       ()
   in
   let findings = ref [] and degraded = ref [] and renders = ref [] in
@@ -101,132 +110,128 @@ let run_once ?plan ?(jobs = 1) (books : (string * Semantics.Rulebook.t) list) :
        books
    with e -> crash := Some (Printexc.to_string e));
   let stats = Engine.Scheduler.stats engine in
-  ( {
-      ob_findings = List.rev !findings;
-      ob_degraded = List.rev !degraded;
-      ob_quarantined = List.sort compare stats.Engine.Stats.quarantined;
-      ob_retries = stats.Engine.Stats.retries;
-      ob_faults = Resilience.Injector.injected_count () - faults0;
-      ob_crash = !crash;
-    },
-    String.concat "\n\n" (List.rev !renders) )
-
-(* a dead oracle must cost us the rules, not the pipeline *)
-let oracle_outage_ok (system : string) : bool =
-  reset_shared_state ();
-  Resilience.Injector.arm
-    (Resilience.Plan.make
-       ~points:[ Resilience.Fault.Oracle ]
-       ~kinds:[ Resilience.Fault.Crash ] ~seed:1 ~rate:1.0 ());
-  Fun.protect ~finally:reset_shared_state @@ fun () ->
-  match Corpus.Registry.cases_of Corpus.Registry.builtin system with
-  | [] -> false
-  | case :: _ -> (
-      let ticket = Corpus.Case.original_ticket case in
-      match Pipeline.learn ticket with
-      | outcome -> outcome.Pipeline.accepted = []
-      | exception _ -> false)
-
-let run ?(seeds = [ 1; 2; 3 ]) ?(rate = 0.05) ?(smoke = false) () : result =
-  let systems = if smoke then [ "zookeeper" ] else Corpus.Registry.builtin.systems in
-  (* learning happens fault-free: the chaos target is enforcement *)
-  reset_shared_state ();
-  let books =
-    List.map (fun s -> (s, System_scan.learn_system_book s)) systems
-  in
-  let plan_for seed = Resilience.Plan.make ~seed ~rate () in
-  let baseline, baseline_render = run_once books in
-  let seed_results =
-    List.map
-      (fun seed ->
-        let first, _ = run_once ~plan:(plan_for seed) books in
-        let second, _ = run_once ~plan:(plan_for seed) books in
-        { sr_seed = seed; sr_first = first; sr_second = second })
-      seeds
-  in
-  let parallel_seed = match seeds with s :: _ -> s | [] -> 1 in
-  let parallel, _ = run_once ~plan:(plan_for parallel_seed) ~jobs:4 books in
-  let _, post_render = run_once books in
-  let outage_ok = oracle_outage_ok (List.hd systems) in
   {
-    res_systems = systems;
-    res_rate = rate;
-    res_baseline = baseline;
-    res_baseline_render = baseline_render;
-    res_seeds = seed_results;
-    res_parallel = parallel;
-    res_post_render = post_render;
-    res_oracle_outage_ok = outage_ok;
+    ob_findings = List.rev !findings;
+    ob_degraded = List.rev !degraded;
+    ob_quarantined = List.sort compare stats.Engine.Stats.quarantined;
+    ob_crash = !crash;
+    ob_render = String.concat "\n\n" (List.rev !renders);
   }
 
-(* chaos can suppress findings (lost evidence), never create them *)
+(* a dead oracle must cost us the rules, not the pipeline *)
+let oracle_outage (system : string) : outage =
+  let retries = ref 0 in
+  Resilience.Events.set_sink (function
+    | Resilience.Events.Job_retry _ -> incr retries
+    | _ -> ());
+  Fun.protect ~finally:Log.install_resilience_sink @@ fun () ->
+  let config =
+    {
+      Pipeline.default_config with
+      Pipeline.oracle = (fun _ -> failwith "oracle down");
+    }
+  in
+  let ticket =
+    Corpus.Case.original_ticket
+      (List.hd (Corpus.Registry.cases_of Corpus.Registry.builtin system))
+  in
+  let accepted, raised =
+    match Pipeline.learn ~config ticket with
+    | o -> (List.length o.Pipeline.accepted, None)
+    | exception e -> (0, Some (Printexc.to_string e))
+  in
+  { out_accepted = accepted; out_retries = !retries; out_raised = raised }
+
+let run ?(smoke = false) () : result =
+  (* hbase is the one system that loses evidence at every level *)
+  let systems = if smoke then [ "hbase" ] else Corpus.Registry.builtin.systems in
+  (* learning runs at stock budgets: the chaos target is enforcement *)
+  reset_shared_state ();
+  let books = List.map (fun s -> (s, System_scan.learn_system_book s)) systems in
+  let baseline = run_once ~level:baseline_level ~jobs:1 books in
+  let level_results =
+    List.map
+      (fun level ->
+        {
+          lr_level = level;
+          lr_runs =
+            List.map (fun jobs -> (jobs, run_once ~level ~jobs books)) [ 1; 1; 2; 4 ];
+        })
+      levels
+  in
+  let post = run_once ~level:baseline_level ~jobs:1 books in
+  {
+    res_systems = systems;
+    res_baseline = baseline;
+    res_levels = level_results;
+    res_post = post;
+    res_outage = oracle_outage (List.hd systems);
+  }
+
+let count_ids rows = List.fold_left (fun n (_, _, ids) -> n + List.length ids) 0 rows
+
+let finding_count ob = count_ids ob.ob_findings
+
+let degraded_count ob = count_ids ob.ob_degraded
+
+(* lost evidence can suppress findings, never create them *)
 let findings_subset ~(baseline : observation) (ob : observation) : bool =
   List.for_all
     (fun (system, version, ids) ->
       match
-        List.find_opt
-          (fun (s, v, _) -> s = system && v = version)
-          baseline.ob_findings
+        List.find_opt (fun (s, v, _) -> s = system && v = version) baseline.ob_findings
       with
-      | Some (_, _, base_ids) ->
-          List.for_all (fun id -> List.mem id base_ids) ids
+      | Some (_, _, base_ids) -> List.for_all (fun id -> List.mem id base_ids) ids
       | None -> ids = [])
     ob.ob_findings
 
 let invariants (r : result) : (string * bool) list =
-  let chaos_obs =
-    List.concat_map (fun s -> [ s.sr_first; s.sr_second ]) r.res_seeds
-    @ [ r.res_parallel ]
-  in
+  let level_obs = List.concat_map (fun lr -> List.map snd lr.lr_runs) r.res_levels in
+  let first lr = snd (List.hd lr.lr_runs) in
   [
-    ( "baseline runs fault-free",
+    ( "baseline loses no evidence",
       r.res_baseline.ob_crash = None
-      && r.res_baseline.ob_faults = 0
-      && r.res_baseline.ob_retries = 0
+      && degraded_count r.res_baseline = 0
       && r.res_baseline.ob_quarantined = [] );
-    ( "no injected fault escapes the engine",
-      List.for_all (fun ob -> ob.ob_crash = None) chaos_obs );
-    ( "faults actually fired under every plan",
-      List.for_all (fun ob -> ob.ob_faults > 0) chaos_obs );
-    ( "same seed replays identically (findings, degraded, quarantine, \
-       retries, faults)",
-      List.for_all (fun s -> s.sr_first = s.sr_second) r.res_seeds );
-    ( "chaos findings are a subset of the baseline",
-      List.for_all (findings_subset ~baseline:r.res_baseline) chaos_obs );
-    ( "post-chaos no-fault run renders byte-identical to the baseline",
-      r.res_post_render = r.res_baseline_render );
-    ("oracle outage degrades learning instead of raising", r.res_oracle_outage_ok);
+    ( "no exception escapes the engine",
+      List.for_all (fun ob -> ob.ob_crash = None) (r.res_post :: level_obs) );
+    ( "every level loses some evidence",
+      List.for_all (fun lr -> degraded_count (first lr) > 0) r.res_levels );
+    ( "every level renders identically on a repeat run and at jobs 1, 2 and 4",
+      List.for_all
+        (fun lr -> List.for_all (fun (_, ob) -> ob = first lr) lr.lr_runs)
+        r.res_levels );
+    ( "findings at every level are a subset of the baseline's",
+      List.for_all (findings_subset ~baseline:r.res_baseline) level_obs );
+    ( "default-budget re-run renders byte-identical to the baseline",
+      r.res_post.ob_render = r.res_baseline.ob_render );
+    ( "a raising oracle costs the rules after two retries, and raises nothing",
+      r.res_outage = { out_accepted = 0; out_retries = 2; out_raised = None } );
   ]
 
-let invariants_ok (r : result) : bool =
-  List.for_all snd (invariants r)
+let invariants_ok (r : result) : bool = List.for_all snd (invariants r)
 
 let print (r : result) : string =
   let buf = Buffer.create 1024 in
   let pf fmt = Fmt.kstr (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  pf "chaos — E11 workload under seeded fault plans (rate %.2f, systems: %s)"
-    r.res_rate
+  let row name ob =
+    pf "  %-24s %3d finding(s), %3d degraded report(s), %d quarantined%s" name
+      (finding_count ob) (degraded_count ob)
+      (List.length ob.ob_quarantined)
+      (match ob.ob_crash with None -> "" | Some e -> Fmt.str " CRASH: %s" e)
+  in
+  pf "chaos — E11 workload under deterministic evidence loss (systems: %s)"
     (String.concat ", " r.res_systems);
   pf "--------------------------------------------------------------------";
+  row "baseline" r.res_baseline;
   List.iter
-    (fun s ->
-      let ob = s.sr_first in
-      pf "  seed %d: %d fault(s), %d retrie(s), %d quarantined, %d degraded \
-          report set(s)%s"
-        s.sr_seed ob.ob_faults ob.ob_retries
-        (List.length ob.ob_quarantined)
-        (List.length (List.filter (fun (_, _, ids) -> ids <> []) ob.ob_degraded))
-        (match ob.ob_crash with
-        | None -> ""
-        | Some e -> Fmt.str " CRASH: %s" e))
-    r.res_seeds;
-  pf "  jobs=4 leg (seed %d): %d fault(s), %d quarantined%s"
-    (match r.res_seeds with s :: _ -> s.sr_seed | [] -> 1)
-    r.res_parallel.ob_faults
-    (List.length r.res_parallel.ob_quarantined)
-    (match r.res_parallel.ob_crash with
-    | None -> ""
-    | Some e -> Fmt.str " CRASH: %s" e);
+    (fun lr -> row lr.lr_level.lv_name (snd (List.hd lr.lr_runs)))
+    r.res_levels;
+  row "default-budget re-run" r.res_post;
+  let o = r.res_outage in
+  pf "  oracle outage: %d rule(s) accepted, %d retrie(s)%s" o.out_accepted
+    o.out_retries
+    (match o.out_raised with None -> "" | Some e -> Fmt.str " RAISED: %s" e);
   pf "";
   List.iter
     (fun (name, ok) -> pf "  [%s] %s" (if ok then "ok" else "FAIL") name)

@@ -10,7 +10,7 @@ type event =
   | Learned of { stage : int; ticket_id : string; accepted : int; rejected : int }
   | Test_failure of { stage : int; failures : string list }
   | Degraded of { stage : int; rules : string list }
-      (** enforcement lost evidence for these rules (budgets, breakers,
+      (** enforcement lost evidence for these rules (fuel, node budget,
           quarantine): the stage's verdict is best-effort, not final *)
   | Demoted of { stage : int; rules : string list }
       (** witness-replay triage ranked every finding of these rules

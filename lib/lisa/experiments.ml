@@ -306,7 +306,8 @@ module Noise = struct
         let config =
           {
             Pipeline.default_config with
-            Pipeline.noise = { Oracle.Inference.epsilon; seed };
+            Pipeline.oracle =
+              (fun t -> Oracle.Inference.infer ~noise:{ Oracle.Inference.epsilon; seed } t);
             cross_check;
           }
         in

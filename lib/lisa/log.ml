@@ -7,10 +7,10 @@
     and set the level as before; the source is the scope's.
 
     Loading this module also reroutes the resilience event bus
-    ({!Resilience.Events}) into this scope, so retry, quarantine, and
-    circuit-breaker events land in the same stream as the pipeline's own
-    logs: warnings for recoverable faults, errors for quarantine and
-    opened breakers. *)
+    ({!Resilience.Events}) into this scope, so oracle retries, degraded
+    components and quarantined jobs land in the same stream as the
+    pipeline's own logs: warnings for recoveries, errors for
+    quarantine. *)
 
 let scope = Telemetry.Event.scope "lisa"
 

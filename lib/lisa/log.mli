@@ -2,8 +2,8 @@
     [Telemetry.Event] scope "lisa".  Formatting is lazy — suppressed
     messages are never rendered.  Consumers install a {!Logs} reporter
     and set the level; the library only emits.  Loading this module
-    reroutes {!Resilience.Events} into this scope (faults and retries as
-    warnings, quarantine and opened breakers as errors). *)
+    reroutes {!Resilience.Events} into this scope (oracle retries and
+    degraded components as warnings, quarantine as errors). *)
 
 val src : Logs.src
 

@@ -30,7 +30,8 @@ type outcome = {
 type config = {
   checker : Engine.Checker.config;
   generalize : bool;  (** apply rule generalization before cross-checking *)
-  noise : Oracle.Inference.noise;  (** LLM noise model (E9) *)
+  oracle : Oracle.Inference.client;
+      (** the inference backend; E9 passes a noisy one *)
   cross_check : bool;  (** validate rules against the patched version *)
 }
 
@@ -38,7 +39,7 @@ let default_config =
   {
     checker = Engine.Checker.default_config;
     generalize = true;
-    noise = Oracle.Inference.no_noise;
+    oracle = Oracle.Inference.default_client;
     cross_check = true;
   }
 
@@ -61,25 +62,24 @@ let cross_check_rule (config : config) (patched : Minilang.Ast.program)
         Error "no trace verifies the rule: the fixed path must act as sanity check"
       else Ok rule
 
-(* Run [f], retrying an injected fault twice (one [Job_retry] event per
-   retry); a third fault answers [degrade ~attempts fault] instead, with
-   [fault] describing the last one. *)
-let with_fault_retries ~(job : string) (f : unit -> 'a)
-    ~(degrade : attempts:int -> string -> 'a) : 'a =
+(* Ask the oracle, the one external and unreliable service: a client
+   that raises is retried twice (one [Job_retry] event per retry), and a
+   third failure answers a degraded, rule-less inference, so learning
+   continues with the remaining tickets. *)
+let with_oracle_retries (client : Oracle.Inference.client)
+    (ticket : Oracle.Ticket.t) : Oracle.Inference.inferred =
+  let job = "infer:" ^ ticket.Oracle.Ticket.ticket_id in
   let rec attempt n =
-    match f () with
+    match client ticket with
     | v -> v
-    | exception Resilience.Fault.Injected (point, kind) ->
-        let fault =
-          Fmt.str "injected %s fault at %s"
-            (Resilience.Fault.kind_to_string kind)
-            (Resilience.Fault.point_to_string point)
-        in
-        if n >= 2 then degrade ~attempts:(n + 1) fault
+    | exception e ->
+        let reason = Printexc.to_string e in
+        if n >= 2 then
+          Oracle.Inference.degraded_inference ticket
+            (Fmt.str "oracle unavailable after %d attempt(s): %s" (n + 1) reason)
         else begin
           Resilience.Events.emit
-            (Resilience.Events.Job_retry
-               { job; attempt = n + 1; backoff_ms = 0; reason = fault });
+            (Resilience.Events.Job_retry { job; attempt = n + 1; reason });
           attempt (n + 1)
         end
   in
@@ -99,17 +99,7 @@ let learn ?(config = default_config) (ticket : Oracle.Ticket.t) : outcome =
     (Fmt.str "ticket %s: %d-token bundle (description + diff + patched source)"
        ticket.Oracle.Ticket.ticket_id
        (Oracle.Prompt.token_estimate prompt));
-  (* the oracle is an outage-prone external service: retry crashes and
-     transients a couple of times, then settle for a degraded (empty)
-     inference so learning continues with the remaining tickets *)
-  let inference =
-    with_fault_retries
-      ~job:("infer:" ^ ticket.Oracle.Ticket.ticket_id)
-      (fun () -> Oracle.Inference.infer ~noise:config.noise ticket)
-      ~degrade:(fun ~attempts _ ->
-        Oracle.Inference.degraded_inference ticket
-          (Fmt.str "oracle unavailable after %d attempt(s)" attempts))
-  in
+  let inference = with_oracle_retries config.oracle ticket in
   push "infer"
     (Fmt.str "high-level: %s; %d candidate low-level semantics"
        inference.Oracle.Inference.inf_high_level
@@ -125,27 +115,9 @@ let learn ?(config = default_config) (ticket : Oracle.Ticket.t) : outcome =
     if not config.cross_check then (rules, [])
     else begin
       let patched = ticket.Oracle.Ticket.patched_program in
-      (* cross-checking runs the concolic checker directly (no engine
-         pool underneath to retry for us): retry injected faults a
-         couple of times, then reject the rule as unverifiable rather
-         than let the fault escape learning *)
-      let cross_check_with_retries rule =
-        let job = "cross-check:" ^ rule.Semantics.Rule.rule_id in
-        with_fault_retries ~job
-          (fun () -> cross_check_rule config patched rule)
-          ~degrade:(fun ~attempts fault ->
-            Resilience.Events.emit
-              (Resilience.Events.Component_degraded
-                 { component = job; reason = "cross-check unavailable, rule rejected" });
-            Error
-              (Fmt.str
-                 "cross-check unavailable after %d attempt(s) (%s): rule cannot \
-                  be verified"
-                 attempts fault))
-      in
       List.fold_left
         (fun (acc, rej) rule ->
-          match cross_check_with_retries rule with
+          match cross_check_rule config patched rule with
           | Ok r -> (acc @ [ r ], rej)
           | Error reason -> (acc, rej @ [ (rule, reason) ]))
         ([], []) rules

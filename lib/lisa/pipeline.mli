@@ -20,7 +20,10 @@ type outcome = {
 type config = {
   checker : Engine.Checker.config;
   generalize : bool;  (** apply rule generalization before cross-checking *)
-  noise : Oracle.Inference.noise;  (** LLM noise model (E9) *)
+  oracle : Oracle.Inference.client;
+      (** the inference backend (default {!Oracle.Inference.default_client}).
+          A client that raises is retried twice, then answered with
+          {!Oracle.Inference.degraded_inference}; E9 passes a noisy one *)
   cross_check : bool;  (** validate rules against the patched version *)
 }
 

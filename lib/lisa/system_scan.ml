@@ -142,7 +142,7 @@ let print (results : system_result list) : string =
             (match vr.vr_violating_rules with
             | [] -> "none"
             | ids -> String.concat ", " ids)
-            (* only non-empty on a faulted run: the healthy scan output
+            (* only non-empty when a run lost evidence: the healthy scan output
                stays byte-identical to the pre-resilience engine *)
             (* only non-empty when triage ran: the plain scan stays
                byte-identical to the pre-triage engine *)

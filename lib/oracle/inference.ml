@@ -272,45 +272,33 @@ let degraded_inference (t : Ticket.t) (reason : string) : inferred =
     inf_reasoning = [ reason ];
   }
 
-(** Run inference on one ticket.  Deterministic for a fixed [noise].
-
-    The oracle is an injection point ({!Resilience.Fault.Oracle}):
-    crash/transient faults raise {!Resilience.Fault.Injected} (the
-    learning pipeline retries, then degrades); budget faults and an
-    open breaker return a {!degraded_inference} with no rules. *)
+(** Run inference on one ticket.  Deterministic for a fixed [noise]; it
+    never fails.  A real LLM backend plugs in as a {!client} instead,
+    and the learning pipeline retries a client that raises, then falls
+    back to {!degraded_inference}. *)
 let infer ?(noise = no_noise) (t : Ticket.t) : inferred =
   Telemetry.Trace.with_span ~cat:"oracle"
     ~args:[ ("ticket", t.Ticket.ticket_id) ]
     "oracle.infer"
   @@ fun () ->
-  if not (Resilience.Breaker.proceed Resilience.Fault.Oracle) then
-    degraded_inference t "oracle circuit open"
-  else
-    match Resilience.Injector.draw Resilience.Fault.Oracle with
-    | Some (Resilience.Fault.Crash | Resilience.Fault.Transient) as k ->
-        Resilience.Injector.raise_fault Resilience.Fault.Oracle (Option.get k)
-    | Some Resilience.Fault.Budget ->
-        Resilience.Breaker.failure Resilience.Fault.Oracle;
-        degraded_inference t "injected budget exhaustion"
-    | None ->
-        let high_level = first_sentence t.Ticket.discussion in
-        let origin = t.Ticket.ticket_id in
-        let buggy = t.Ticket.buggy_program and patched = t.Ticket.patched_program in
-        let guard_rules, guard_reasoning =
-          state_guard_rules ~origin ~buggy ~patched high_level
-        in
-        let lock_rules, lock_reasoning = lock_rules ~origin ~buggy ~patched high_level in
-        let rules = apply_noise noise t.Ticket.ticket_id (guard_rules @ lock_rules) in
-        Resilience.Breaker.success Resilience.Fault.Oracle;
-        {
-          inf_ticket = t.Ticket.ticket_id;
-          inf_high_level = high_level;
-          inf_rules = rules;
-          inf_reasoning = guard_reasoning @ lock_reasoning;
-        }
+  let high_level = first_sentence t.Ticket.discussion in
+  let origin = t.Ticket.ticket_id in
+  let buggy = t.Ticket.buggy_program and patched = t.Ticket.patched_program in
+  let guard_rules, guard_reasoning =
+    state_guard_rules ~origin ~buggy ~patched high_level
+  in
+  let lock_rules, lock_reasoning = lock_rules ~origin ~buggy ~patched high_level in
+  let rules = apply_noise noise t.Ticket.ticket_id (guard_rules @ lock_rules) in
+  {
+    inf_ticket = t.Ticket.ticket_id;
+    inf_high_level = high_level;
+    inf_rules = rules;
+    inf_reasoning = guard_reasoning @ lock_reasoning;
+  }
 
 (** Pluggable client type: a real LLM backend would map the prompt text to
-    the same structured output. *)
+    the same structured output.  A client may raise (an outage, a
+    malformed answer); the learning pipeline owns the retries. *)
 type client = Ticket.t -> inferred
 
 let default_client : client = fun t -> infer t

@@ -26,16 +26,16 @@ val no_noise : noise
     bus. *)
 val degraded_inference : Ticket.t -> string -> inferred
 
-(** Run inference on one ticket; deterministic for a fixed [noise].
-    An injection point: crash/transient faults raise
-    {!Resilience.Fault.Injected}; budget faults and an open breaker
-    return {!degraded_inference}. *)
+(** Run inference on one ticket; deterministic for a fixed [noise], and
+    it never raises. *)
 val infer : ?noise:noise -> Ticket.t -> inferred
 
 (** Pluggable client type: a real LLM backend maps the same ticket bundle
-    to the same structured output. *)
+    to the same structured output.  A client may raise — an outage or a
+    malformed answer; the learning pipeline retries it, then degrades. *)
 type client = Ticket.t -> inferred
 
+(** [infer] with no noise. *)
 val default_client : client
 
 (** Render an inference in the exact output format of Listing 1. *)

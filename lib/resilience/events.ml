@@ -1,52 +1,36 @@
 (** Resilience event bus.
 
-    Every observable recovery action — an injected fault, a job retry,
-    a quarantine, a circuit breaker opening or closing, a component
-    degrading its answer — is emitted here, so failures are logged
-    rather than silently folded into counters.
+    Every observable recovery action — an oracle retry, a quarantined
+    job, a component degrading its answer — is emitted here, so failures
+    are logged rather than silently folded into counters.
 
     The default sink routes events through the [Telemetry.Event] scope
-    "resilience" (warnings for recoveries, errors for quarantines and
-    open breakers), which formats lazily, logs through the scope's
-    {!Logs} source, and records a trace instant when tracing is on.  A
-    host library can install its own sink — [Lisa.Log] re-routes events
-    through the "lisa" scope so one [-v] flag covers the whole
-    pipeline. *)
+    "resilience" (warnings for recoveries, errors for quarantines),
+    which formats lazily, logs through the scope's {!Logs} source, and
+    records a trace instant when tracing is on.  A host library can
+    install its own sink — [Lisa.Log] re-routes events through the
+    "lisa" scope so one [-v] flag covers the whole pipeline. *)
 
 type severity = Warn | Error
 
 type t =
-  | Fault_injected of { point : Fault.point; kind : Fault.kind; seq : int }
-  | Job_retry of { job : string; attempt : int; backoff_ms : int; reason : string }
-  | Job_quarantined of { job : string; attempts : int; reason : string }
+  | Job_retry of { job : string; attempt : int; reason : string }
+  | Job_quarantined of { job : string; reason : string }
   | Component_degraded of { component : string; reason : string }
-  | Breaker_opened of { point : Fault.point; consecutive : int }
-  | Breaker_closed of { point : Fault.point }
 
 let severity = function
-  | Fault_injected _ | Job_retry _ | Component_degraded _ | Breaker_closed _ -> Warn
-  | Job_quarantined _ | Breaker_opened _ -> Error
+  | Job_retry _ | Component_degraded _ -> Warn
+  | Job_quarantined _ -> Error
 
 let to_string = function
-  | Fault_injected { point; kind; seq } ->
-      Fmt.str "fault injected: %s %s (call #%d)" (Fault.point_to_string point)
-        (Fault.kind_to_string kind) seq
-  | Job_retry { job; attempt; backoff_ms; reason } ->
-      Fmt.str "retrying job %s (attempt %d, backoff %dms): %s" job attempt backoff_ms
-        reason
-  | Job_quarantined { job; attempts; reason } ->
-      Fmt.str "quarantined job %s after %d attempt(s): %s" job attempts reason
+  | Job_retry { job; attempt; reason } ->
+      Fmt.str "retrying job %s (attempt %d): %s" job attempt reason
+  | Job_quarantined { job; reason } ->
+      Fmt.str "quarantined job %s: %s" job reason
   | Component_degraded { component; reason } ->
       Fmt.str "%s degraded: %s" component reason
-  | Breaker_opened { point; consecutive } ->
-      Fmt.str "circuit breaker OPEN for %s after %d consecutive trip(s)"
-        (Fault.point_to_string point) consecutive
-  | Breaker_closed { point } ->
-      Fmt.str "circuit breaker closed for %s" (Fault.point_to_string point)
 
 let scope = Telemetry.Event.scope "resilience"
-
-let src = Telemetry.Event.logs_src scope
 
 (* Route through the telemetry funnel: [to_string] is only forced when
    the event is wanted (level, tracer, or test sink), and a tracing run
@@ -63,12 +47,4 @@ let sink : (t -> unit) Atomic.t = Atomic.make default_sink
 
 let set_sink f = Atomic.set sink f
 
-let reset_sink () = Atomic.set sink default_sink
-
-let emitted = Atomic.make 0
-
-let emit (e : t) : unit =
-  Atomic.incr emitted;
-  (Atomic.get sink) e
-
-let emitted_count () = Atomic.get emitted
+let emit (e : t) : unit = (Atomic.get sink) e

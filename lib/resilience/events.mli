@@ -1,31 +1,20 @@
-(** Resilience event bus: injected faults, retries, quarantines, and
-    circuit-breaker transitions flow through one sink so recovery is
-    logged, not silent.  The default sink is a {!Logs} source named
-    "resilience"; hosts may install their own. *)
+(** Resilience event bus: oracle retries, quarantines, and degraded
+    components flow through one sink so recovery is logged, not silent.
+    The default sink is the [Telemetry.Event] scope "resilience"; hosts
+    may install their own. *)
 
 type severity = Warn | Error
 
 type t =
-  | Fault_injected of { point : Fault.point; kind : Fault.kind; seq : int }
-  | Job_retry of { job : string; attempt : int; backoff_ms : int; reason : string }
-  | Job_quarantined of { job : string; attempts : int; reason : string }
+  | Job_retry of { job : string; attempt : int; reason : string }
+  | Job_quarantined of { job : string; reason : string }
   | Component_degraded of { component : string; reason : string }
-  | Breaker_opened of { point : Fault.point; consecutive : int }
-  | Breaker_closed of { point : Fault.point }
 
 val severity : t -> severity
 
 val to_string : t -> string
 
-val src : Logs.src
-
 (** Replace the sink (e.g. to route through a host's log source). *)
 val set_sink : (t -> unit) -> unit
 
-(** Restore the default Logs-based sink. *)
-val reset_sink : unit -> unit
-
 val emit : t -> unit
-
-(** Total events emitted since process start (monotonic). *)
-val emitted_count : unit -> int

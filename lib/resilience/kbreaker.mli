@@ -1,28 +1,17 @@
 (** Keyed circuit breakers: open after [threshold] consecutive failures,
-    skip [cooldown] calls, then probe half-open — one breaker per key
-    (tenant, shard, upstream, or {!Fault.point} for {!Breaker}).
+    skip [cooldown] calls, then probe half-open — one breaker per key.
+    [lisa serve] keys them by tenant, so one pathological stream
+    degrades only its own tenant.
 
     State is instance-based: each consumer creates its own table, so
-    the tenants of one daemon never interfere with the process-wide
-    component breakers.  Deterministic (cooldown counted in calls, not
-    wall time) and mutex-protected. *)
+    the tenants of one daemon never interfere with any other table.
+    Deterministic (cooldown counted in calls, not wall time) and
+    mutex-protected. *)
 
 type 'k t
 
-(** [create ~threshold ~cooldown ()] — both clamped to >= 1.  [on_open
-    key consecutive] runs whenever a failure opens (or re-opens) a
-    breaker, [on_close key] whenever a success closes an open one; both
-    run outside the lock. *)
-val create :
-  ?threshold:int ->
-  ?cooldown:int ->
-  ?on_open:('k -> int -> unit) ->
-  ?on_close:('k -> unit) ->
-  unit ->
-  'k t
-
-(** Change the thresholds (clamped to >= 1); state is kept. *)
-val configure : 'k t -> ?threshold:int -> ?cooldown:int -> unit -> unit
+(** [create ~threshold ~cooldown ()] — both clamped to >= 1. *)
+val create : ?threshold:int -> ?cooldown:int -> unit -> 'k t
 
 (** May the caller keyed [key] run?  [false] = breaker open, the call
     must be answered degraded/rejected.  Counts against the cooldown. *)
@@ -35,8 +24,6 @@ val success : 'k t -> 'k -> unit
     re-opened) the breaker, so the caller can emit an event. *)
 val failure : 'k t -> 'k -> bool
 
-val is_open : 'k t -> 'k -> bool
-
 (** Times this key's breaker has opened. *)
 val trips : 'k t -> 'k -> int
 
@@ -44,6 +31,3 @@ val total_trips : 'k t -> int
 
 (** Keys ever seen, sorted. *)
 val keys : 'k t -> 'k list
-
-(** Close every breaker and zero its counters. *)
-val reset : 'k t -> unit

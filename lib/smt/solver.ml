@@ -455,8 +455,8 @@ let prop_create (cp : compiled) : prop =
    atoms the theory cannot prune) can force an exponential search, so
    every [solve] is bounded and answers [Unknown] instead of diverging.
    The default is far above anything the checker-formula fragment
-   produces (a few dozen atoms, heavily theory-pruned), so no-fault
-   behaviour is unchanged. *)
+   produces (a few dozen atoms, heavily theory-pruned), so no corpus
+   query answers [Unknown] at the default budget. *)
 let default_node_budget_cell = Atomic.make 200_000
 
 let default_node_budget () = Atomic.get default_node_budget_cell
@@ -532,60 +532,39 @@ let search_compiled ~(budget : int) (pr : prop) (cp : compiled) :
 
 let solve_untraced ?node_budget (f : Formula.t) : verdict =
   Metrics.bump solve_calls;
-  if not (Resilience.Breaker.proceed Resilience.Fault.Solver) then
-    Unknown "solver circuit open"
-  else
-    match Resilience.Injector.draw Resilience.Fault.Solver with
-    | Some Resilience.Fault.Budget ->
-        Resilience.Breaker.failure Resilience.Fault.Solver;
-        Unknown "injected budget exhaustion"
-    | Some (Resilience.Fault.Crash | Resilience.Fault.Transient) as k ->
-        Resilience.Injector.raise_fault Resilience.Fault.Solver (Option.get k)
-    | None -> (
-        let budget =
-          match node_budget with Some b -> max 1 b | None -> default_node_budget ()
-        in
-        let f = Formula.simplify f in
-        match Formula.view f with
-        | Formula.True ->
-            Resilience.Breaker.success Resilience.Fault.Solver;
-            Sat []
-        | Formula.False ->
-            Resilience.Breaker.success Resilience.Fault.Solver;
-            Unsat
-        | _ when Atomic.get fastpath_flag && Absdom.refute f ->
-            (* rung 1: the abstract domain proved the conjunct facts
-               refute the formula — Unsat carries no payload, so the
-               short-circuit is byte-identical to the search's answer *)
-            Metrics.bump fastpath_interval;
-            Metrics.bump fastpath_saved;
-            Resilience.Breaker.success Resilience.Fault.Solver;
-            Unsat
-        | _ ->
-            let cp = compile f in
-            let pr = prop_create cp in
-            if Atomic.get fastpath_flag && not pr.pr_enabled then begin
-              (* rung 2: root BCP over the clausal NNF view hit a
-                 conflict; the clause set is entailed by [f], so a root
-                 conflict proves Unsat without searching *)
-              Metrics.bump fastpath_bcp;
-              Metrics.bump fastpath_saved;
-              Resilience.Breaker.success Resilience.Fault.Solver;
-              Unsat
-            end
-            else begin
-              Metrics.bump full_solves;
-              match search_compiled ~budget pr cp with
-              | Some model ->
-                  Resilience.Breaker.success Resilience.Fault.Solver;
-                  Sat model
-              | None ->
-                  Resilience.Breaker.success Resilience.Fault.Solver;
-                  Unsat
-              | exception Budget_hit ->
-                  Resilience.Breaker.failure Resilience.Fault.Solver;
-                  Unknown (Fmt.str "node budget %d exhausted" budget)
-            end)
+  let budget =
+    match node_budget with Some b -> max 1 b | None -> default_node_budget ()
+  in
+  let f = Formula.simplify f in
+  match Formula.view f with
+  | Formula.True -> Sat []
+  | Formula.False -> Unsat
+  | _ when Atomic.get fastpath_flag && Absdom.refute f ->
+      (* rung 1: the abstract domain proved the conjunct facts refute
+         the formula — Unsat carries no payload, so the short-circuit is
+         byte-identical to the search's answer *)
+      Metrics.bump fastpath_interval;
+      Metrics.bump fastpath_saved;
+      Unsat
+  | _ ->
+      let cp = compile f in
+      let pr = prop_create cp in
+      if Atomic.get fastpath_flag && not pr.pr_enabled then begin
+        (* rung 2: root BCP over the clausal NNF view hit a conflict;
+           the clause set is entailed by [f], so a root conflict proves
+           Unsat without searching *)
+        Metrics.bump fastpath_bcp;
+        Metrics.bump fastpath_saved;
+        Unsat
+      end
+      else begin
+        Metrics.bump full_solves;
+        match search_compiled ~budget pr cp with
+        | Some model -> Sat model
+        | None -> Unsat
+        | exception Budget_hit ->
+            Unknown (Fmt.str "node budget %d exhausted" budget)
+      end
 
 (* The traced wrapper only pays for the span while tracing is on; the
    healthy fast path is one atomic load. *)

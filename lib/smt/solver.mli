@@ -15,15 +15,14 @@ type verdict =
   | Sat of (Formula.atom * bool) list
   | Unsat
   | Unknown of string
-      (** undecided: node budget exhausted, injected fault, or open
-          circuit breaker; the payload records why *)
+      (** undecided: the node budget ran out; the payload records it *)
 
 val verdict_is_sat : verdict -> bool
 
 (** DPLL search-node budget used when [solve] is not given one
     explicitly.  Defaults to 200k nodes — far above the checker-formula
-    fragment, so [Unknown] only appears under adversarial formulas or
-    injected faults. *)
+    fragment, so [Unknown] only appears under adversarial formulas or a
+    lowered budget (the chaos suite runs at 1–3 nodes). *)
 val default_node_budget : unit -> int
 
 val set_default_node_budget : int -> unit
@@ -69,9 +68,10 @@ val bcp_refutes : Formula.t -> bool
 
 (** Decide satisfiability.  A [Sat] model assigns a sign to each canonical
     atom of the (simplified) formula.  The search visits at most
-    [node_budget] nodes and answers [Unknown] past it; injected faults
-    and an open solver breaker also answer [Unknown] (or raise
-    {!Resilience.Fault.Injected} for crash/transient kinds). *)
+    [node_budget] nodes (default {!default_node_budget}) and answers
+    [Unknown] past it.  The fast-path rungs run before the search and
+    spend no budget, so a formula they refute is [Unsat] at any budget
+    while the same formula with the fast path off may be [Unknown]. *)
 val solve : ?node_budget:int -> Formula.t -> verdict
 
 val is_sat : Formula.t -> bool

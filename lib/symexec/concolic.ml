@@ -73,12 +73,9 @@ let default_config =
     capture_vars = [];
   }
 
-type lost = Fuel | Injected_budget | Breaker_open
+type lost = Fuel
 
-let lost_to_string = function
-  | Fuel -> "out of fuel"
-  | Injected_budget -> "out of fuel (injected)"
-  | Breaker_open -> "circuit open: concolic run skipped"
+let lost_to_string = function Fuel -> "out of fuel"
 
 (* the shadow side of one call *)
 type frame = {
@@ -389,77 +386,48 @@ type run_result = {
   r_branches_recorded : int;
 }
 
-let skipped_run (entry : string) (lost : lost) : run_result =
-  {
-    r_entry = entry;
-    r_outcome = Interp.Errored (lost_to_string lost);
-    r_lost = Some lost;
-    r_hits = [];
-    r_blocking = [];
-    r_branches_total = 0;
-    r_branches_recorded = 0;
-  }
-
 (** Run one entry function (usually a test) under the concolic engine.
-
-    The run is an injection point ({!Resilience.Fault.Concolic}): a
-    faulted run either raises {!Resilience.Fault.Injected}
-    (crash/transient — the engine's job retry handles it) or degrades
-    to an out-of-fuel outcome (budget).  An open circuit breaker skips
-    the run entirely; genuine fuel exhaustion trips the breaker the
-    same way an injected budget fault does. *)
+    A run that exhausts its fuel keeps the evidence it gathered up to
+    that point and reports [r_lost = Some Fuel]: the checker turns that
+    into a degraded report, never into a pass. *)
 let run ?(config = default_config) (program : Ast.program) (entry : string) :
     run_result =
   Telemetry.Trace.with_span ~cat:"symexec" ~args:[ ("entry", entry) ]
     "concolic.run"
   @@ fun () ->
-  if not (Resilience.Breaker.proceed Resilience.Fault.Concolic) then
-    skipped_run entry Breaker_open
-  else
-    match Resilience.Injector.draw Resilience.Fault.Concolic with
-    | Some (Resilience.Fault.Crash | Resilience.Fault.Transient) as k ->
-        Resilience.Injector.raise_fault Resilience.Fault.Concolic (Option.get k)
-    | Some Resilience.Fault.Budget ->
-        Resilience.Breaker.failure Resilience.Fault.Concolic;
-        skipped_run entry Injected_budget
-    | None ->
-        let shadow =
-          {
-            entry;
-            config;
-            stack = [];
-            hits = [];
-            blocking = [];
-            branches_total = 0;
-            branches_recorded = 0;
-            pc_cache = None;
-          }
-        in
-        let st =
-          Eval.create
-            ~config:
-              {
-                Interp.fuel = config.fuel;
-                on_event = None;
-                max_call_depth = config.max_call_depth;
-              }
-            ~shadow program
-        in
-        let outcome = Eval.test st entry in
-        (* the interpreter raises Out_of_fuel exactly when fuel hits zero *)
-        let lost = if st.Eval.fuel_left <= 0 then Some Fuel else None in
-        (match lost with
-        | Some _ -> Resilience.Breaker.failure Resilience.Fault.Concolic
-        | None -> Resilience.Breaker.success Resilience.Fault.Concolic);
+  let shadow =
+    {
+      entry;
+      config;
+      stack = [];
+      hits = [];
+      blocking = [];
+      branches_total = 0;
+      branches_recorded = 0;
+      pc_cache = None;
+    }
+  in
+  let st =
+    Eval.create
+      ~config:
         {
-          r_entry = entry;
-          r_outcome = outcome;
-          r_lost = lost;
-          r_hits = List.rev shadow.hits;
-          r_blocking = List.rev shadow.blocking;
-          r_branches_total = shadow.branches_total;
-          r_branches_recorded = shadow.branches_recorded;
+          Interp.fuel = config.fuel;
+          on_event = None;
+          max_call_depth = config.max_call_depth;
         }
+      ~shadow program
+  in
+  let outcome = Eval.test st entry in
+  {
+    r_entry = entry;
+    r_outcome = outcome;
+    (* the interpreter raises Out_of_fuel exactly when fuel hits zero *)
+    r_lost = (if st.Eval.fuel_left <= 0 then Some Fuel else None);
+    r_hits = List.rev shadow.hits;
+    r_blocking = List.rev shadow.blocking;
+    r_branches_total = shadow.branches_total;
+    r_branches_recorded = shadow.branches_recorded;
+  }
 
 (** Run several entries, concatenating results. *)
 let run_all ?(config = default_config) (program : Ast.program)

@@ -51,10 +51,7 @@ type config = {
 val default_config : config
 
 (** Why a run's evidence is incomplete. *)
-type lost =
-  | Fuel  (** the run exhausted its fuel *)
-  | Injected_budget  (** an injected budget fault stopped the run *)
-  | Breaker_open  (** an open circuit breaker skipped the run *)
+type lost = Fuel  (** the run exhausted its fuel *)
 
 val lost_to_string : lost -> string
 
@@ -68,7 +65,9 @@ type run_result = {
   r_branches_recorded : int;
 }
 
-(** Run one entry function (usually a test) under the engine. *)
+(** Run one entry function (usually a test) under the engine.  A run
+    that exhausts its fuel keeps the hits gathered so far and reports
+    [r_lost = Some Fuel]. *)
 val run : ?config:config -> Minilang.Ast.program -> string -> run_result
 
 val run_all : ?config:config -> Minilang.Ast.program -> string list -> run_result list

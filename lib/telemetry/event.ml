@@ -1,5 +1,6 @@
 (** Structured telemetry events: the single funnel behind [Lisa.Log]
-    and [Resilience.Events].  An event is (severity, scope, message);
+    and [Resilience.Events] (oracle retries, degraded components,
+    quarantined jobs).  An event is (severity, scope, message);
     scopes are cached per name and own a [Logs] source, so existing
     [Logs] level control ("-v", [Logs.Src.set_level]) keeps working.
 

@@ -1,5 +1,6 @@
 (** Structured telemetry events: the single funnel behind [Lisa.Log]
-    and [Resilience.Events].  Scopes own a [Logs] source (so existing
+    and [Resilience.Events] (oracle retries, degraded components,
+    quarantined jobs).  Scopes own a [Logs] source (so existing
     level control keeps working); message thunks are forced only when
     an event is actually wanted. *)
 

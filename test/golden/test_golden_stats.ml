@@ -50,7 +50,6 @@ let pinned ~jobs =
     ("engine.report_hits", 0);
     ("engine.report_misses", 54);
     ("engine.incremental_reuses", 14);
-    ("engine.retries", 0);
     ("engine.degraded_jobs", 0);
     (* no fields before; triage never runs inside an enforcement *)
     ("triage.tier.witnessed", 0);

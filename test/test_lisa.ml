@@ -83,7 +83,10 @@ let test_cross_check_rejects_flipped_rule () =
         let config =
           {
             Lisa.Pipeline.default_config with
-            Lisa.Pipeline.noise = { Oracle.Inference.epsilon = 1.0; seed };
+            Lisa.Pipeline.oracle =
+              (fun t ->
+                Oracle.Inference.infer
+                  ~noise:{ Oracle.Inference.epsilon = 1.0; seed } t);
           }
         in
         let o = Lisa.Pipeline.learn ~config ticket in

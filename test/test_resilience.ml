@@ -1,13 +1,14 @@
-(* Fault tolerance (lib/resilience + engine wiring): per-slot pool error
-   collection, solver node budgets, non-caching of Unknown verdicts,
-   deterministic fault plans, circuit breakers, checker degradation,
-   engine quarantine determinism, and the bit-for-bit no-fault pin
-   against the pre-resilience pipeline. *)
+(* Fault tolerance where failure is real (lib/resilience + engine
+   wiring): per-slot pool error collection, solver node budgets and the
+   fast path's budget asymmetry, non-caching of Unknown verdicts,
+   checker degradation under fuel and node budgets, evidence loss that
+   stays local to its rule and independent of the schedule, quarantine,
+   and the bit-for-bit pin against the pre-resilience pipeline. *)
 
 open Smt
 
-(* every test starts and ends on clean global state: injector disarmed
-   and rewound, breakers closed, SMT verdict cache empty *)
+(* every test starts and ends on clean global state: stock solver node
+   budget, SMT verdict cache empty *)
 let isolated f () =
   Lisa.Chaos.reset_shared_state ();
   Fun.protect ~finally:Lisa.Chaos.reset_shared_state f
@@ -36,8 +37,8 @@ let test_pool_collects_every_error () =
     "every failed slot keeps its own error, at any pool width" serial parallel;
   Alcotest.(check string) "slot 4 error" "err:boom4" serial.(4);
   Alcotest.(check string) "slot 7 value" "ok:70" serial.(7);
-  Alcotest.(check int) "five failures collected" 5
-    (List.length (Engine.Pool.failures (Engine.Pool.map_results ~jobs:4 f items)))
+  let failures = List.filter (String.starts_with ~prefix:"err:") (Array.to_list parallel) in
+  Alcotest.(check int) "five failures collected" 5 (List.length failures)
 
 let test_pool_crash_mid_drain () =
   (* one worker dies mid-drain: the other slots still all compute *)
@@ -47,18 +48,19 @@ let test_pool_crash_mid_drain () =
   in
   let oks = Array.to_list results |> List.filter Result.is_ok in
   Alcotest.(check int) "49 slots survive the crash" 49 (List.length oks);
-  (match Engine.Pool.failures results with
-  | [ (25, Failure m) ] -> Alcotest.(check string) "error text" "crash" m
-  | fs -> Alcotest.fail (Fmt.str "expected slot 25 only, got %d" (List.length fs)))
+  match results.(25) with
+  | Error (Failure m) -> Alcotest.(check string) "error text" "crash" m
+  | _ -> Alcotest.fail "expected the crash in slot 25"
 
-let test_pool_map_raises_first_by_index () =
-  (* the raising wrapper stays deterministic: first error by input slot,
-     not by completion order *)
+let test_pool_first_error_by_index () =
+  (* the first failed slot is the first by input index, not by
+     completion order: the same one at any pool width *)
   let f x = if x = 3 || x = 7 then failwith (Fmt.str "err%d" x) else x in
   List.iter
     (fun jobs ->
-      match Engine.Pool.map ~jobs f (Array.init 10 (fun i -> i)) with
-      | exception Failure m ->
+      let results = Engine.Pool.map_results ~jobs f (Array.init 10 (fun i -> i)) in
+      match List.find_opt Result.is_error (Array.to_list results) with
+      | Some (Error (Failure m)) ->
           Alcotest.(check string) (Fmt.str "jobs=%d" jobs) "err3" m
       | _ -> Alcotest.fail "expected the first error")
     [ 1; 4 ]
@@ -106,27 +108,50 @@ let test_solver_budget_boundary () =
 
 let test_unknown_is_not_unsat () =
   (* Unknown must be conservative: neither sat nor unsat *)
+  Solver.set_default_node_budget 1;
+  Alcotest.(check bool) "not unsat past the budget" false (Solver.is_unsat two_atom_f);
+  Alcotest.(check bool) "not sat past the budget" false (Solver.is_sat two_atom_f);
   Lisa.Chaos.reset_shared_state ();
-  Resilience.Injector.arm
-    (Resilience.Plan.make ~points:[ Resilience.Fault.Solver ]
-       ~kinds:[ Resilience.Fault.Budget ] ~seed:7 ~rate:1.0 ());
-  Alcotest.(check bool) "not unsat under injection" false
-    (Solver.is_unsat Formula.fls);
-  Alcotest.(check bool) "not sat under injection" false (Solver.is_sat Formula.tru)
+  Alcotest.(check bool) "sat at the stock budget" true (Solver.is_sat two_atom_f)
+
+(* DESIGN §7: the fast-path rungs run before the search and spend no
+   node budget, so a formula they refute is Unsat at budget 1 while the
+   search alone answers Unknown *)
+let test_fastpath_spends_no_budget () =
+  let x = Formula.tvar "fx" in
+  let interval =
+    Formula.conj [ Formula.eq x (Formula.tint 1); Formula.eq x (Formula.tint 2) ]
+  in
+  let a = Formula.bvar "fa" and b = Formula.bvar "fb" in
+  let clausal =
+    Formula.conj [ Formula.disj [ a; b ]; Formula.negate a; Formula.negate b ]
+  in
+  let answer ~fastpath f =
+    Solver.set_fastpath_enabled fastpath;
+    Fun.protect ~finally:(fun () -> Solver.set_fastpath_enabled true) @@ fun () ->
+    match Solver.solve ~node_budget:1 f with
+    | Solver.Sat _ -> "sat"
+    | Solver.Unsat -> "unsat"
+    | Solver.Unknown _ -> "unknown"
+  in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check string) (name ^ ", fast path off") "unknown"
+        (answer ~fastpath:false f);
+      Alcotest.(check string) (name ^ ", fast path on") "unsat" (answer ~fastpath:true f))
+    [ ("fx = 1 && fx = 2", interval); ("(fa || fb) && !fa && !fb", clausal) ]
 
 let test_memo_never_caches_unknown () =
   let was = Memo.enabled () in
   Fun.protect ~finally:(fun () -> Memo.set_enabled was) @@ fun () ->
   Memo.set_enabled true;
   Memo.reset ();
-  Resilience.Injector.arm
-    (Resilience.Plan.make ~points:[ Resilience.Fault.Solver ]
-       ~kinds:[ Resilience.Fault.Budget ] ~seed:7 ~rate:1.0 ());
+  Solver.set_default_node_budget 1;
   (match Memo.solve two_atom_f with
   | Solver.Unknown _ -> ()
-  | _ -> Alcotest.fail "rate-1.0 budget plan must yield Unknown");
+  | _ -> Alcotest.fail "node budget 1 must yield Unknown");
   Alcotest.(check int) "Unknown not stored" 0 (Memo.size ());
-  Resilience.Injector.disarm ();
+  Lisa.Chaos.reset_shared_state ();
   (match Memo.solve two_atom_f with
   | Solver.Sat _ -> ()
   | _ -> Alcotest.fail "healthy solver decides Sat");
@@ -158,60 +183,6 @@ let test_theory_memo_halving () =
     (size >= 4)
 
 (* ------------------------------------------------------------------ *)
-(* Plans, injector, breaker                                            *)
-(* ------------------------------------------------------------------ *)
-
-let draw_sequence plan point n =
-  List.init n (fun i -> Resilience.Plan.decide plan point i)
-
-let test_plan_deterministic () =
-  let mk () = Resilience.Plan.make ~seed:42 ~rate:0.3 () in
-  List.iter
-    (fun point ->
-      Alcotest.(check bool)
-        "same seed, same fault sequence" true
-        (draw_sequence (mk ()) point 100 = draw_sequence (mk ()) point 100))
-    Resilience.Fault.all_points;
-  let other = Resilience.Plan.make ~seed:43 ~rate:0.3 () in
-  Alcotest.(check bool)
-    "different seed, different sequence" false
-    (List.for_all
-       (fun point ->
-         draw_sequence (mk ()) point 100 = draw_sequence other point 100)
-       Resilience.Fault.all_points)
-
-let test_injector_replays_after_reset () =
-  let plan = Resilience.Plan.make ~seed:11 ~rate:0.5 () in
-  Resilience.Injector.arm plan;
-  let seq () =
-    List.init 20 (fun _ -> Resilience.Injector.draw Resilience.Fault.Solver)
-  in
-  let first = seq () in
-  Resilience.Injector.reset ();
-  let second = seq () in
-  Alcotest.(check bool) "reset rewinds the counters" true (first = second);
-  Alcotest.(check bool) "rate 0.5 fires something in 20 draws" true
-    (List.exists Option.is_some first)
-
-let test_breaker_opens_and_recovers () =
-  let point = Resilience.Fault.Oracle in
-  Resilience.Breaker.configure ~threshold:3 ~cooldown:2 ();
-  Fun.protect
-    ~finally:(fun () -> Resilience.Breaker.configure ~threshold:5 ~cooldown:20 ())
-  @@ fun () ->
-  Alcotest.(check bool) "starts closed" true (Resilience.Breaker.proceed point);
-  for _ = 1 to 3 do
-    Resilience.Breaker.failure point
-  done;
-  Alcotest.(check bool) "open after threshold" true (Resilience.Breaker.is_open point);
-  Alcotest.(check bool) "cooldown call 1 skipped" false (Resilience.Breaker.proceed point);
-  Alcotest.(check bool) "cooldown call 2 skipped" false (Resilience.Breaker.proceed point);
-  Alcotest.(check bool) "half-open probe allowed" true (Resilience.Breaker.proceed point);
-  Resilience.Breaker.success point;
-  Alcotest.(check bool) "probe success closes" false (Resilience.Breaker.is_open point);
-  Alcotest.(check int) "one trip recorded" 1 (Resilience.Breaker.trips point)
-
-(* ------------------------------------------------------------------ *)
 (* Checker degradation and engine quarantine                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -231,9 +202,7 @@ let test_checker_degrades_under_solver_budget () =
   let p = Corpus.Case.program_at (zk_case ()) 2 in
   let prepared = List.map (Engine.Checker.prepare p) rules in
   Lisa.Chaos.reset_shared_state ();
-  Resilience.Injector.arm
-    (Resilience.Plan.make ~points:[ Resilience.Fault.Solver ]
-       ~kinds:[ Resilience.Fault.Budget ] ~seed:3 ~rate:1.0 ());
+  Solver.set_default_node_budget 1;
   let reports = List.map (Engine.Checker.execute p) prepared in
   List.iter
     (fun (r : Engine.Checker.rule_report) ->
@@ -264,39 +233,43 @@ let test_checker_degrades_out_of_fuel () =
       Alcotest.(check int) "no violations invented" 0
         (List.length r.Engine.Checker.rep_violations)
 
-let quarantine_run rules =
-  Lisa.Chaos.reset_shared_state ();
-  Resilience.Injector.arm
-    (Resilience.Plan.make ~points:[ Resilience.Fault.Concolic ]
-       ~kinds:[ Resilience.Fault.Crash ] ~seed:5 ~rate:1.0 ());
-  let engine =
-    Engine.Scheduler.create
-      ~config:
-        { Engine.Scheduler.default_config with jobs = 1; retry_backoff_ms = 0 }
-      ()
+(* No hand-built rule makes [Checker.execute] raise: ill-sorted
+   conditions, empty or dotted variables and unresolvable targets all
+   answer a report.  So quarantine is pinned on the scheduler's two
+   parts: the pool keeps each raised exception in its job's slot, and
+   the slot becomes a quarantined report with [Printexc.to_string e] as
+   its reason, identically at every pool width. *)
+let quarantine_run rules ~jobs =
+  let rules = Array.of_list rules in
+  let results =
+    Engine.Pool.map_results ~jobs
+      (fun i -> if i mod 2 = 0 then failwith (Fmt.str "job %d crashed" i) else i)
+      (Array.init (Array.length rules) (fun i -> i))
   in
-  let book = Semantics.Rulebook.of_rules ~system:"zookeeper" rules in
-  let reports =
-    Engine.Scheduler.enforce engine (Corpus.Case.program_at (zk_case ()) 2) book
-  in
-  let stats = Engine.Scheduler.stats engine in
-  ( List.sort compare stats.Engine.Stats.quarantined,
-    stats.Engine.Stats.retries,
-    List.map Engine.Checker.report_summary reports )
+  Array.to_list results
+  |> List.mapi (fun i result ->
+         match result with
+         | Ok _ -> []
+         | Error e ->
+             let r =
+               Engine.Checker.quarantined_report rules.(i) ~reason:(Printexc.to_string e)
+             in
+             r.Engine.Checker.rep_degraded)
 
 let test_engine_quarantine_deterministic () =
-  let rules = learn_zk () in
-  let q1, r1, s1 = quarantine_run rules in
-  let q2, r2, s2 = quarantine_run rules in
-  Alcotest.(check bool) "a rate-1.0 crash plan quarantines" true (q1 <> []);
-  Alcotest.(check (list string)) "quarantine set replays" q1 q2;
-  Alcotest.(check int) "retry count replays" r1 r2;
-  Alcotest.(check (list string)) "summaries replay" s1 s2;
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "quarantined summary is degraded" true
-        (contains s "degraded="))
-    s1
+  let zk = List.hd (learn_zk ()) in
+  let rules = [ zk; zk; zk ] in
+  let serial = quarantine_run rules ~jobs:1 in
+  Alcotest.(check (list (list string)))
+    "each raising job is quarantined at once, with its exception"
+    [
+      [ "quarantined: Failure(\"job 0 crashed\")" ];
+      [];
+      [ "quarantined: Failure(\"job 2 crashed\")" ];
+    ]
+    serial;
+  Alcotest.(check (list (list string)))
+    "identical at jobs=4" serial (quarantine_run rules ~jobs:4)
 
 let test_quarantined_report_shape () =
   let rule = List.hd (learn_zk ()) in
@@ -304,6 +277,78 @@ let test_quarantined_report_shape () =
   Alcotest.(check bool) "degraded" true (Engine.Checker.is_degraded r);
   Alcotest.(check bool) "never reads verified" false r.Engine.Checker.rep_sanity_ok;
   Alcotest.(check bool) "carries no violations" false (Engine.Checker.has_violations r)
+
+(* ------------------------------------------------------------------ *)
+(* Evidence loss stays local                                           *)
+(* ------------------------------------------------------------------ *)
+
+let zk_system_book = lazy (Lisa.System_scan.learn_system_book "zookeeper")
+
+let system_rule id =
+  match
+    List.find_opt
+      (fun (r : Semantics.Rule.t) -> r.Semantics.Rule.rule_id = id)
+      (Semantics.Rulebook.rules (Lazy.force zk_system_book))
+  with
+  | Some r -> r
+  | None -> Alcotest.failf "zookeeper book has no rule %s" id
+
+(* one rule's fuel-outs cost only that rule's evidence: the other guard
+   rules checked right after it judge every trace they would have
+   judged on a fresh process *)
+let test_fuel_out_stays_local () =
+  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
+  let starved =
+    Engine.Checker.check_rule
+      ~config:{ Engine.Checker.default_config with fuel = 3 }
+      p (system_rule "ZK-1208.g41.gen")
+  in
+  Alcotest.(check bool) "the starved rule is degraded" true
+    (Engine.Checker.is_degraded starved);
+  let judged id =
+    let r = Engine.Checker.check_rule p (system_rule id) in
+    ( id,
+      List.length r.Engine.Checker.rep_traces,
+      List.length r.Engine.Checker.rep_violations )
+  in
+  Alcotest.(check (list (triple string int int)))
+    "(rule, traces judged, violations)"
+    [ ("ZK-2471.g5.gen", 5, 2); ("ZK-2593.g3.gen", 4, 1); ("ZK-2722.g5.gen", 5, 1) ]
+    (List.map judged [ "ZK-2471.g5.gen"; "ZK-2593.g3.gen"; "ZK-2722.g5.gen" ])
+
+(* lost evidence depends on the budgets, never on the schedule: the
+   builtin E11 render at fuel 3 (rules learned at stock fuel) *)
+let test_starved_scan_same_at_every_width () =
+  let reg = Corpus.Registry.builtin in
+  let books =
+    List.map
+      (fun s -> (s, Lisa.System_scan.learn_system_book s))
+      reg.Corpus.Registry.systems
+  in
+  let render jobs =
+    Lisa.Chaos.reset_shared_state ();
+    let checker = { Engine.Checker.default_config with fuel = 3 } in
+    let engine =
+      Engine.Scheduler.create
+        ~config:{ Engine.Scheduler.default_config with jobs; checker }
+        ()
+    in
+    String.concat "\n"
+      (List.concat_map
+         (fun (system, book) ->
+           List.map
+             (fun version ->
+               let p = Corpus.Registry.program_of reg system ~version in
+               Lisa.Report.render
+                 ~title:(Fmt.str "%s v%d" system version)
+                 (Lisa.Pipeline.enforce_with engine p book))
+             reg.Corpus.Registry.scan_versions)
+         books)
+  in
+  let serial = render 1 in
+  Alcotest.(check bool) "fuel 3 loses evidence" true (contains serial "DEGRADED");
+  Alcotest.(check string) "jobs=2" serial (render 2);
+  Alcotest.(check string) "jobs=4" serial (render 4)
 
 (* ------------------------------------------------------------------ *)
 (* No-fault bit-for-bit pin                                            *)
@@ -376,8 +421,7 @@ let test_event_sink_capture () =
   Resilience.Events.set_sink (fun e -> seen := e :: !seen);
   Fun.protect ~finally:Lisa.Log.install_resilience_sink @@ fun () ->
   Resilience.Events.emit
-    (Resilience.Events.Job_quarantined
-       { job = "r1"; attempts = 3; reason = "boom" });
+    (Resilience.Events.Job_quarantined { job = "r1"; reason = "boom" });
   match !seen with
   | [ (Resilience.Events.Job_quarantined _ as e) ] ->
       Alcotest.(check bool) "quarantine is an error" true
@@ -424,8 +468,8 @@ let suite =
           (isolated test_pool_collects_every_error);
         Alcotest.test_case "worker crash mid-drain" `Quick
           (isolated test_pool_crash_mid_drain);
-        Alcotest.test_case "map raises first by index" `Quick
-          (isolated test_pool_map_raises_first_by_index);
+        Alcotest.test_case "first error by index" `Quick
+          (isolated test_pool_first_error_by_index);
       ] );
     ( "resilience.solver",
       [
@@ -435,23 +479,16 @@ let suite =
           (isolated test_solver_budget_boundary);
         Alcotest.test_case "Unknown is conservative" `Quick
           (isolated test_unknown_is_not_unsat);
+        Alcotest.test_case "fast path spends no budget" `Quick
+          (isolated test_fastpath_spends_no_budget);
         Alcotest.test_case "memo never caches Unknown" `Quick
           (isolated test_memo_never_caches_unknown);
         Alcotest.test_case "theory memo halves, not clears" `Quick
           (isolated test_theory_memo_halving);
       ] );
-    ( "resilience.injection",
-      [
-        Alcotest.test_case "plan deterministic per seed" `Quick
-          (isolated test_plan_deterministic);
-        Alcotest.test_case "injector replays after reset" `Quick
-          (isolated test_injector_replays_after_reset);
-        Alcotest.test_case "breaker opens and recovers" `Quick
-          (isolated test_breaker_opens_and_recovers);
-      ] );
     ( "resilience.engine",
       [
-        Alcotest.test_case "checker degrades under solver faults" `Quick
+        Alcotest.test_case "checker degrades under solver budget" `Quick
           (isolated test_checker_degrades_under_solver_budget);
         Alcotest.test_case "checker degrades out of fuel" `Quick
           test_checker_degrades_out_of_fuel;
@@ -461,6 +498,13 @@ let suite =
           (isolated test_quarantined_report_shape);
         Alcotest.test_case "no-fault run bit-for-bit pinned" `Quick
           (isolated test_no_fault_bit_for_bit);
+      ] );
+    ( "resilience.locality",
+      [
+        Alcotest.test_case "fuel-out stays in its rule" `Quick
+          (isolated test_fuel_out_stays_local);
+        Alcotest.test_case "fuel 3 scan, jobs 1 = 2 = 4" `Quick
+          (isolated test_starved_scan_same_at_every_width);
       ] );
     ( "resilience.events",
       [

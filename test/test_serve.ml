@@ -640,6 +640,42 @@ let builtin_with (f : Corpus.Case.t -> Corpus.Case.t) : Corpus.Registry.t =
 
 let first_case () = List.hd Corpus.Registry.builtin.Corpus.Registry.cases
 
+(* [src] with every test spinning forever before its first statement *)
+let spin_tests (src : string) : string =
+  let marker = "method test_" in
+  let n = String.length src and m = String.length marker in
+  let buf = Buffer.create (n + 1024) in
+  let rec go i =
+    if i >= n then ()
+    else if i + m <= n && String.sub src i m = marker then begin
+      let brace = String.index_from src i '{' in
+      Buffer.add_string buf (String.sub src i (brace + 1 - i));
+      Buffer.add_string buf " while (true) { }";
+      go (brace + 1)
+    end
+    else begin
+      Buffer.add_char buf src.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents buf
+
+(* The builtin corpus, except that from version 2 on every zookeeper
+   test livelocks: each concolic run there exhausts its fuel, so its
+   verdicts are degraded (lost evidence), never clean. *)
+let livelock_registry () =
+  builtin_with (fun c ->
+      if c.Corpus.Case.system <> "zookeeper" then c
+      else
+        {
+          c with
+          Corpus.Case.source =
+            (fun stage ->
+              let src = c.Corpus.Case.source stage in
+              if stage >= 2 then spin_tests src else src);
+        })
+
 let case_line ?(tenant = "t") ?(id = "r") ?(ticket = 0) case_id version =
   Printf.sprintf
     "{\"id\":%S,\"tenant\":%S,\"case\":%S,\"ticket\":%d,\"version\":%d}"
@@ -767,7 +803,12 @@ let test_daemon_hit_reads_no_source () =
     (List.map Serve.Protocol.verdict_signature replay)
 
 let test_daemon_key_memo_bounded () =
-  let d = Serve.Daemon.create () in
+  let d =
+    Serve.Daemon.create
+      ~config:
+        { Serve.Daemon.default_config with Serve.Daemon.registry = livelock_registry () }
+      ()
+  in
   let size () = Serve.Daemon.key_memo_size d in
   let sys_ticket ticket =
     Printf.sprintf
@@ -794,11 +835,9 @@ let test_daemon_key_memo_bounded () =
       ("version out of range", req_line ~tenant 99);
       ("ticket out of range", case_line ~tenant ~ticket:9 case_id 1);
     ];
-  (* the memo holds keys, not verdicts: a degraded verdict is never
-     cached, so its coordinates' next request runs again *)
-  Resilience.Injector.arm
-    (Resilience.Plan.make ~points:[ Resilience.Fault.Concolic ]
-       ~kinds:[ Resilience.Fault.Crash ] ~seed:5 ~rate:1.0 ());
+  (* the memo holds keys, not verdicts: a degraded verdict (zookeeper v2
+     livelocks) is never cached, so its coordinates' next request runs
+     again *)
   let degraded () =
     match Serve.Daemon.handle_line d (req_line 2) with
     | Serve.Protocol.Ok_enforce { cached; summary; _ } ->
@@ -811,6 +850,35 @@ let test_daemon_key_memo_bounded () =
   Alcotest.(check int) "its key is memoized" 2 (size ());
   Alcotest.(check bool) "next request still uncached" false (degraded ());
   Alcotest.(check int) "memo unchanged" 2 (size ())
+
+(* One request's lost evidence stays in that request: after zookeeper v2
+   requests whose every concolic run fuels out (far more than five in a
+   row), a healthy system's reply equals a fresh daemon's. *)
+let test_daemon_livelock_stays_in_its_request () =
+  let config =
+    { Serve.Daemon.default_config with Serve.Daemon.registry = livelock_registry () }
+  in
+  let d = Serve.Daemon.create ~config () in
+  List.iter
+    (fun id ->
+      match Serve.Daemon.handle_line d (req_line ~id 2) with
+      | Serve.Protocol.Ok_enforce { summary; _ } ->
+          Alcotest.(check bool) (id ^ " degraded") true
+            (summary.Serve.Protocol.sum_degraded <> [])
+      | r -> Alcotest.failf "%s: %s" id (Serve.Protocol.render_response r))
+    [ "spin1"; "spin2" ];
+  let healthy = req_line ~id:"healthy" ~system:"hdfs" 2 in
+  let after_livelock = Serve.Daemon.handle_line d healthy in
+  Lisa.Chaos.reset_shared_state ();
+  let fresh = Serve.Daemon.handle_line (Serve.Daemon.create ~config ()) healthy in
+  (match fresh with
+  | Serve.Protocol.Ok_enforce { summary; _ } ->
+      Alcotest.(check (list string)) "a fresh daemon's reply is not degraded" []
+        summary.Serve.Protocol.sum_degraded
+  | r -> Alcotest.failf "healthy: %s" (Serve.Protocol.render_response r));
+  Alcotest.(check string) "healthy reply after the livelocks = a fresh daemon's"
+    (Serve.Protocol.verdict_signature fresh)
+    (Serve.Protocol.verdict_signature after_livelock)
 
 (* response-cache keys as computed before the key memo existed: snapshots
    written by earlier daemons must keep warm-starting this one *)
@@ -905,6 +973,8 @@ let suite =
           (isolated test_daemon_hit_reads_no_source);
         Alcotest.test_case "key memo is bounded and holds no verdict" `Slow
           (isolated test_daemon_key_memo_bounded);
+        Alcotest.test_case "a livelock stays in its request" `Quick
+          (isolated test_daemon_livelock_stays_in_its_request);
         Alcotest.test_case "response-cache keys are pinned" `Slow
           (isolated test_daemon_keys_pinned);
       ] );

@@ -319,38 +319,29 @@ let test_mock_clock_jobs1_equals_jobs4 () =
 (* ------------------------------------------------------------------ *)
 
 (* The only edit this counter needs. *)
-let faults_in_jobs =
-  Metrics.counter "test.faults_in_jobs" ~doc:"test-only: solver faults drawn in jobs"
+let _fresh_counter =
+  Metrics.counter "test.fresh_counter" ~doc:"test-only: declared, never bumped"
 
-(* A fault plan that fails every solver call, and a resilience event
-   sink (which runs on the emitting domain) that bumps the counter:
-   every bump happens inside a checker job of the enforcement. *)
+(* A counter declared in one place, and nowhere else, shows up in the
+   scheduler's stats (with its delta over the enforcement: 0, since
+   nothing bumps it) and as a "ph":"C" event in the trace.  That a bump
+   made inside a checker job reaches the stats is covered by the golden
+   stats pin (smt.solve_calls and smt.memo.* are bumped inside jobs) and
+   by "recorder counts through metrics" above. *)
 let test_one_declaration () =
   let book = Lazy.force zk_book in
   Lisa.Chaos.reset_shared_state ();
-  Resilience.Events.set_sink (function
-    | Resilience.Events.Fault_injected _ -> Metrics.bump faults_in_jobs
-    | _ -> ());
-  Resilience.Injector.arm
-    (Resilience.Plan.make ~points:[ Resilience.Fault.Solver ]
-       ~kinds:[ Resilience.Fault.Budget ] ~seed:1 ~rate:1.0 ());
-  Fun.protect
-    ~finally:(fun () ->
-      Lisa.Chaos.reset_shared_state ();
-      Lisa.Log.install_resilience_sink ())
-  @@ fun () ->
+  Fun.protect ~finally:Lisa.Chaos.reset_shared_state @@ fun () ->
   with_tracing (fun () ->
       let engine = Engine.Scheduler.create ~config:Engine.Scheduler.cold_config () in
       let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
       ignore (Engine.Scheduler.enforce engine p book);
       let counters = Engine.Stats.counters (Engine.Scheduler.stats engine) in
-      let n = List.assoc "test.faults_in_jobs" counters in
-      Alcotest.(check bool) "bumped during the enforcement" true (n > 0);
-      Alcotest.(check int) "every bump is in the scheduler's stats"
-        (Metrics.value faults_in_jobs) n;
+      Alcotest.(check (option int)) "in the scheduler's stats, delta 0" (Some 0)
+        (List.assoc_opt "test.fresh_counter" counters);
       let is_counter_event ev =
         let str k = Option.bind (Serve.Jsonu.member k ev) Serve.Jsonu.to_str in
-        str "name" = Some "test.faults_in_jobs" && str "ph" = Some "C"
+        str "name" = Some "test.fresh_counter" && str "ph" = Some "C"
       in
       match Serve.Jsonu.parse (Trace.export_json ()) with
       | Ok (Serve.Jsonu.List evs) ->

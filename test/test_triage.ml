@@ -136,7 +136,9 @@ let noisy_tiers ~jobs () =
   let config =
     {
       Lisa.Pipeline.default_config with
-      Lisa.Pipeline.noise = { Oracle.Inference.epsilon = 1.0; seed = 7 };
+      Lisa.Pipeline.oracle =
+        (fun t ->
+          Oracle.Inference.infer ~noise:{ Oracle.Inference.epsilon = 1.0; seed = 7 } t);
       cross_check = false;
     }
   in
@@ -210,7 +212,11 @@ let scan ?(noise = Oracle.Inference.no_noise) ?(cross_check = true) ?triage ()
     =
   Lisa.Chaos.reset_shared_state ();
   let config =
-    { Lisa.Pipeline.default_config with Lisa.Pipeline.noise; cross_check }
+    {
+      Lisa.Pipeline.default_config with
+      Lisa.Pipeline.oracle = (fun t -> Oracle.Inference.infer ~noise t);
+      cross_check;
+    }
   in
   fst (Lisa.System_scan.run_engine ~config ?triage ())
 
