@@ -11,10 +11,9 @@ test:
 # Every span/counter name the trace export must mention for the engine
 # workload (tools/trace_check parses the JSON and looks for an event of
 # each name; counter:NAME requires a "ph":"C" event of that name).
-TRACE_SPANS = engine.enforce engine.incremental engine.prepare \
+TRACE_SPANS = engine.enforce engine.prepare \
   engine.execute engine.job checker.prepare checker.execute smt.solve \
-  concolic.run oracle.infer counter:engine.report_hits \
-  counter:engine.report_misses counter:smt.memo.hits \
+  concolic.run oracle.infer counter:smt.memo.hits \
   counter:smt.memo.misses counter:smt.solve_calls counter:core.intern.hits \
   counter:core.intern.misses counter:core.intern.size \
   counter:smt.propagations counter:core.shard.contention \

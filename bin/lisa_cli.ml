@@ -379,8 +379,8 @@ let engine_cmd =
     (Cmd.info "engine"
        ~doc:
          "Run the whole-system scan (every rulebook against releases \
-          v1/v2/v3/v5) through the parallel, incremental, cached enforcement \
-          engine and print its statistics")
+          v1/v2/v3/v5) through the parallel enforcement engine and print \
+          its statistics")
     Term.(
       const (fun () j t nr ns ncc tr -> run j t nr ns ncc tr)
       $ logs_t $ jobs_arg $ trace_arg $ noise_rate_arg $ noise_seed_arg

@@ -32,8 +32,6 @@ type added_guard = {
 
 type method_change = {
   mc_qname : string;
-  mc_added_stmts : string list;  (** printed heads of statements only in new *)
-  mc_removed_stmts : string list;  (** printed heads of statements only in old *)
   mc_added_guards : added_guard list;
 }
 
@@ -43,32 +41,11 @@ type t = {
   changed_methods : method_change list;
 }
 
-let stmt_key (st : Ast.stmt) : string = Pretty.stmt_head_to_string st
-
 let method_map (p : Ast.program) : (string * Ast.method_decl) list =
   List.map (fun (cls, m) -> (Ast.qualified_name cls m, m)) (Ast.methods_of_program p)
 
 let body_text (m : Ast.method_decl) : string = Pretty.method_to_string m
 
-(* multiset of statement keys in a method *)
-let stmt_keys (m : Ast.method_decl) : string list =
-  List.map stmt_key (Ast.stmts_of_method m)
-
-let multiset_sub (a : string list) (b : string list) : string list =
-  (* elements of [a] not matched by an occurrence in [b] *)
-  let b = ref b in
-  List.filter
-    (fun x ->
-      let rec remove acc = function
-        | [] -> None
-        | y :: rest -> if String.equal x y then Some (List.rev_append acc rest) else remove (y :: acc) rest
-      in
-      match remove [] !b with
-      | Some rest ->
-          b := rest;
-          false
-      | None -> true)
-    a
 
 (* Does a block unconditionally exit (return/throw) on every path? *)
 let rec block_exits (b : Ast.block) : bool = List.exists stmt_exits b
@@ -201,12 +178,9 @@ let compare_programs (old_p : Ast.program) (new_p : Ast.program) : t =
         | Some m_old ->
             if String.equal (body_text m_old) (body_text m_new) then None
             else
-              let old_keys = stmt_keys m_old and new_keys = stmt_keys m_new in
               Some
                 {
                   mc_qname = qname;
-                  mc_added_stmts = multiset_sub new_keys old_keys;
-                  mc_removed_stmts = multiset_sub old_keys new_keys;
                   mc_added_guards =
                     (* [added_guards_of] already covers extended guards (their
                        new text is absent from the old version); keep

@@ -19,8 +19,6 @@ type added_guard = {
 
 type method_change = {
   mc_qname : string;
-  mc_added_stmts : string list;  (** printed heads only in the new version *)
-  mc_removed_stmts : string list;  (** printed heads only in the old version *)
   mc_added_guards : added_guard list;
 }
 

@@ -19,11 +19,11 @@
 
     The check is split into two phases so the enforcement engine
     ({!Scheduler}) can treat them differently: {!prepare} runs the cheap
-    static analyses (steps 1–3) whose outputs also determine the job's
-    cache key, and {!execute} runs the expensive dynamic part (steps 4–6)
-    — the unit of work the engine parallelizes and memoizes.
-    [check_rule] composes the two and behaves exactly like the historic
-    single-shot checker. *)
+    static analyses (steps 1–3) whose outputs also give the job's
+    priority, and {!execute} runs the expensive dynamic part (steps 4–6)
+    — the unit of work the engine parallelizes.  [check_rule] composes
+    the two for one rule; [check_book] is the one rulebook body, shared
+    with the engine. *)
 
 open Minilang
 
@@ -50,7 +50,7 @@ let default_config =
   }
 
 (* A stable rendering of the knobs that influence enforcement results;
-   part of the engine's cache key. *)
+   part of the serve daemon's response-cache key. *)
 let config_tag (c : config) : string =
   let sel =
     match c.selection with
@@ -152,8 +152,7 @@ let quarantined_report (rule : Semantics.Rule.t) ~(reason : string) :
 (* Prepared jobs (static phase)                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Output of the static phase: everything the dynamic phase needs, and
-    everything the engine's cache key must cover. *)
+(** Output of the static phase: everything the dynamic phase needs. *)
 type prepared = {
   prep_rule : Semantics.Rule.t;
   prep_tests : string list;  (** concrete inputs the dynamic phase runs *)
@@ -173,13 +172,6 @@ let prepared_static_paths (pr : prepared) : Analysis.Paths.exec_path list =
   match pr.prep_kind with
   | Prep_guard { pg_trees; _ } ->
       List.concat_map (fun t -> t.Analysis.Paths.et_paths) pg_trees
-  | Prep_lock _ -> []
-
-(** Qualified names of the methods holding a resolved target statement. *)
-let prepared_target_methods (pr : prepared) : string list =
-  match pr.prep_kind with
-  | Prep_guard { pg_targets; _ } ->
-      List.sort_uniq compare (List.map fst pg_targets)
   | Prep_lock _ -> []
 
 (* ------------------------------------------------------------------ *)
@@ -231,13 +223,21 @@ let guard_runs (config : config) (p : Ast.program) (pr : prepared)
 
 (** Judge every hit against the checker condition, in input order: each
     trace is one independent (cached) solver query, the paper's §3.2
-    check. *)
+    check.  An ill-sorted condition is never sent: both of its checks
+    are unsatisfiable whatever the trace did, so every trace is
+    undecided. *)
 let judge_hits (config : config) ~(condition : Smt.Formula.t)
     (hits : Symexec.Concolic.hit list) : trace_verdict list =
   let check =
-    match config.method_ with
-    | Complement -> Smt.Memo.check_trace
-    | Direct -> Smt.Memo.check_trace_direct
+    match (Smt.Theory.ill_sorted condition, config.method_) with
+    | a :: _, _ ->
+        let why =
+          Fmt.str "ill-sorted checker condition: %s orders a non-integer constant"
+            (Smt.Formula.atom_to_string a)
+        in
+        fun ~pc:_ ~checker:_ -> Smt.Solver.Undecided why
+    | [], Complement -> Smt.Memo.check_trace
+    | [], Direct -> Smt.Memo.check_trace_direct
   in
   List.map
     (fun (h : Symexec.Concolic.hit) ->
@@ -456,7 +456,7 @@ let prepare ?(config = default_config) ?graph (p : Ast.program)
 
 (** Dynamic phase: concolic exploration and SMT judging of a prepared
     rule.  This is the unit of work the engine schedules on its worker
-    pool and memoizes in the report cache. *)
+    pool. *)
 let execute ?(config = default_config) (p : Ast.program) (pr : prepared) :
     rule_report =
   Telemetry.Trace.with_span ~cat:"checker"
@@ -490,13 +490,21 @@ let guard_evidence ?(config = default_config) (p : Ast.program) (pr : prepared)
         ( pg_condition,
           List.concat_map (fun r -> r.Symexec.Concolic.r_hits) runs )
 
-(** Check a whole rulebook. *)
-let check_book ?(config = default_config) (p : Ast.program)
+(** Check a whole rulebook: one call graph, {!prepare} per rule in
+    rulebook order, then [run] applies {!execute} to the prepared rules
+    and returns their reports in the same order.  The default runs them
+    one after another; the engine passes its worker pool. *)
+let check_book ?(config = default_config) ?(run = List.map) (p : Ast.program)
     (book : Semantics.Rulebook.t) : rule_report list =
-  let g = Analysis.Callgraph.build p in
-  List.map
-    (fun rule -> execute ~config p (prepare ~config ~graph:g p rule))
-    (Semantics.Rulebook.rules book)
+  let prepared =
+    Telemetry.Trace.with_span ~cat:"engine" "engine.prepare" @@ fun () ->
+    let graph = Analysis.Callgraph.build p in
+    List.map (prepare ~config ~graph p) (Semantics.Rulebook.rules book)
+  in
+  Telemetry.Trace.with_span ~cat:"engine"
+    ~args:[ ("scheduled", string_of_int (List.length prepared)) ]
+    "engine.execute"
+  @@ fun () -> run (execute ~config p) prepared
 
 let report_summary (r : rule_report) : string =
   let base =

@@ -1,10 +1,9 @@
 (** Rule enforcement (paper §3.2), split into a static phase
     ({!prepare}: target resolution, execution trees, test selection) and
     a dynamic phase ({!execute}: concolic exploration + SMT judging).
-    The engine ({!Scheduler}) fingerprints the static phase's outputs to
-    key its report cache and runs the dynamic phase on its worker pool;
-    [check_rule] composes the two and behaves like the historic
-    single-shot checker. *)
+    The engine ({!Scheduler}) runs the dynamic phase on its worker pool;
+    [check_rule] composes the two for one rule, and [check_book] is the
+    one rulebook body the engine shares. *)
 
 open Minilang
 
@@ -24,8 +23,8 @@ type config = {
 
 val default_config : config
 
-(** Stable rendering of the result-influencing knobs; part of the
-    engine's cache key. *)
+(** Stable rendering of the result-influencing knobs; part of the serve
+    daemon's response-cache key. *)
 val config_tag : config -> string
 
 (** One judged trace (a target arrival). *)
@@ -84,8 +83,7 @@ val quarantined_report : Semantics.Rule.t -> reason:string -> rule_report
 
 (** {1 The two-phase API used by the engine} *)
 
-(** Output of the static phase: the dynamic phase's full input set, which
-    is also what the engine's cache key must cover. *)
+(** Output of the static phase: the dynamic phase's full input set. *)
 type prepared = {
   prep_rule : Semantics.Rule.t;
   prep_tests : string list;  (** concrete inputs the dynamic phase runs *)
@@ -103,9 +101,6 @@ and prep_kind =
 
 val prepared_static_paths : prepared -> Analysis.Paths.exec_path list
 
-(** Qualified names of the methods holding a resolved target statement. *)
-val prepared_target_methods : prepared -> string list
-
 (** Static phase.  [?graph] shares a prebuilt call graph across the rules
     of one program version. *)
 val prepare :
@@ -115,12 +110,14 @@ val prepare :
   Semantics.Rule.t ->
   prepared
 
-(** Dynamic phase: the unit of work the engine parallelizes and caches. *)
+(** Dynamic phase: the unit of work the engine parallelizes. *)
 val execute : ?config:config -> Ast.program -> prepared -> rule_report
 
 (** Judge concolic hits against a checker condition, in input order:
-    one independent {!Smt.Memo} query per hit.  Exposed so trace judging
-    can be timed and tested on its own. *)
+    one independent {!Smt.Memo} query per hit.  An ill-sorted condition
+    ({!Smt.Theory.ill_sorted}) is never sent to the solver: every hit is
+    [Undecided].  Exposed so trace judging can be timed and tested on
+    its own. *)
 val judge_hits :
   config ->
   condition:Smt.Formula.t ->
@@ -137,14 +134,22 @@ val guard_evidence :
   prepared ->
   (Smt.Formula.t * Symexec.Concolic.hit list) option
 
-(** {1 Single-shot entry points (historic behaviour)} *)
+(** {1 Single-shot entry points} *)
 
 (** Check one rule against a program version. *)
 val check_rule :
   ?config:config -> Ast.program -> Semantics.Rule.t -> rule_report
 
-(** Check a whole rulebook (one shared call graph). *)
+(** Check a whole rulebook: one shared call graph, {!prepare} per rule
+    in rulebook order (span [engine.prepare]), then [run] (default
+    [List.map]) applies {!execute} to the prepared rules and must return
+    their reports in the same order (span [engine.execute]).  The engine
+    passes its worker pool as [run]; every other caller runs serially. *)
 val check_book :
-  ?config:config -> Ast.program -> Semantics.Rulebook.t -> rule_report list
+  ?config:config ->
+  ?run:((prepared -> rule_report) -> prepared list -> rule_report list) ->
+  Ast.program ->
+  Semantics.Rulebook.t ->
+  rule_report list
 
 val report_summary : rule_report -> string

@@ -1,119 +1,14 @@
-(** Deterministic fingerprints for programs, methods, and enforcement
-    jobs.
+(** Deterministic program fingerprints.
 
-    All digests are over *canonical printed text* ({!Minilang.Pretty}),
+    The digest is over *canonical printed text* ({!Minilang.Pretty}),
     never over statement ids: sids are assigned by global parse order, so
     an edit in one feature module renumbers every other module — printed
     text is the identity that survives unrelated churn (the same property
-    [lib/diffing] relies on).
-
-    The central notion is a rule's {e region}: the set of methods whose
-    text can influence the rule's enforcement verdict on a version.
-
-    - For a state-guard rule it is the caller-closure of every method
-      holding a resolved target statement (anything that can drive
-      execution {e into} the target), closed under reachability (anything
-      such a driver can execute on the way), unioned with everything
-      reachable from the selected test entries (the concolic inputs).
-    - For a lock-discipline rule it is the whole program: the lock-scope
-      analysis and the blocking-event sweep both scan every method.
-
-    A job's cache key digests the rule, the checker knobs, the selected
-    tests, and the region's method texts — so two versions whose
-    difference lies entirely outside a rule's region produce the same key
-    and share one enforcement report. *)
+    [lib/diffing] relies on).  The serve daemon keys its response cache
+    on it. *)
 
 open Minilang
 
 (** Whole-program fingerprint: digest of the canonical printed program. *)
 let program (p : Ast.program) : string =
   Digest.to_hex (Digest.string (Pretty.program_to_string p))
-
-(** [qname -> canonical text] for every method and top-level function. *)
-let methods (p : Ast.program) : (string * string) list =
-  List.map
-    (fun (cls, m) -> (Ast.qualified_name cls m, Pretty.method_to_string m))
-    (Ast.methods_of_program p)
-
-(* caller-closure: every node from which any seed is reachable
-   (inclusive), by BFS over the reversed edges *)
-let ancestors (g : Analysis.Callgraph.t) (seeds : string list) : string list =
-  let seen = Hashtbl.create 16 in
-  let rec go frontier =
-    match frontier with
-    | [] -> ()
-    | n :: rest ->
-        if Hashtbl.mem seen n then go rest
-        else begin
-          Hashtbl.add seen n ();
-          go (Analysis.Callgraph.callers g n @ rest)
-        end
-  in
-  go seeds;
-  Hashtbl.fold (fun n () acc -> n :: acc) seen []
-
-(** The methods whose text can influence a prepared rule's verdict,
-    sorted.  See the module doc for the definition. *)
-let region (g : Analysis.Callgraph.t) (pr : Checker.prepared) : string list =
-  match pr.Checker.prep_kind with
-  | Checker.Prep_lock _ -> List.sort_uniq compare g.Analysis.Callgraph.nodes
-  | Checker.Prep_guard _ ->
-      let target_methods = Checker.prepared_target_methods pr in
-      let drivers = ancestors g target_methods in
-      let reach seed = Analysis.Callgraph.reachable_from g seed in
-      List.sort_uniq compare
-        (List.concat_map reach drivers
-        @ List.concat_map reach pr.Checker.prep_tests
-        @ drivers)
-
-(** Deterministic job id for one (program version, rule) pair. *)
-let job_id ~(program_fp : string) ~(rule_id : string) : string =
-  Digest.to_hex (Digest.string (program_fp ^ "#" ^ rule_id))
-
-(* Rule-body component of the cache key.  Guard conditions are interned
-   formulas, so the formula *id* stands in for the canonical rendering:
-   ids are injective on structure within a process (hash-consing), and
-   the report cache never outlives the process, so equal key strings
-   still imply equal rule bodies — without re-rendering the condition on
-   every key computation. *)
-let rule_body_tag (r : Semantics.Rule.t) : string =
-  match r.Semantics.Rule.body with
-  | Semantics.Rule.State_guard { target; condition } ->
-      Printf.sprintf "guard:%s#%d"
-        (Semantics.Rule.target_spec_to_string target)
-        (Smt.Formula.id condition)
-  | Semantics.Rule.Lock_discipline { scope } ->
-      "lock:" ^ Semantics.Rule.lock_scope_to_string scope
-
-(** The report-cache key of a prepared rule.  Digests: rule identity and
-    body (guard conditions by interned formula id — see
-    {!rule_body_tag}), checker knobs, resolved target statements,
-    selected tests, and the canonical text of every region method.
-    Equal keys imply the dynamic phase's inputs are textually identical,
-    so reusing the cached report is sound. *)
-let job_key ~(config : Checker.config) ~(graph : Analysis.Callgraph.t)
-    ~(methods : (string * string) list) (pr : Checker.prepared) : string =
-  let buf = Buffer.create 1024 in
-  let add s =
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\x00'
-  in
-  add (rule_body_tag pr.Checker.prep_rule);
-  add pr.Checker.prep_rule.Semantics.Rule.rule_id;
-  add (Checker.config_tag config);
-  (match pr.Checker.prep_kind with
-  | Checker.Prep_guard { pg_targets; _ } ->
-      List.iter
-        (fun (qname, st) -> add (qname ^ "@" ^ Pretty.stmt_head_to_string st))
-        pg_targets
-  | Checker.Prep_lock { pl_scope } ->
-      add (Semantics.Rule.lock_scope_to_string pl_scope));
-  List.iter add pr.Checker.prep_tests;
-  List.iter
-    (fun qname ->
-      add qname;
-      match List.assoc_opt qname methods with
-      | Some text -> add text
-      | None -> add "?")
-    (region graph pr);
-  Digest.to_hex (Digest.string (Buffer.contents buf))

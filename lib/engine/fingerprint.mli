@@ -1,36 +1,8 @@
-(** Deterministic fingerprints for programs, methods, and enforcement
-    jobs — all over canonical printed text, never statement ids, so they
-    survive the global sid renumbering an unrelated edit causes.
-
-    A rule's {e region} is the method set whose text can influence its
-    verdict (caller-closure of the target methods, closed under
-    reachability, plus everything reachable from the selected tests; the
-    whole program for lock rules).  Cache keys digest the region text, so
-    versions differing only outside a rule's region share a report. *)
+(** Deterministic program fingerprints over canonical printed text, never
+    statement ids, so they survive the global sid renumbering an
+    unrelated edit causes.  The serve daemon's response-cache key. *)
 
 open Minilang
 
 (** Digest of the canonical printed program. *)
 val program : Ast.program -> string
-
-(** [qname -> canonical text] for every method and top-level function. *)
-val methods : Ast.program -> (string * string) list
-
-(** Every node from which any seed is reachable (inclusive). *)
-val ancestors : Analysis.Callgraph.t -> string list -> string list
-
-(** The region of a prepared rule, sorted. *)
-val region : Analysis.Callgraph.t -> Checker.prepared -> string list
-
-(** Deterministic job id for one (program version, rule) pair. *)
-val job_id : program_fp:string -> rule_id:string -> string
-
-(** Report-cache key: digests rule identity/body, checker knobs, resolved
-    targets, selected tests, and all region method texts.  Equal keys
-    imply textually identical dynamic-phase inputs. *)
-val job_key :
-  config:Checker.config ->
-  graph:Analysis.Callgraph.t ->
-  methods:(string * string) list ->
-  Checker.prepared ->
-  string

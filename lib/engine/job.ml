@@ -1,19 +1,16 @@
 (** The engine's job model.
 
-    One job per (program-version fingerprint × rule).  Job ids are
-    deterministic digests, so re-submitting the same version/rule pair
-    names the same job on every run and on every machine.
+    One job per rule of the rulebook being enforced; its id is the rule
+    id, unique within a rulebook.
 
     Jobs carry a cost estimate used as the scheduling priority: the
     worker pool drains jobs most-expensive-first, which minimizes the
     makespan tail when the pool is wider than one domain (classic LPT
-    scheduling).  Ties break on job id, keeping the order — and with it
+    scheduling).  Ties break on rule id, keeping the order — and with it
     the [jobs = 1] execution — fully deterministic. *)
 
 type t = {
-  job_id : string;  (** digest of (program fingerprint, rule id) *)
   rule_id : string;
-  key : string;  (** report-cache key ({!Fingerprint.job_key}) *)
   priority : int;  (** estimated cost; higher schedules earlier *)
   prepared : Checker.prepared;
 }
@@ -29,20 +26,16 @@ let estimate_cost (pr : Checker.prepared) : int =
       n_tests * (1 + List.length (Checker.prepared_static_paths pr))
   | Checker.Prep_lock _ -> 10_000 + n_tests
 
-let make ~(program_fp : string) ~(key : string) (pr : Checker.prepared) : t =
-  let rule_id = pr.Checker.prep_rule.Semantics.Rule.rule_id in
+let make (pr : Checker.prepared) : t =
   {
-    job_id = Fingerprint.job_id ~program_fp ~rule_id;
-    rule_id;
-    key;
+    rule_id = pr.Checker.prep_rule.Semantics.Rule.rule_id;
     priority = estimate_cost pr;
     prepared = pr;
   }
 
-(* [a] schedules before [b]? — higher priority first, job id tie-break *)
+(* [a] schedules before [b]? — higher priority first, rule id tie-break *)
 let before (a : t) (b : t) : bool =
-  a.priority > b.priority || (a.priority = b.priority && a.job_id < b.job_id)
-
+  a.priority > b.priority || (a.priority = b.priority && a.rule_id < b.rule_id)
 (** {1 Priority queue} — array-backed binary max-heap. *)
 
 module Heap = struct

@@ -1,12 +1,10 @@
-(** The engine's job model: one job per (program-version fingerprint ×
-    rule), with deterministic digest ids and a cost-estimate priority
-    (most-expensive-first minimizes the parallel makespan tail; ties
-    break on job id so scheduling is fully deterministic). *)
+(** The engine's job model: one job per rule, identified by its rule id,
+    with a cost-estimate priority (most-expensive-first minimizes the
+    parallel makespan tail; ties break on rule id so scheduling is fully
+    deterministic). *)
 
 type t = {
-  job_id : string;  (** digest of (program fingerprint, rule id) *)
   rule_id : string;
-  key : string;  (** report-cache key ({!Fingerprint.job_key}) *)
   priority : int;  (** estimated cost; higher schedules earlier *)
   prepared : Checker.prepared;
 }
@@ -15,9 +13,9 @@ type t = {
     large constant plus the suite size for lock rules). *)
 val estimate_cost : Checker.prepared -> int
 
-val make : program_fp:string -> key:string -> Checker.prepared -> t
+val make : Checker.prepared -> t
 
-(** Strict scheduling order: higher priority first, job-id tie-break. *)
+(** Strict scheduling order: higher priority first, rule-id tie-break. *)
 val before : t -> t -> bool
 
 (** Array-backed binary max-heap over {!before}. *)

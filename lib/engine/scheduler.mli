@@ -1,30 +1,24 @@
-(** The enforcement engine: job-scheduled, parallel, incremental, cached
-    rulebook enforcement.  See [lib/engine/README.md] for the
-    architecture (job model, cache keys, invalidation rule).
+(** The enforcement engine: job-scheduled, parallel rulebook enforcement.
+    See [lib/engine/README.md] for the architecture.
 
-    Layers, cheapest first, each independently switchable: (1) the
-    diff-based incremental pre-pass, (2) the fingerprint-keyed report
-    cache, (3) the domain worker pool, (4) the {!Smt.Memo} verdict
-    cache.  [jobs = 1] with all layers off reproduces the historic
-    serial [Checker.check_book] behaviour exactly. *)
+    [enforce] is a function of (config, program version, rulebook):
+    {!Checker.check_book}'s prepare/execute body with the worker pool as
+    its executor.  Nothing but the statistics survives from one call to
+    the next. *)
 
 open Minilang
 
 type config = {
   jobs : int;  (** worker domains; 1 = serial on the calling domain *)
-  report_cache : bool;
-  smt_cache : bool;
-  incremental : bool;
+  smt_cache : bool;  (** the {!Smt.Memo} verdict cache, inside [enforce] *)
   checker : Checker.config;
 }
 
-(** jobs = 1, all layers on. *)
+(** jobs = 1, the verdict cache on, the default checker. *)
 val default_config : config
 
-(** jobs = 1, all caching layers off: the historic serial checker, the
-    baseline the report-identity tests compare against. *)
-val cold_config : config
-
+(** A configuration plus the statistics of every enforcement made
+    through it. *)
 type t
 
 val create : ?config:config -> unit -> t
@@ -35,14 +29,11 @@ val config : t -> config
     counter's total over this engine's enforcements. *)
 val stats : t -> Stats.t
 
-val report_cache_size : t -> int
-
-(** Drop all cached state (reports and version memory). *)
-val invalidate : t -> unit
-
-(** Enforce a rulebook against a program version.  Reports return in
-    rulebook order, identical for every pool width.  A rule whose job
-    raises is quarantined at once: its report is
+(** Enforce a rulebook against a program version: one call graph,
+    {!Checker.prepare} per rule, {!Checker.execute} per rule on the
+    worker pool.  Reports return in rulebook order, identical for every
+    pool width, and identical to {!Checker.check_book}'s.  A rule whose
+    job raises is quarantined at once: its report is
     {!Checker.quarantined_report} with the exception as the reason. *)
 val enforce :
   t -> Ast.program -> Semantics.Rulebook.t -> Checker.rule_report list

@@ -9,12 +9,9 @@
     code.
 
     "Solver calls saved" counts SMT verdict cache hits — each one is a
-    {!Smt.Solver.solve} invocation that did not happen — plus nothing
-    else: report reuse savings show up indirectly as the drop in
-    [solver_calls] itself. *)
+    {!Smt.Solver.solve} invocation that did not happen. *)
 
 type job_time = {
-  jt_job_id : string;
   jt_rule_id : string;
   jt_wall_s : float;  (** dynamic-phase wall time of this job *)
 }
@@ -22,11 +19,12 @@ type job_time = {
 type t = {
   enforcements : int;  (** [enforce] calls served *)
   jobs_run : int;  (** dynamic phases actually executed *)
-  report_hits : int;  (** jobs answered from the report cache *)
+  report_hits : int;
   report_misses : int;
   incremental_reuses : int;
-      (** jobs skipped by the diff-based incremental pre-pass (no
-          fingerprinting, no prepare: the previous report was reused) *)
+      (** these three are always 0: the engine keeps no report cache and
+          no memory of the previous version.  Kept only because the
+          benchmark reports them *)
   smt_hits : int;  (** verdict-cache hits during our runs *)
   smt_misses : int;
   intern_hits : int;  (** hash-cons table hits during our runs *)
@@ -130,9 +128,9 @@ let snapshot r : t =
   {
     enforcements = count "engine.enforcements";
     jobs_run = count "engine.jobs_run";
-    report_hits = count "engine.report_hits";
-    report_misses = count "engine.report_misses";
-    incremental_reuses = count "engine.incremental_reuses";
+    report_hits = 0;
+    report_misses = 0;
+    incremental_reuses = 0;
     smt_hits = count "smt.memo.hits";
     smt_misses = count "smt.memo.misses";
     intern_hits = count "core.intern.hits";
@@ -156,11 +154,9 @@ let solver_calls_saved (s : t) : int = s.smt_hits
 let to_string (s : t) : string =
   let base =
     Fmt.str
-      "engine: %d enforcement(s), %d job(s) run, report cache %d/%d hit/miss, \
-       %d incremental reuse(s), smt cache %d/%d hit/miss, %d solver call(s) \
-       (%d saved), %.3fs wall"
-      s.enforcements s.jobs_run s.report_hits s.report_misses
-      s.incremental_reuses s.smt_hits s.smt_misses s.solver_calls
+      "engine: %d enforcement(s), %d job(s) run, smt cache %d/%d hit/miss, \
+       %d solver call(s) (%d saved), %.3fs wall"
+      s.enforcements s.jobs_run s.smt_hits s.smt_misses s.solver_calls
       (solver_calls_saved s) s.wall_s
   in
   (* Resilience counters only appear once something went wrong, so the

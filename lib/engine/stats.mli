@@ -1,6 +1,6 @@
-(** Engine run statistics: jobs run, cache hits/misses, incremental
-    reuses, solver calls (and calls saved by the verdict cache), wall
-    time overall and per job.
+(** Engine run statistics: jobs run, verdict-cache hits/misses, solver
+    calls (and calls saved by the verdict cache), wall time overall and
+    per job.
 
     Counts live once, in [Telemetry.Metrics]; a recorder adds each
     enforcement's registry deltas ({!record}), and {!snapshot}
@@ -8,7 +8,6 @@
     name-keyed list {!counters}. *)
 
 type job_time = {
-  jt_job_id : string;
   jt_rule_id : string;
   jt_wall_s : float;  (** dynamic-phase wall time of this job *)
 }
@@ -20,7 +19,9 @@ type t = {
   report_hits : int;
   report_misses : int;
   incremental_reuses : int;
-      (** jobs skipped wholesale by the diff-based incremental pre-pass *)
+      (** these three are always 0: the engine keeps no report cache and
+          no memory of the previous version.  Kept only because the
+          benchmark reports them *)
   smt_hits : int;
   smt_misses : int;
   intern_hits : int;  (** hash-cons table hits during our runs *)

@@ -17,8 +17,8 @@
     - each level's findings are a subset of the baseline's (lost
       evidence can hide a violation, never invent one);
     - a default-budget re-run after all levels renders byte-identical
-      to the baseline (degraded reports stay out of the report cache
-      and the incremental memory);
+      to the baseline (the SMT verdict cache never stores an undecided
+      verdict, and the engine keeps nothing else between runs);
     - an oracle that always raises costs the ticket its rules, after
       two retries, and never raises out of learning. *)
 

@@ -8,9 +8,8 @@
     instead of after the next production incident.
 
     Enforcement goes through the {!Engine} scheduler: one engine per
-    replay, so stage N+1 reuses stage N's clean reports for every rule
-    whose region the commit left untouched, and the SMT verdict cache
-    spans the whole history. *)
+    replay, whose statistics sum the whole history.  Every stage
+    enforces every rule; only the SMT verdict cache spans stages. *)
 
 type event =
   | Shipped of { stage : int; tests : int }

@@ -1,8 +1,7 @@
 (** CI/CD enforcement: gated replay of a case's version history (the
     paper's executable-contract vision), engine-backed — one
-    {!Engine.Scheduler} per replay, so later stages reuse earlier
-    stages' clean reports for rules whose region a commit left
-    untouched. *)
+    {!Engine.Scheduler} per replay, whose statistics sum the whole
+    history; every stage enforces every rule. *)
 
 type event =
   | Shipped of { stage : int; tests : int }

@@ -52,15 +52,24 @@ let cross_check_rule (config : config) (patched : Minilang.Ast.program)
       let r = Engine.Checker.check_rule ~config:config.checker patched rule in
       if r.Engine.Checker.rep_lock_findings = [] then Ok rule
       else Error "patched version still violates the lock rule"
-  | Semantics.Rule.State_guard _ ->
-      let r = Engine.Checker.check_rule ~config:config.checker patched rule in
-      if r.Engine.Checker.rep_targets = 0 then
-        Error "target statement does not exist in the patched version"
-      else if r.Engine.Checker.rep_violations <> [] then
-        Error "patched version violates the rule: inference is not grounded"
-      else if not r.Engine.Checker.rep_sanity_ok then
-        Error "no trace verifies the rule: the fixed path must act as sanity check"
-      else Ok rule
+  | Semantics.Rule.State_guard { condition; _ } -> (
+      (* an ill-sorted condition would verify every trace: its
+         complement check is unsatisfiable whatever the program does *)
+      match Smt.Theory.ill_sorted condition with
+      | a :: _ ->
+          Error
+            (Fmt.str "ill-sorted condition: %s orders a non-integer constant"
+               (Smt.Formula.atom_to_string a))
+      | [] ->
+          let r = Engine.Checker.check_rule ~config:config.checker patched rule in
+          if r.Engine.Checker.rep_targets = 0 then
+            Error "target statement does not exist in the patched version"
+          else if r.Engine.Checker.rep_violations <> [] then
+            Error "patched version violates the rule: inference is not grounded"
+          else if not r.Engine.Checker.rep_sanity_ok then
+            Error
+              "no trace verifies the rule: the fixed path must act as sanity check"
+          else Ok rule)
 
 (* Ask the oracle, the one external and unreliable service: a client
    that raises is retried twice (one [Job_retry] event per retry), and a
@@ -141,34 +150,30 @@ let learn_all ?(config = default_config) ~(system : string)
   in
   (book, outcomes)
 
+let log_reports (reports : Engine.Checker.rule_report list) =
+  List.iter
+    (fun (r : Engine.Checker.rule_report) ->
+      if Engine.Checker.has_violations r then Log.warn "%s" (Engine.Checker.report_summary r)
+      else Log.debug "%s" (Engine.Checker.report_summary r))
+    reports;
+  reports
+
 (** Enforce a rulebook against a program version; the central entry point
     for CI and for the experiments. *)
 let enforce ?(config = default_config) (p : Minilang.Ast.program)
     (book : Semantics.Rulebook.t) : Engine.Checker.rule_report list =
   Log.info "enforcing %d rule(s) of the %s rulebook" (Semantics.Rulebook.size book)
     book.Semantics.Rulebook.system;
-  let reports = Engine.Checker.check_book ~config:config.checker p book in
-  List.iter
-    (fun (r : Engine.Checker.rule_report) ->
-      if Engine.Checker.has_violations r then Log.warn "%s" (Engine.Checker.report_summary r)
-      else Log.debug "%s" (Engine.Checker.report_summary r))
-    reports;
-  reports
+  log_reports (Engine.Checker.check_book ~config:config.checker p book)
 
-(** Enforce a rulebook through a running enforcement engine: same report
-    contract and logging as {!enforce}, but scheduling, parallelism, and
-    caching are the engine's ({!Engine.Scheduler.enforce}). *)
+(** Enforce a rulebook through an enforcement engine: the same
+    prepare/execute body and logging as {!enforce}, with the engine's
+    worker pool, verdict cache and statistics
+    ({!Engine.Scheduler.enforce}). *)
 let enforce_with (engine : Engine.Scheduler.t) (p : Minilang.Ast.program)
     (book : Semantics.Rulebook.t) : Engine.Checker.rule_report list =
   Log.info "engine-enforcing %d rule(s) of the %s rulebook"
     (Semantics.Rulebook.size book) book.Semantics.Rulebook.system;
-  let reports = Engine.Scheduler.enforce engine p book in
-  List.iter
-    (fun (r : Engine.Checker.rule_report) ->
-      if Engine.Checker.has_violations r then Log.warn "%s" (Engine.Checker.report_summary r)
-      else Log.debug "%s" (Engine.Checker.report_summary r))
-    reports;
-  reports
+  log_reports (Engine.Scheduler.enforce engine p book)
 
-let findings (reports : Engine.Checker.rule_report list) : Engine.Checker.rule_report list =
-  List.filter Engine.Checker.has_violations reports
+let findings = Engine.Scheduler.findings

@@ -46,8 +46,10 @@ val enforce :
   Semantics.Rulebook.t ->
   Engine.Checker.rule_report list
 
-(** Enforce a rulebook through a running enforcement engine (same report
-    contract as {!enforce}; scheduling/caching are the engine's). *)
+(** Enforce a rulebook through an enforcement engine: the same
+    prepare/execute body as {!enforce} ({!Engine.Checker.check_book}),
+    so the same reports; the worker pool, verdict cache and statistics
+    are the engine's. *)
 val enforce_with :
   Engine.Scheduler.t ->
   Minilang.Ast.program ->

@@ -9,10 +9,10 @@
     carrying the two §4 unknown bugs).
 
     The 4-system × 4-version sweep is one engine run: a single
-    {!Engine.Scheduler} serves all sixteen enforcements, so versions
-    that leave a rule's region untouched (v3 → v5 for every already-
-    stable case) reuse cached reports, and repeated path conditions hit
-    the SMT verdict cache across the whole scan.
+    {!Engine.Scheduler} serves all sixteen enforcements and sums their
+    statistics.  Every enforcement prepares and executes every rule;
+    only repeated path conditions are shared, through the SMT verdict
+    cache.
 
     Shape to expect: v1 clean, one finding per case at v2, v3 clean again,
     and exactly the HBASE-29296 / HDFS-17768 paths at v5 — with zero
@@ -90,19 +90,25 @@ let row_of_reports ?(triage : Triage.config option) ~(program : Minilang.Ast.pro
   }
 
 (** The whole scan as one engine run.  Returns per-system rows plus the
-    engine's accumulated statistics.  [triage] additionally runs
+    engine's accumulated statistics.  [engine_config] defaults to the
+    default engine running [config]'s checker; an explicit one is used
+    as given, its checker included.  [triage] additionally runs
     witness-replay triage over each version's findings and fills
     [vr_tiers] (absent by default, so the plain scan output is
     byte-identical to the pre-triage engine). *)
 let run_engine ?(config = Pipeline.default_config)
-    ?(engine_config = Engine.Scheduler.default_config)
+    ?engine_config
     ?(registry = Corpus.Registry.builtin) ?(triage : Triage.config option) () :
     system_result list * Engine.Stats.t =
-  let engine =
-    Engine.Scheduler.create
-      ~config:{ engine_config with Engine.Scheduler.checker = config.Pipeline.checker }
-      ()
+  let engine_config =
+    Option.value engine_config
+      ~default:
+        {
+          Engine.Scheduler.default_config with
+          Engine.Scheduler.checker = config.Pipeline.checker;
+        }
   in
+  let engine = Engine.Scheduler.create ~config:engine_config () in
   let results =
     List.map
       (fun system ->

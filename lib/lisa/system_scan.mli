@@ -1,8 +1,8 @@
 (** Experiment E11 — whole-system enforcement: one rulebook per system
     (learned from every original incident), enforced on the assembled
     releases v1/v2/v3/v5.  The 4-system × 4-version sweep is a single
-    {!Engine.Scheduler} run, so unchanged-region versions reuse cached
-    reports and repeated path conditions hit the SMT verdict cache. *)
+    {!Engine.Scheduler} run: one set of statistics, and repeated path
+    conditions hit the SMT verdict cache. *)
 
 type version_row = {
   vr_version : int;
@@ -26,8 +26,10 @@ val learn_system_book :
   Semantics.Rulebook.t
 
 (** The whole scan as one engine run, with the engine's statistics.
-    [registry] (default {!Corpus.Registry.builtin}) picks the corpus:
-    systems and scan versions come from the registry value.  [triage]
+    [engine_config] defaults to {!Engine.Scheduler.default_config} with
+    [config]'s checker; an explicit one is used as given, checker
+    included.  [registry] (default {!Corpus.Registry.builtin}) picks the
+    corpus: systems and scan versions come from the registry value.  [triage]
     fills [vr_tiers] via witness-replay triage; absent by default,
     keeping the plain scan byte-identical. *)
 val run_engine :

@@ -1,5 +1,5 @@
-(** The enforcement daemon: warm engines behind a fair, bounded
-    admission queue.
+(** The enforcement daemon: warm caches and one stateless engine behind
+    a fair, bounded admission queue.
 
     Request lifecycle: accept loop parses a JSONL line → admission
     ({!Queue}; full queue sheds with an [overloaded] response, the
@@ -9,9 +9,10 @@
     validation to the request's {e coordinates} ([(system, version)] or
     [(case, ticket, version)], checked against the registry without
     reading a source) → key memo (coordinates → response-cache key) →
-    fingerprint-keyed response cache → the system's long-lived
-    {!Engine.Scheduler} (report cache, {!Smt.Memo} and hash-cons
-    tables all warm from previous requests) → response.
+    fingerprint-keyed response cache → the daemon's one
+    {!Engine.Scheduler} (stateless: {!Smt.Memo} and the hash-cons
+    tables are the only state warm from previous requests; the
+    scheduler only sums statistics) → response.
 
     Only a key-memo miss assembles and parses the release, learns (or
     reuses) the rulebook and fingerprints both into the key, so a
@@ -69,7 +70,7 @@ type t = {
   cfg : config;
   key_tags : string list;
       (** the response key's fixed tail: checker tag, triage tag *)
-  engines : (string, Engine.Scheduler.t) Hashtbl.t;  (** per system *)
+  engine : Engine.Scheduler.t;  (** every system's; per-request stats *)
   books : (string, Semantics.Rulebook.t) Hashtbl.t;  (** per scope key *)
   keys : (coords, string) Hashtbl.t;  (** the key memo *)
   responses : (string, Protocol.summary) Hashtbl.t;  (** the verdict cache *)
@@ -143,7 +144,7 @@ let load_caches (t : t) (dir : string) : unit =
                   (Smt.Wire.to_formula wf, Smt.Wire.to_verdict wv))
                 entries)))
 
-(* every engine runs the default checker, so its tag is fixed for the
+(* the engine runs the default checker, so its tag is fixed for the
    daemon's life; triage knobs are part of the key: a summary with
    tiers must never answer a request from a daemon running without
    triage (or with different replay budgets), and vice versa *)
@@ -167,7 +168,14 @@ let create ?(config = default_config) () : t =
     {
       cfg = config;
       key_tags = key_tags_of config;
-      engines = Hashtbl.create 4;
+      engine =
+        Engine.Scheduler.create
+          ~config:
+            {
+              Engine.Scheduler.default_config with
+              Engine.Scheduler.jobs = config.jobs;
+            }
+          ();
       books = Hashtbl.create 8;
       keys = Hashtbl.create 64;
       responses = Hashtbl.create 64;
@@ -230,22 +238,6 @@ let save (t : t) : int =
 (* ------------------------------------------------------------------ *)
 (* Request resolution                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let engine_for (t : t) (system : string) : Engine.Scheduler.t =
-  match Hashtbl.find_opt t.engines system with
-  | Some e -> e
-  | None ->
-      let e =
-        Engine.Scheduler.create
-          ~config:
-            {
-              Engine.Scheduler.default_config with
-              Engine.Scheduler.jobs = t.cfg.jobs;
-            }
-          ()
-      in
-      Hashtbl.replace t.engines system e;
-      e
 
 let book_for_system (t : t) (system : string) : Semantics.Rulebook.t =
   let key = "sys:" ^ system in
@@ -407,14 +399,13 @@ let key_of (t : t) (co : coords) (rv : resolved Lazy.t) : string =
 let enforce_uncached (t : t) ~(queue_ms : float) (req : Protocol.request)
     (key : string) (rv : resolved) : Protocol.response =
   let id = req.Protocol.req_id and tenant = req.Protocol.req_tenant in
-  let engine = engine_for t rv.rv_system in
-  let s0 = Engine.Scheduler.stats engine in
+  let s0 = Engine.Scheduler.stats t.engine in
   let t0 = Clock.now () in
-  match Engine.Scheduler.enforce engine rv.rv_program rv.rv_book with
+  match Engine.Scheduler.enforce t.engine rv.rv_program rv.rv_book with
   | exception e -> fail t req (Printexc.to_string e)
   | reports ->
       let wall_ms = (Clock.now () -. t0) *. 1000. in
-      let s1 = Engine.Scheduler.stats engine in
+      let s1 = Engine.Scheduler.stats t.engine in
       let findings = Engine.Scheduler.finding_ids reports in
       let degraded = Engine.Scheduler.degraded_ids reports in
       (* witness-replay triage over the violating rules only:
@@ -453,8 +444,7 @@ let enforce_uncached (t : t) ~(queue_ms : float) (req : Protocol.request)
         }
       in
       (* degraded verdicts describe a bad moment, not the
-         release: they are answered but never cached (same
-         policy as the engine's own report cache) *)
+         release: they are answered but never cached *)
       if degraded = [] then Hashtbl.replace t.responses key summary;
       Resilience.Kbreaker.success t.breaker tenant;
       Atomic.incr t.served;
@@ -473,9 +463,7 @@ let enforce_uncached (t : t) ~(queue_ms : float) (req : Protocol.request)
               rs_run_ms = wall_ms;
               rs_jobs_run =
                 s1.Engine.Stats.jobs_run - s0.Engine.Stats.jobs_run;
-              rs_report_hits =
-                s1.Engine.Stats.report_hits
-                - s0.Engine.Stats.report_hits;
+              rs_report_hits = 0;
               rs_smt_hits =
                 s1.Engine.Stats.smt_hits - s0.Engine.Stats.smt_hits;
               rs_solver_calls =

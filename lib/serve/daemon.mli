@@ -1,8 +1,8 @@
 (** [lisa serve] — the enforcement engine as a long-running service.
 
-    One daemon owns: a lazily-built {!Engine.Scheduler} per subject
-    system (hash-cons tables, report cache, {!Smt.Memo}, and the
-    solver's theory memo all stay warm across requests), a
+    One daemon owns: one stateless {!Engine.Scheduler} for every
+    subject system (only the hash-cons tables, {!Smt.Memo} and the
+    solver's theory memo stay warm across requests), a
     fingerprint-keyed response cache (optionally persisted through
     {!Snapshot}) behind a memo from request coordinates to cache key,
     so a hit parses nothing; a bounded fair admission {!Queue}; and a

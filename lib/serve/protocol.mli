@@ -47,6 +47,8 @@ type run_stats = {
   rs_run_ms : float;  (** enforcement wall time *)
   rs_jobs_run : int;
   rs_report_hits : int;
+      (** always 0: the engine keeps no report cache.  Kept so the wire
+          form stays the same *)
   rs_smt_hits : int;
   rs_solver_calls : int;
 }

@@ -22,6 +22,24 @@ let lit (sign : bool) (atom : Formula.atom) : lit = { atom; sign }
 let rel_of (l : lit) : Formula.rel =
   if l.sign then l.atom.Formula.rel else Formula.negate_rel l.atom.Formula.rel
 
+(* the sort rule: only a variable or an int constant may be ordered *)
+let orderable (t : Formula.term) : bool =
+  match Formula.term_view t with
+  | Formula.T_var _ | Formula.T_int _ -> true
+  | Formula.T_bool _ | Formula.T_str _ | Formula.T_null -> false
+
+let ill_sorted_atom (a : Formula.atom) : bool =
+  match a.Formula.rel with
+  | Formula.Req | Formula.Rneq -> false
+  | Formula.Rlt | Formula.Rle | Formula.Rgt | Formula.Rge ->
+      not (orderable a.Formula.lhs && orderable a.Formula.rhs)
+
+(** The atoms of [f] that order a bool, string or null constant.  Either
+    polarity of such an atom is an order literal, so any conjunction
+    holding it is inconsistent under {!consistent}'s sort rule. *)
+let ill_sorted (f : Formula.t) : Formula.atom list =
+  List.filter ill_sorted_atom (Formula.atoms f)
+
 (* ------------------------------------------------------------------ *)
 (* Node table: terms to dense ids                                      *)
 (* ------------------------------------------------------------------ *)
@@ -187,9 +205,7 @@ let consistent (lits : lit list) : bool =
         List.iter
           (fun (_, i, j) ->
             let ok id =
-              (match Formula.term_view (node_term tbl id) with
-              | Formula.T_var _ | Formula.T_int _ -> true
-              | Formula.T_bool _ | Formula.T_str _ | Formula.T_null -> false)
+              orderable (node_term tbl id)
               &&
               match Option.map Formula.term_view class_const.(uf_find u id) with
               | Some (Formula.T_bool _ | Formula.T_str _ | Formula.T_null) -> false

@@ -14,3 +14,9 @@ val lit : bool -> Formula.atom -> lit
 (** [consistent lits] decides whether the conjunction of [lits] has a
     model. *)
 val consistent : lit list -> bool
+
+(** The atoms of a formula that order a bool, string or null constant
+    (e.g. [x < "a"], [null < y]).  Such a formula is ill-sorted: every
+    conjunction holding one of its atoms, in either polarity, is
+    inconsistent, so a complement check over it proves nothing. *)
+val ill_sorted : Formula.t -> Formula.atom list

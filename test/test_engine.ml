@@ -1,7 +1,7 @@
 (* The enforcement engine (lib/engine): pool determinism, heap
-   scheduling, fingerprint stability, incremental invalidation, the
-   generic cache, the SMT verdict cache, and whole-engine equivalence
-   across pool widths and caching layers. *)
+   scheduling, fingerprint stability, the SMT verdict cache, and
+   whole-engine equivalence across pool widths, the verdict cache and
+   the serial checker's rulebook body. *)
 
 open Smt
 
@@ -54,13 +54,7 @@ let a_prepared =
      Engine.Checker.prepare p (List.hd outcome.Lisa.Pipeline.accepted))
 
 let job ~id ~priority =
-  {
-    Engine.Job.job_id = id;
-    rule_id = id;
-    key = id;
-    priority;
-    prepared = Lazy.force a_prepared;
-  }
+  { Engine.Job.rule_id = id; priority; prepared = Lazy.force a_prepared }
 
 let test_schedule_priority_order () =
   let jobs =
@@ -68,7 +62,7 @@ let test_schedule_priority_order () =
   in
   Alcotest.(check (list string))
     "most expensive first" [ "b"; "c"; "a" ]
-    (List.map (fun (j : Engine.Job.t) -> j.Engine.Job.job_id)
+    (List.map (fun (j : Engine.Job.t) -> j.Engine.Job.rule_id)
        (Engine.Job.schedule jobs))
 
 let test_schedule_tie_break () =
@@ -76,8 +70,8 @@ let test_schedule_tie_break () =
     [ job ~id:"z" ~priority:3; job ~id:"a" ~priority:3; job ~id:"m" ~priority:3 ]
   in
   Alcotest.(check (list string))
-    "job-id tie break" [ "a"; "m"; "z" ]
-    (List.map (fun (j : Engine.Job.t) -> j.Engine.Job.job_id)
+    "rule-id tie break" [ "a"; "m"; "z" ]
+    (List.map (fun (j : Engine.Job.t) -> j.Engine.Job.rule_id)
        (Engine.Job.schedule jobs))
 
 let test_heap_push_pop () =
@@ -87,11 +81,11 @@ let test_heap_push_pop () =
     [ job ~id:"x" ~priority:2; job ~id:"y" ~priority:7 ];
   Alcotest.(check int) "two jobs" 2 (Engine.Job.Heap.length h);
   (match Engine.Job.Heap.pop h with
-  | Some j -> Alcotest.(check string) "max first" "y" j.Engine.Job.job_id
+  | Some j -> Alcotest.(check string) "max first" "y" j.Engine.Job.rule_id
   | None -> Alcotest.fail "expected a job");
   ignore (Engine.Job.Heap.pop h);
   Alcotest.(check (option string)) "drained" None
-    (Option.map (fun (j : Engine.Job.t) -> j.Engine.Job.job_id)
+    (Option.map (fun (j : Engine.Job.t) -> j.Engine.Job.rule_id)
        (Engine.Job.Heap.pop h))
 
 (* ------------------------------------------------------------------ *)
@@ -109,92 +103,21 @@ let test_fingerprint_distinguishes_versions () =
   let fp v = Engine.Fingerprint.program (Corpus.Case.program_at zk_case v) in
   Alcotest.(check bool) "v1 differs from v2" false (fp 1 = fp 2)
 
+(* a job is named by its rule: the same rule prepared on two parses of
+   one version makes the same job *)
 let test_job_id_deterministic () =
-  let id () = Engine.Fingerprint.job_id ~program_fp:"abc" ~rule_id:"r.g1" in
-  Alcotest.(check string) "pure function of its inputs" (id ()) (id ())
-
-let test_region_covers_targets () =
-  let p = Corpus.Case.program_at zk_case 1 in
-  let graph = Analysis.Callgraph.build p in
   let pr = Lazy.force a_prepared in
-  let region = Engine.Fingerprint.region graph pr in
-  List.iter
-    (fun m ->
-      Alcotest.(check bool)
-        (Printf.sprintf "region contains target %s" m)
-        true (List.mem m region))
-    (Engine.Checker.prepared_target_methods pr)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental invalidation                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_identical_versions_no_changes () =
-  let p = Corpus.Case.program_at zk_case 1 in
-  Alcotest.(check bool)
-    "self-diff is empty" true
-    (Engine.Incremental.no_changes (Engine.Incremental.summarize ~prev:p ~cur:p))
-
-let test_version_bump_changes () =
-  let prev = Corpus.Case.program_at zk_case 1 in
-  let cur = Corpus.Case.program_at zk_case 2 in
-  let ch = Engine.Incremental.summarize ~prev ~cur in
-  Alcotest.(check bool) "regression edits methods" false (Engine.Incremental.no_changes ch)
-
-let test_lock_rule_always_affected () =
-  let prev = Corpus.Case.program_at zk_case 1 in
-  let cur = Corpus.Case.program_at zk_case 2 in
-  let ch = Engine.Incremental.summarize ~prev ~cur in
-  let lock_rule =
-    Semantics.Rule.make ~rule_id:"t.l0"
-      ~description:"no blocking I/O under a monitor"
-      ~high_level:"lock discipline" ~origin:"test"
-      (Semantics.Rule.Lock_discipline { scope = Semantics.Rule.Lock_blocking })
+  let rule = pr.Engine.Checker.prep_rule in
+  let again =
+    Engine.Checker.prepare
+      (Minilang.Parser.program (zk_case.Corpus.Case.source 1))
+      rule
   in
-  Alcotest.(check bool)
-    "lock rules re-run on any change" true
-    (Engine.Incremental.rule_affected ch ~region:[] lock_rule);
-  Alcotest.(check bool)
-    "but not when nothing changed" false
-    (Engine.Incremental.rule_affected
-       (Engine.Incremental.summarize ~prev ~cur:prev)
-       ~region:[] lock_rule)
-
-let test_disjoint_region_unaffected () =
-  let prev = Corpus.Case.program_at zk_case 1 in
-  let cur = Corpus.Case.program_at zk_case 2 in
-  let ch = Engine.Incremental.summarize ~prev ~cur in
-  let rule = (Lazy.force a_prepared).Engine.Checker.prep_rule in
-  Alcotest.(check bool)
-    "region miss + target miss => reuse" false
-    (Engine.Incremental.rule_affected ch ~region:[ "SomeOther.method" ]
-       {
-         rule with
-         Semantics.Rule.body =
-           Semantics.Rule.State_guard
-             {
-               target = Semantics.Rule.Stmt_text "no_such_statement_text_xyz";
-               condition = Formula.tru;
-             };
-       })
-
-(* ------------------------------------------------------------------ *)
-(* Generic cache                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_cache_counts_and_bounds () =
-  let c = Engine.Cache.create ~capacity:4 ~name:"t" () in
-  Alcotest.(check (option int)) "miss on empty" None (Engine.Cache.find c "a");
-  Engine.Cache.add c "a" 1;
-  Alcotest.(check (option int)) "hit after add" (Some 1) (Engine.Cache.find c "a");
-  Alcotest.(check int) "one hit" 1 (Engine.Cache.hits c);
-  Alcotest.(check int) "one miss" 1 (Engine.Cache.misses c);
-  Alcotest.(check int) "find_or_add computes once" 7
-    (Engine.Cache.find_or_add c "b" (fun () -> 7));
-  Alcotest.(check int) "then serves the memo" 7
-    (Engine.Cache.find_or_add c "b" (fun () -> 99));
-  List.iteri (fun i k -> Engine.Cache.add c k i) [ "c"; "d"; "e"; "f"; "g" ];
-  Alcotest.(check bool) "bounded by capacity" true (Engine.Cache.size c <= 4)
+  let a = Engine.Job.make pr and b = Engine.Job.make again in
+  Alcotest.(check string) "the rule id" rule.Semantics.Rule.rule_id a.Engine.Job.rule_id;
+  Alcotest.(check (pair string int)) "same id and priority"
+    (a.Engine.Job.rule_id, a.Engine.Job.priority)
+    (b.Engine.Job.rule_id, b.Engine.Job.priority)
 
 (* ------------------------------------------------------------------ *)
 (* SMT verdict cache: cached == uncached (qcheck)                      *)
@@ -338,10 +261,13 @@ let test_memo_restore_round_trip () =
       Memo.reset ())
 
 (* ------------------------------------------------------------------ *)
-(* The scheduler: equivalence across pool widths and caching layers    *)
+(* The scheduler: equivalence across pool widths and the verdict cache *)
 (* ------------------------------------------------------------------ *)
 
 let zk_book = lazy (Lisa.System_scan.learn_system_book "zookeeper")
+
+(* the engine with the SMT verdict cache off *)
+let uncached = { Engine.Scheduler.default_config with Engine.Scheduler.smt_cache = false }
 
 (* The zookeeper slice of E11 through one engine; per-version report
    summaries are the strongest stable output to compare across modes. *)
@@ -362,28 +288,28 @@ let scan config =
   (summaries, Engine.Scheduler.stats engine)
 
 let test_jobs1_equals_jobs4 () =
-  let serial, _ = scan Engine.Scheduler.cold_config in
+  let serial, _ = scan uncached in
   let parallel, _ =
-    scan { Engine.Scheduler.cold_config with Engine.Scheduler.jobs = 4 }
+    scan { uncached with Engine.Scheduler.jobs = 4 }
   in
   Alcotest.(check (list string)) "identical reports, jobs=1 vs jobs=4" serial parallel
 
 (* the byte-identity pin at the width the sharded stores target *)
 let test_jobs1_equals_jobs8 () =
-  let serial, _ = scan Engine.Scheduler.cold_config in
+  let serial, _ = scan uncached in
   let parallel, _ =
-    scan { Engine.Scheduler.cold_config with Engine.Scheduler.jobs = 8 }
+    scan { uncached with Engine.Scheduler.jobs = 8 }
   in
   Alcotest.(check (list string)) "identical reports, jobs=1 vs jobs=8" serial
     parallel;
   let warm, _ =
     scan { Engine.Scheduler.default_config with Engine.Scheduler.jobs = 8 }
   in
-  Alcotest.(check (list string)) "identical reports with every cache on"
+  Alcotest.(check (list string)) "identical reports with the verdict cache on"
     serial warm
 
 let test_caches_preserve_reports () =
-  let cold, cold_stats = scan Engine.Scheduler.cold_config in
+  let cold, cold_stats = scan uncached in
   let cached, cached_stats = scan Engine.Scheduler.default_config in
   Alcotest.(check (list string)) "identical reports, cold vs cached" cold cached;
   Alcotest.(check bool)
@@ -391,47 +317,79 @@ let test_caches_preserve_reports () =
        cached_stats.Engine.Stats.solver_calls cold_stats.Engine.Stats.solver_calls)
     true
     (cached_stats.Engine.Stats.solver_calls < cold_stats.Engine.Stats.solver_calls);
-  Alcotest.(check bool) "incremental layer reused work" true
-    (cached_stats.Engine.Stats.incremental_reuses > 0)
+  Alcotest.(check int) "every rule ran at every version"
+    (4 * Semantics.Rulebook.size (Lazy.force zk_book))
+    cached_stats.Engine.Stats.jobs_run
 
 let test_parallel_cached_equals_serial_cold () =
-  let cold, _ = scan Engine.Scheduler.cold_config in
+  let cold, _ = scan uncached in
   let full, _ =
     scan { Engine.Scheduler.default_config with Engine.Scheduler.jobs = 4 }
   in
-  Alcotest.(check (list string)) "every layer on, jobs=4" cold full
+  Alcotest.(check (list string)) "verdict cache on, jobs=4" cold full
 
-let test_same_version_twice_all_reused () =
+(* nothing survives an enforcement but the statistics: the same
+   version enforced twice, or after another version, gives the reports
+   of a fresh engine and runs every rule each time *)
+let test_stateless_across_calls () =
   Memo.reset ();
-  let engine = Engine.Scheduler.create ~config:Engine.Scheduler.default_config () in
   let book = Lazy.force zk_book in
-  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
-  let first = List.map Engine.Checker.report_summary (Engine.Scheduler.enforce engine p book) in
-  let ran_once = (Engine.Scheduler.stats engine).Engine.Stats.jobs_run in
-  let second = List.map Engine.Checker.report_summary (Engine.Scheduler.enforce engine p book) in
-  Memo.reset ();
-  Alcotest.(check (list string)) "same reports" first second;
-  Alcotest.(check int) "no job re-ran" ran_once
-    (Engine.Scheduler.stats engine).Engine.Stats.jobs_run;
-  Alcotest.(check int) "all rules reused"
-    (Semantics.Rulebook.size book)
-    (Engine.Scheduler.stats engine).Engine.Stats.incremental_reuses
-
-let test_report_cache_without_incremental () =
-  Memo.reset ();
-  let config =
-    { Engine.Scheduler.default_config with Engine.Scheduler.incremental = false }
+  let version v = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:v in
+  let summaries engine v =
+    List.map Engine.Checker.report_summary (Engine.Scheduler.enforce engine (version v) book)
   in
-  let engine = Engine.Scheduler.create ~config () in
-  let book = Lazy.force zk_book in
-  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:3 in
-  let first = List.map Engine.Checker.report_summary (Engine.Scheduler.enforce engine p book) in
-  let second = List.map Engine.Checker.report_summary (Engine.Scheduler.enforce engine p book) in
+  let fresh = summaries (Engine.Scheduler.create ()) 2 in
+  let engine = Engine.Scheduler.create () in
+  ignore (summaries engine 1);
+  let after_v1 = summaries engine 2 in
+  let again = summaries engine 2 in
   Memo.reset ();
-  Alcotest.(check (list string)) "same reports via the report cache" first second;
-  Alcotest.(check int) "every rule hit the report cache"
-    (Semantics.Rulebook.size book)
-    (Engine.Scheduler.stats engine).Engine.Stats.report_hits
+  Alcotest.(check (list string)) "after v1 = fresh" fresh after_v1;
+  Alcotest.(check (list string)) "twice = fresh" fresh again;
+  let stats = Engine.Scheduler.stats engine in
+  Alcotest.(check int) "every rule ran every time"
+    (3 * Semantics.Rulebook.size book)
+    stats.Engine.Stats.jobs_run;
+  Alcotest.(check (list int)) "reuse counters read 0" [ 0; 0; 0 ]
+    [
+      stats.Engine.Stats.report_hits;
+      stats.Engine.Stats.report_misses;
+      stats.Engine.Stats.incremental_reuses;
+    ]
+
+(* [Pipeline.enforce] (the serial [Checker.check_book]) and
+   [Pipeline.enforce_with] (the engine) share one prepare/execute body:
+   their reports agree on every builtin system at v0-v5 and on every
+   scan version of the 1x synth corpus, at jobs 1 and 2 *)
+let test_enforce_equals_check_book () =
+  let agree (registry : Corpus.Registry.t) versions =
+    List.iter
+      (fun system ->
+        let book = Lisa.System_scan.learn_system_book ~registry system in
+        List.iter
+          (fun v ->
+            let p = Corpus.Registry.program_of registry system ~version:v in
+            let serial = List.map Engine.Checker.report_summary (Lisa.Pipeline.enforce p book) in
+            List.iter
+              (fun jobs ->
+                let engine =
+                  Engine.Scheduler.create
+                    ~config:{ Engine.Scheduler.default_config with Engine.Scheduler.jobs }
+                    ()
+                in
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s v%d, jobs=%d" system v jobs)
+                  serial
+                  (List.map Engine.Checker.report_summary
+                     (Lisa.Pipeline.enforce_with engine p book)))
+              [ 1; 2 ])
+          versions)
+      registry.Corpus.Registry.systems
+  in
+  let builtin = Corpus.Registry.builtin in
+  agree builtin (List.init (builtin.Corpus.Registry.max_version + 1) Fun.id);
+  let synth = Corpus.Synth.registry ~seed:1 ~scale:1 () in
+  agree synth synth.Corpus.Registry.scan_versions
 
 (* one enforcement prepares every rule of the program against one test
    index: the index is built once per program, not per rule x tree *)
@@ -446,26 +404,12 @@ let test_one_index_per_enforcement () =
       (Semantics.Rulebook.rules book)
   in
   Alcotest.(check bool) "book has >= 2 guard rules" true (List.length guards >= 2);
-  let engine = Engine.Scheduler.create ~config:Engine.Scheduler.cold_config () in
+  let engine = Engine.Scheduler.create ~config:uncached () in
   let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
   ignore (Engine.Scheduler.enforce engine p book);
   Alcotest.(check (option int)) "one index build" (Some 1)
     (List.assoc_opt "oracle.test_index.builds"
        (Engine.Stats.counters (Engine.Scheduler.stats engine)))
-
-let test_invalidate_forgets () =
-  Memo.reset ();
-  let engine = Engine.Scheduler.create ~config:Engine.Scheduler.default_config () in
-  let book = Lazy.force zk_book in
-  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:1 in
-  ignore (Engine.Scheduler.enforce engine p book);
-  Engine.Scheduler.invalidate engine;
-  Alcotest.(check int) "report cache dropped" 0 (Engine.Scheduler.report_cache_size engine);
-  let ran = (Engine.Scheduler.stats engine).Engine.Stats.jobs_run in
-  ignore (Engine.Scheduler.enforce engine p book);
-  Memo.reset ();
-  Alcotest.(check bool) "everything re-ran" true
-    ((Engine.Scheduler.stats engine).Engine.Stats.jobs_run > ran)
 
 (* ------------------------------------------------------------------ *)
 (* Pre-solver fast path: byte-identical reports, on vs off             *)
@@ -575,17 +519,7 @@ let suite =
         Alcotest.test_case "stable across reparse" `Quick test_fingerprint_stable_across_reparse;
         Alcotest.test_case "distinguishes versions" `Quick test_fingerprint_distinguishes_versions;
         Alcotest.test_case "job id deterministic" `Quick test_job_id_deterministic;
-        Alcotest.test_case "region covers targets" `Quick test_region_covers_targets;
       ] );
-    ( "engine.incremental",
-      [
-        Alcotest.test_case "self-diff empty" `Quick test_identical_versions_no_changes;
-        Alcotest.test_case "version bump changes" `Quick test_version_bump_changes;
-        Alcotest.test_case "lock rules always affected" `Quick test_lock_rule_always_affected;
-        Alcotest.test_case "disjoint region reused" `Quick test_disjoint_region_unaffected;
-      ] );
-    ( "engine.cache",
-      [ Alcotest.test_case "counters and bounds" `Quick test_cache_counts_and_bounds ] );
     ( "engine.memo",
       [
         QCheck_alcotest.to_alcotest prop_memo_agrees_with_solver;
@@ -605,9 +539,9 @@ let suite =
         Alcotest.test_case "jobs=1 == jobs=8" `Quick test_jobs1_equals_jobs8;
         Alcotest.test_case "caches preserve reports" `Quick test_caches_preserve_reports;
         Alcotest.test_case "parallel+cached == serial cold" `Quick test_parallel_cached_equals_serial_cold;
-        Alcotest.test_case "same version twice reused" `Quick test_same_version_twice_all_reused;
-        Alcotest.test_case "report cache without incremental" `Quick test_report_cache_without_incremental;
-        Alcotest.test_case "invalidate forgets" `Quick test_invalidate_forgets;
+        Alcotest.test_case "stateless across calls" `Quick test_stateless_across_calls;
+        Alcotest.test_case "enforce == check_book" `Slow
+          (isolated test_enforce_equals_check_book);
         Alcotest.test_case "one test index per enforcement" `Quick
           test_one_index_per_enforcement;
       ] );

@@ -118,6 +118,76 @@ let test_system_suites_green () =
         (Minilang.Interp.test_names p))
     Corpus.Registry.builtin.systems
 
+(* An order atom over a bool, string or null constant is ill-sorted:
+   both [pc && !c] and [pc && c] are inconsistent whatever the trace did,
+   so an unguarded complement check reads every trace as verified.  The
+   three probes below verified all 6 traces on builtin zookeeper v2
+   before the sort check existed. *)
+let ill_sorted_probes =
+  let module F = Smt.Formula in
+  [
+    ("probe.str", F.lt (F.tvar "Session.closing") (F.tstr "a"));
+    ("probe.bool", F.lt (F.tvar "Session.closing") (F.tbool true));
+    ("probe.null", F.lt F.tnull (F.tvar "Session"));
+  ]
+  |> List.map (fun (rule_id, condition) ->
+         Semantics.Rule.make ~rule_id ~description:"ill-sorted probe"
+           ~high_level:"ill-sorted probe" ~origin:"test"
+           (Semantics.Rule.State_guard
+              {
+                target =
+                  Semantics.Rule.Call_to
+                    { callee = "createEphemeralNode"; in_method = None };
+                condition;
+              }))
+
+let test_ill_sorted_atoms () =
+  let module F = Smt.Formula in
+  let count f = List.length (Smt.Theory.ill_sorted f) in
+  List.iter
+    (fun (r : Semantics.Rule.t) ->
+      match r.Semantics.Rule.body with
+      | Semantics.Rule.State_guard { condition; _ } ->
+          Alcotest.(check int) r.Semantics.Rule.rule_id 1 (count condition);
+          Alcotest.(check int) "negated too" 1 (count (F.negate condition))
+      | Semantics.Rule.Lock_discipline _ -> ())
+    ill_sorted_probes;
+  Alcotest.(check int) "ints and variables order fine" 0
+    (count (F.conj [ F.lt (F.tvar "x") (F.tint 3); F.le (F.tvar "x") (F.tvar "y") ]));
+  Alcotest.(check int) "equality of any sort is fine" 0
+    (count (F.conj [ F.eq (F.tvar "s") (F.tstr "a"); F.neq (F.tvar "b") F.tnull ]))
+
+let test_ill_sorted_never_verified () =
+  let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
+  List.iter
+    (fun (r : Semantics.Rule.t) ->
+      Alcotest.(check string) r.Semantics.Rule.rule_id
+        (r.Semantics.Rule.rule_id
+       ^ ": targets=2 static_paths=7 tests=8 traces=6 verified=0 violations=0 \
+          uncovered=0 lock_findings=0 sanity=false undecided=6 degraded=6")
+        (Engine.Checker.report_summary (Engine.Checker.check_rule p r)))
+    ill_sorted_probes
+
+let test_ill_sorted_rejected () =
+  let ticket = Corpus.Case.original_ticket (List.hd Corpus.Zookeeper.cases) in
+  let oracle t =
+    { (Oracle.Inference.infer t) with Oracle.Inference.inf_rules = ill_sorted_probes }
+  in
+  let outcome =
+    Lisa.Pipeline.learn ~config:{ Lisa.Pipeline.default_config with oracle } ticket
+  in
+  Alcotest.(check int) "none accepted" 0 (List.length outcome.Lisa.Pipeline.accepted);
+  Alcotest.(check (list (pair string string)))
+    "rejected for their sort"
+    [
+      ("probe.str", "ill-sorted condition: Session.closing < \"a\" orders a non-integer constant");
+      ("probe.bool", "ill-sorted condition: Session.closing < true orders a non-integer constant");
+      ("probe.null", "ill-sorted condition: null < Session orders a non-integer constant");
+    ]
+    (List.map
+       (fun ((r : Semantics.Rule.t), why) -> (r.Semantics.Rule.rule_id, why))
+       outcome.Lisa.Pipeline.rejected)
+
 let suite =
   [
     ("pipeline.zookeeper", List.concat_map case_tests Corpus.Zookeeper.cases);
@@ -129,5 +199,12 @@ let suite =
         Alcotest.test_case "study counts" `Quick test_corpus_counts;
         Alcotest.test_case "assembled releases typecheck" `Quick test_system_versions_build;
         Alcotest.test_case "assembled releases green" `Quick test_system_suites_green;
+      ] );
+    ( "pipeline.ill_sorted",
+      [
+        Alcotest.test_case "order atoms over non-ints" `Quick test_ill_sorted_atoms;
+        Alcotest.test_case "checker never verifies them" `Quick
+          test_ill_sorted_never_verified;
+        Alcotest.test_case "cross-check rejects them" `Quick test_ill_sorted_rejected;
       ] );
   ]

@@ -350,6 +350,22 @@ let test_starved_scan_same_at_every_width () =
   Alcotest.(check string) "jobs=2" serial (render 2);
   Alcotest.(check string) "jobs=4" serial (render 4)
 
+(* the scan runs the engine it is given, checker included: an explicit
+   fuel-3 engine loses evidence, while the default engine inherits the
+   stock pipeline checker and loses none *)
+let test_scan_honours_engine_checker () =
+  let rows engine_config =
+    Lisa.Chaos.reset_shared_state ();
+    Lisa.System_scan.print (fst (Lisa.System_scan.run_engine ?engine_config ()))
+  in
+  let checker = { Engine.Checker.default_config with fuel = 3 } in
+  Alcotest.(check bool) "fuel 3 renders [degraded: ...] rows" true
+    (contains
+       (rows (Some { Engine.Scheduler.default_config with checker }))
+       "[degraded: ");
+  Alcotest.(check bool) "the default engine renders none" false
+    (contains (rows None) "[degraded: ")
+
 (* ------------------------------------------------------------------ *)
 (* No-fault bit-for-bit pin                                            *)
 (* ------------------------------------------------------------------ *)
@@ -505,6 +521,8 @@ let suite =
           (isolated test_fuel_out_stays_local);
         Alcotest.test_case "fuel 3 scan, jobs 1 = 2 = 4" `Quick
           (isolated test_starved_scan_same_at_every_width);
+        Alcotest.test_case "scan honours engine_config's checker" `Quick
+          (isolated test_scan_honours_engine_checker);
       ] );
     ( "resilience.events",
       [

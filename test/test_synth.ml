@@ -128,6 +128,15 @@ let test_synth_scan_jobs_invariant () =
   in
   check_str "scan output, jobs=1 vs jobs=2" (scan 1) (scan 2)
 
+(* the rendered 1x seed-1 scan, as printed before the engine lost its
+   report cache and incremental pre-pass: the stateless engine must
+   reproduce it byte for byte *)
+let test_synth_scan_digest () =
+  let registry = Corpus.Synth.registry ~seed:1 ~scale:1 () in
+  let out = Lisa.System_scan.print (fst (Lisa.System_scan.run_engine ~registry ())) in
+  check_str "System_scan.print digest" "57aba2c5bce51a50da091ce0b665e888"
+    (Digest.to_hex (Digest.string out))
+
 (* the generator reports itself to the tracer: one corpus.synth span per
    registry built *)
 let test_synth_span_recorded () =
@@ -181,6 +190,8 @@ let suite =
           test_minimizer_shrinks_failure;
         Alcotest.test_case "builtin golden pins" `Quick
           test_builtin_golden_pins;
+        Alcotest.test_case "1x seed-1 scan digest pinned" `Slow
+          (isolated test_synth_scan_digest);
         Alcotest.test_case "1x scan identical, jobs=1 vs jobs=2" `Slow
           (isolated test_synth_scan_jobs_invariant);
         Alcotest.test_case "registry records a corpus.synth span" `Slow

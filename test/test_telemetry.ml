@@ -207,7 +207,7 @@ let test_events_become_trace_instants () =
 (* ------------------------------------------------------------------ *)
 
 let jt id wall =
-  { Engine.Stats.jt_job_id = id; jt_rule_id = id; jt_wall_s = wall }
+  { Engine.Stats.jt_rule_id = id; jt_wall_s = wall }
 
 let test_job_times_ring_cap () =
   let r = Engine.Stats.recorder ~job_times_cap:3 () in
@@ -217,12 +217,12 @@ let test_job_times_ring_cap () =
   let snap = Engine.Stats.snapshot r in
   Alcotest.(check (list string)) "newest three, newest first" [ "5"; "4"; "3" ]
     (List.map
-       (fun t -> t.Engine.Stats.jt_job_id)
+       (fun t -> t.Engine.Stats.jt_rule_id)
        snap.Engine.Stats.job_times);
   Engine.Stats.reset r;
   Alcotest.(check (list string)) "reset empties the ring" []
     (List.map
-       (fun t -> t.Engine.Stats.jt_job_id)
+       (fun t -> t.Engine.Stats.jt_rule_id)
        (Engine.Stats.snapshot r).Engine.Stats.job_times)
 
 let test_slowest_jobs_matches_stable_sort () =
@@ -279,7 +279,11 @@ let zk_book = lazy (Lisa.System_scan.learn_system_book "zookeeper")
    across pool widths, because workers count their own reads. *)
 let scan_job_times ~jobs () =
   Smt.Memo.reset ();
-  let config = { Engine.Scheduler.cold_config with Engine.Scheduler.jobs } in
+  (* verdict cache off: which job pays a shared query's solve would
+     depend on the schedule *)
+  let config =
+    { Engine.Scheduler.default_config with Engine.Scheduler.jobs; smt_cache = false }
+  in
   let engine = Engine.Scheduler.create ~config () in
   let book = Lazy.force zk_book in
   Trace.reset ();
@@ -333,7 +337,7 @@ let test_one_declaration () =
   Lisa.Chaos.reset_shared_state ();
   Fun.protect ~finally:Lisa.Chaos.reset_shared_state @@ fun () ->
   with_tracing (fun () ->
-      let engine = Engine.Scheduler.create ~config:Engine.Scheduler.cold_config () in
+      let engine = Engine.Scheduler.create () in
       let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
       ignore (Engine.Scheduler.enforce engine p book);
       let counters = Engine.Stats.counters (Engine.Scheduler.stats engine) in
