@@ -16,9 +16,7 @@ TRACE_SPANS = engine.enforce engine.prepare \
   concolic.run oracle.infer counter:smt.memo.hits \
   counter:smt.memo.misses counter:smt.solve_calls counter:core.intern.hits \
   counter:core.intern.misses counter:core.intern.size \
-  counter:smt.propagations counter:core.shard.contention \
-  counter:smt.fastpath.interval counter:smt.fastpath.bcp \
-  counter:smt.fastpath.saved counter:corpus.synth.cases \
+  counter:core.shard.contention counter:corpus.synth.cases \
   counter:oracle.test_index.builds
 
 # Names the serve-daemon trace must mention (tools/serve_smoke.sh

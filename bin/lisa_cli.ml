@@ -446,9 +446,9 @@ let serve_cmd =
   in
   let cache_dir_arg =
     let doc =
-      "Persist the response cache and SMT verdict memo as snapshots in \
-       $(docv) and warm-start from them; corrupt or stale snapshots fall \
-       back to a cold start."
+      "Persist the response cache as a snapshot in $(docv) and \
+       warm-start from it; a corrupt or stale snapshot falls back to a \
+       cold start."
     in
     Arg.(
       value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)

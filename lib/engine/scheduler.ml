@@ -34,12 +34,11 @@ let degraded_jobs =
 
 type config = {
   jobs : int;  (** worker domains; 1 = serial on the calling domain *)
-  smt_cache : bool;  (** the {!Smt.Memo} verdict cache *)
   checker : Checker.config;
 }
 
 let default_config =
-  { jobs = 1; smt_cache = true; checker = Checker.default_config }
+  { jobs = 1; checker = Checker.default_config }
 
 type t = { config : config; recorder : Stats.recorder }
 
@@ -100,10 +99,7 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
   Trace.with_span ~cat:"engine" "engine.enforce" @@ fun () ->
   let t0 = Clock.now () in
   let before = Metrics.sample () in
-  let memo_was = Smt.Memo.enabled () in
-  Smt.Memo.set_enabled t.config.smt_cache;
   let reports =
-    Fun.protect ~finally:(fun () -> Smt.Memo.set_enabled memo_was) @@ fun () ->
     Checker.check_book ~config:t.config.checker ~run:(run_jobs t) p book
   in
   (* bookkeeping: every registry counter's delta, and one trace

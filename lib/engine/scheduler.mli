@@ -10,7 +10,6 @@ open Minilang
 
 type config = {
   jobs : int;  (** worker domains; 1 = serial on the calling domain *)
-  smt_cache : bool;  (** the {!Smt.Memo} verdict cache, inside [enforce] *)
   checker : Checker.config;
 }
 

@@ -31,7 +31,8 @@ type t = {
           time; process-global and monotone *)
   solver_calls : int;
   fastpath_saved : int;
-      (** full DPLL(T) searches avoided (sum of the fast-path rungs) *)
+      (** always 0: the solver has no fast path.  Kept only because the
+          benchmark reports it as [smt.fastpath_saved] *)
   wall_s : float;
   job_times : job_time list;  (** newest first, bounded by the ring *)
   retries : int;

@@ -84,9 +84,7 @@ let run_once ~(level : level) ~(jobs : int)
     { checker with fuel = Option.value level.lv_fuel ~default:checker.fuel }
   in
   let engine =
-    Engine.Scheduler.create
-      ~config:{ Engine.Scheduler.default_config with jobs; checker }
-      ()
+    Engine.Scheduler.create ~config:{ Engine.Scheduler.jobs; checker } ()
   in
   let findings = ref [] and degraded = ref [] and renders = ref [] in
   let crash = ref None in

@@ -53,12 +53,7 @@ let replay ?(config = Pipeline.default_config) ?(jobs = 1)
     ?(triage : Triage.config option) (c : Corpus.Case.t) : run =
   let engine =
     Engine.Scheduler.create
-      ~config:
-        {
-          Engine.Scheduler.default_config with
-          Engine.Scheduler.jobs;
-          checker = config.Pipeline.checker;
-        }
+      ~config:{ Engine.Scheduler.jobs; checker = config.Pipeline.checker }
       ()
   in
   let book = Semantics.Rulebook.create ~system:c.Corpus.Case.system in

@@ -23,10 +23,9 @@
     daemon's fixed registry.  Failing or invalid requests never enter
     it.
 
-    With a cache dir, the response cache and the SMT verdict memo are
-    persisted as {!Snapshot}s ({!Smt.Wire} forms only — interned values
-    never hit the disk raw) and reloaded on the next start; any
-    unreadable snapshot degrades to a cold start, never a crash. *)
+    With a cache dir, the response cache is persisted as a {!Snapshot}
+    and reloaded on the next start; an unreadable snapshot degrades to a
+    cold start, never a crash. *)
 
 module Trace = Telemetry.Trace
 module Clock = Telemetry.Clock
@@ -96,10 +95,7 @@ let event ?(id = "-") ?(tenant = "-") sev fmt =
           Printf.sprintf "req=%s tenant=%s %s" id tenant msg))
     fmt
 
-let snapshot_names = [ ("responses", "responses.snap"); ("smt-memo", "smt.snap") ]
-
-let snapshot_path dir kind =
-  Filename.concat dir (List.assoc kind snapshot_names)
+let responses_path dir = Filename.concat dir "responses.snap"
 
 (* the summary record is marshalled raw, so its wire kind carries the
    protocol version: a snapshot written by an older (or newer) summary
@@ -112,37 +108,15 @@ let responses_kind = Printf.sprintf "responses/v%d" Protocol.version
 (* ------------------------------------------------------------------ *)
 
 let load_caches (t : t) (dir : string) : unit =
-  let outcome kind (r : (int, string) result) =
-    let text =
-      match r with
-      | Ok n -> Printf.sprintf "warm (%d entries)" n
-      | Error reason -> Printf.sprintf "cold: %s" reason
-    in
-    event Event.Info "cache %s: %s" kind text;
-    t.warm <- t.warm @ [ (kind, text) ]
+  let text =
+    match Snapshot.load ~path:(responses_path dir) ~kind:responses_kind with
+    | Error reason -> Printf.sprintf "cold: %s" reason
+    | Ok (entries : (string * Protocol.summary) list) ->
+        List.iter (fun (k, s) -> Hashtbl.replace t.responses k s) entries;
+        Printf.sprintf "warm (%d entries)" (List.length entries)
   in
-  (let kind = "responses" in
-   outcome kind
-     (match
-        Snapshot.load ~path:(snapshot_path dir kind) ~kind:responses_kind
-      with
-     | Error e -> Error e
-     | Ok (entries : (string * Protocol.summary) list) ->
-         List.iter (fun (k, s) -> Hashtbl.replace t.responses k s) entries;
-         Ok (List.length entries)));
-  let kind = "smt-memo" in
-  outcome kind
-    (match Snapshot.load ~path:(snapshot_path dir kind) ~kind with
-    | Error e -> Error e
-    | Ok (entries : (Smt.Wire.wformula * Smt.Wire.wverdict) list) ->
-        (* rebuild through the smart constructors: everything re-enters
-           this process's hash-cons tables before touching the memo *)
-        Ok
-          (Smt.Memo.restore
-             (List.map
-                (fun (wf, wv) ->
-                  (Smt.Wire.to_formula wf, Smt.Wire.to_verdict wv))
-                entries)))
+  event Event.Info "cache responses: %s" text;
+  t.warm <- [ ("responses", text) ]
 
 (* the engine runs the default checker, so its tag is fixed for the
    daemon's life; triage knobs are part of the key: a summary with
@@ -215,25 +189,14 @@ let save (t : t) : int =
         Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.responses []
         |> List.sort compare
       in
-      let memo =
-        List.filter_map
-          (fun (f, v) ->
-            Option.map
-              (fun wv -> (Smt.Wire.of_formula f, wv))
-              (Smt.Wire.of_verdict v))
-          (Smt.Memo.entries ())
-      in
-      let write name ~kind payload n =
-        match Snapshot.save ~path:(snapshot_path dir name) ~kind payload with
-        | Ok () ->
-            event Event.Info "cache %s: saved %d entries" name n;
-            n
-        | Error e ->
-            event Event.Warn "cache %s: save failed: %s" name e;
-            0
-      in
-      write "responses" ~kind:responses_kind responses (List.length responses)
-      + write "smt-memo" ~kind:"smt-memo" memo (List.length memo)
+      match Snapshot.save ~path:(responses_path dir) ~kind:responses_kind responses with
+      | Ok () ->
+          let n = List.length responses in
+          event Event.Info "cache responses: saved %d entries" n;
+          n
+      | Error e ->
+          event Event.Warn "cache responses: save failed: %s" e;
+          0
 
 (* ------------------------------------------------------------------ *)
 (* Request resolution                                                  *)

@@ -1,8 +1,8 @@
 (** [lisa serve] — the enforcement engine as a long-running service.
 
     One daemon owns: one stateless {!Engine.Scheduler} for every
-    subject system (only the hash-cons tables, {!Smt.Memo} and the
-    solver's theory memo stay warm across requests), a
+    subject system (only the hash-cons tables and {!Smt.Memo} stay warm
+    across requests), a
     fingerprint-keyed response cache (optionally persisted through
     {!Snapshot}) behind a memo from request coordinates to cache key,
     so a hit parses nothing; a bounded fair admission {!Queue}; and a
@@ -42,15 +42,15 @@ val default_config : config
 type t
 
 (** Create the daemon; when [cache_dir] is set, warm the response cache
-    and the {!Smt.Memo} from its snapshots (any unreadable snapshot is
-    reported through {!warm_report} and falls back to a cold start —
-    never an error). *)
+    from its snapshot (an unreadable snapshot is reported through
+    {!warm_report} and falls back to a cold start — never an error). *)
 val create : ?config:config -> unit -> t
 
 val config : t -> config
 
-(** Per-cache load outcome, e.g. [("responses", "warm (12 entries)");
-    ("smt-memo", "cold: digest mismatch")].  Empty without a cache dir. *)
+(** The snapshot's load outcome, e.g. [[("responses", "warm (12 entries)")]]
+    or [[("responses", "cold: digest mismatch")]].  Empty without a cache
+    dir. *)
 val warm_report : t -> (string * string) list
 
 (** Parse one JSONL line and serve it (parse failures, and requests
@@ -60,8 +60,8 @@ val handle_line : t -> string -> Protocol.response
 
 val handle_request : t -> Protocol.request -> Protocol.response
 
-(** Persist the response cache and SMT verdict memo to [cache_dir]
-    (no-op returning 0 without one).  Returns entries written. *)
+(** Persist the response cache to [cache_dir] (no-op returning 0
+    without one).  Returns entries written. *)
 val save : t -> int
 
 (** Server counters: served, cache_hits, shed, breaker_rejected,

@@ -11,7 +11,9 @@ let format_version = 1
 let save ~(path : string) ~(kind : string) (payload : 'a) : (unit, string) result
     =
   try
-    let body = Marshal.to_string payload [] in
+    (* no sharing: equal payloads always write equal bytes, whatever
+       physical sharing their values happened to have *)
+    let body = Marshal.to_string payload [ Marshal.No_sharing ] in
     let digest = Digest.to_hex (Digest.string body) in
     let tmp = path ^ ".tmp" in
     let oc = open_out_bin tmp in

@@ -8,10 +8,11 @@
     yield [Error reason] — the daemon logs the reason and starts cold;
     nothing ever raises out of {!load}.
 
-    Payloads must be process-neutral data (strings, ints, the
-    {!Smt.Wire} forms) — never hash-consed values; see [Smt.Wire].
-    Writes go through a temp file + rename, so a crash mid-save leaves
-    the previous snapshot intact. *)
+    Payloads must be process-neutral, acyclic data (strings, ints,
+    records of them) — never hash-consed values, whose ids are
+    process-local.  The payload is marshalled without sharing, so equal
+    payloads write byte-equal files.  Writes go through a temp file +
+    rename, so a crash mid-save leaves the previous snapshot intact. *)
 
 (** Bumped on any payload-format change; older files load as cold. *)
 val format_version : int

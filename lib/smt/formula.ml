@@ -190,14 +190,6 @@ let term_compare (a : term) (b : term) : int =
 
 let term_equal (a : term) (b : term) = a == b
 
-let flip_rel = function
-  | Req -> Req
-  | Rneq -> Rneq
-  | Rlt -> Rgt
-  | Rle -> Rge
-  | Rgt -> Rlt
-  | Rge -> Rle
-
 (** Relation satisfied exactly when [rel] is not. *)
 let negate_rel = function
   | Req -> Rneq
@@ -220,8 +212,6 @@ let canon_atom (a : atom) : atom =
   match a.rel with
   | (Req | Rneq) when term_compare a.lhs a.rhs > 0 -> { a with lhs = a.rhs; rhs = a.lhs }
   | Req | Rneq | Rlt | Rle | Rgt | Rge -> a
-
-let atom_equal a b = atom_shallow_equal (canon_atom a) (canon_atom b)
 
 (* ------------------------------------------------------------------ *)
 (* Node-keyed memo tables                                              *)
@@ -296,13 +286,6 @@ let variables (f : t) : string list =
       add_term a.rhs)
     (atoms f);
   List.rev !acc
-
-let rec size (f : t) =
-  match f.f_node with
-  | True | False -> 1
-  | Atom _ -> 1
-  | Not g -> 1 + size g
-  | And fs | Or fs -> List.fold_left (fun n g -> n + size g) 1 fs
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
@@ -399,8 +382,6 @@ let rec to_string (f : t) =
   | And fs -> "(" ^ String.concat " && " (List.map to_string fs) ^ ")"
   | Or fs -> "(" ^ String.concat " || " (List.map to_string fs) ^ ")"
 
-let pp ppf f = Fmt.string ppf (to_string f)
-
 (* ------------------------------------------------------------------ *)
 (* Normal forms                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -494,31 +475,15 @@ let rec simplify (f : t) : t =
 (* Intern-table statistics                                             *)
 (* ------------------------------------------------------------------ *)
 
-type intern_stats = {
-  term_stats : Core.Hc.stats;
-  formula_stats : Core.Hc.stats;
-  string_stats : Core.Hc.stats;
-}
+(* the term, formula and string tables, summed *)
+let intern_sum (field : Core.Hc.stats -> int) : int =
+  field (Core.Hc.stats term_tbl) + field (Core.Hc.stats f_tbl) + field (Core.Intern.stats ())
 
-let intern_stats () : intern_stats =
-  {
-    term_stats = Core.Hc.stats term_tbl;
-    formula_stats = Core.Hc.stats f_tbl;
-    string_stats = Core.Intern.stats ();
-  }
+let intern_hits () = intern_sum (fun s -> s.Core.Hc.hits)
 
-let intern_hits () =
-  let s = intern_stats () in
-  s.term_stats.Core.Hc.hits + s.formula_stats.Core.Hc.hits + s.string_stats.Core.Hc.hits
+let intern_misses () = intern_sum (fun s -> s.Core.Hc.misses)
 
-let intern_misses () =
-  let s = intern_stats () in
-  s.term_stats.Core.Hc.misses + s.formula_stats.Core.Hc.misses
-  + s.string_stats.Core.Hc.misses
-
-let intern_size () =
-  let s = intern_stats () in
-  s.term_stats.Core.Hc.size + s.formula_stats.Core.Hc.size + s.string_stats.Core.Hc.size
+let intern_size () = intern_sum (fun s -> s.Core.Hc.size)
 
 let () =
   let gauge = Telemetry.Metrics.gauge in

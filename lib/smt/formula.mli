@@ -114,15 +114,8 @@ val compare : t -> t -> int
 
 (** {1 Structure} *)
 
-(** Structural order (constructor rank, then payload) — deliberately not
-    id order, so {!canon_atom}'s operand sorting is schedule-independent. *)
-val term_compare : term -> term -> int
-
 (** O(1): physical equality. *)
 val term_equal : term -> term -> bool
-
-(** The relation with swapped operands ([<] becomes [>], ...). *)
-val flip_rel : rel -> rel
 
 (** The relation satisfied exactly when the argument is not. *)
 val negate_rel : rel -> rel
@@ -132,8 +125,6 @@ val negate_rel : rel -> rel
     by the DPLL abstraction. *)
 val canon_atom : atom -> atom
 
-val atom_equal : atom -> atom -> bool
-
 (** All distinct canonical atoms, in first-occurrence order.  Memoized on
     the interned node; the order is structural and schedule-independent. *)
 val atoms : t -> atom list
@@ -141,15 +132,9 @@ val atoms : t -> atom list
 (** Free state variables, in first-occurrence order. *)
 val variables : t -> string list
 
-val size : t -> int
-
 (** {1 Ground evaluation} (used to cross-check the solver in tests) *)
 
 type value = V_int of int | V_bool of bool | V_str of string | V_null
-
-val value_of_term : (string * value) list -> term -> value option
-
-val eval_atom : (string * value) list -> atom -> bool option
 
 (** [None] when a variable is unbound or an order atom compares
     non-integers. *)
@@ -165,7 +150,6 @@ val atom_to_string : atom -> string
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
 
 (** {1 Normal forms} *)
 
@@ -180,17 +164,7 @@ val simplify : t -> t
 
 (** {1 Intern-table statistics} *)
 
-type intern_stats = {
-  term_stats : Core.Hc.stats;
-  formula_stats : Core.Hc.stats;
-  string_stats : Core.Hc.stats;
-}
-
-val intern_stats : unit -> intern_stats
-
-(** Aggregate hit/miss/size over the term, formula, and string tables. *)
-val intern_hits : unit -> int
-
-val intern_misses : unit -> int
-
+(** Live interned nodes over the term, formula, and string tables (the
+    [core.intern.size] gauge; [core.intern.hits] and [core.intern.misses]
+    are its siblings). *)
 val intern_size : unit -> int

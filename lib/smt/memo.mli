@@ -8,10 +8,10 @@
     domain; it never stores [Unknown].  Exactly one hit or miss is
     recorded per enabled query, so counter totals (and the engine
     statistics derived from them) are the same at any jobs count.
-    Disabled by default — when disabled every call passes straight
+    Enabled by default — when disabled every call passes straight
     through to {!Solver}. *)
 
-(** Turn the cache on or off (default: off). *)
+(** Turn the cache on or off (default: on). *)
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool
@@ -27,23 +27,6 @@ val check_trace : pc:Formula.t -> checker:Formula.t -> Solver.trace_check
 (** Cached direct check; contract of {!Solver.check_trace_direct}. *)
 val check_trace_direct :
   pc:Formula.t -> checker:Formula.t -> Solver.trace_check
-
-(** {1 Snapshot / restore}
-
-    The daemon ([lib/serve]) persists the verdict cache across restarts.
-    Entries expose the simplified formula alongside its verdict so the
-    persistence layer can convert to {!Wire} forms — interned values are
-    process-local and must be rebuilt through the smart constructors on
-    load. *)
-
-(** Every cached (simplified formula, verdict) pair, unordered. *)
-val entries : unit -> (Formula.t * Solver.verdict) list
-
-(** Seed the cache from re-interned entries; skips [Unknown] verdicts
-    and keys already present, never evicts (entries past capacity are
-    dropped).  Takes the lock once for the whole batch.  Returns
-    entries added. *)
-val restore : (Formula.t * Solver.verdict) list -> int
 
 (** {1 Counters} *)
 

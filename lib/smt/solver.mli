@@ -2,14 +2,9 @@
 
     A small DPLL(T): boolean backtracking over canonical atoms with
     three-valued early evaluation, pruned by the theory solver on every
-    partial assignment.  Complete for the checker-formula fragment.
-
-    The search core runs on a compiled form of the formula — an
-    id-indexed assignment array over the canonical atoms and
-    two-watched-literal unit propagation over a clausal view of the
-    NNF.  Both accelerations are result-preserving: verdicts and models
-    are byte-identical to the plain backtracking search (see
-    [lib/smt/README.md]). *)
+    partial assignment.  Complete for the checker-formula fragment.  The
+    search runs on a compiled form of the formula: an id-indexed
+    assignment array over the canonical atoms (see [lib/smt/README.md]). *)
 
 type verdict =
   | Sat of (Formula.atom * bool) list
@@ -27,51 +22,15 @@ val default_node_budget : unit -> int
 
 val set_default_node_budget : int -> unit
 
-(** {2 Theory-consistency memo knobs (diagnostics/tests)} *)
-
-val theory_memo_size : unit -> int
-
-(** Capacity at which the memo sheds half its entries (epoch halving;
-    clamped to >= 2). *)
-val set_theory_memo_max : int -> unit
-
-(** Clear the theory-consistency memo (tests use this to count solver
-    work from a cold start). *)
-val reset_theory_memo : unit -> unit
-
-(** {2 Pre-solver fast path}
-
-    A ladder of sound Unsat filters run before the DPLL(T) search:
-    {!Absdom.refute} (interval/constant/null abstract evaluation), then
-    a root-BCP-only check over the clausal NNF view.  Both rungs are
-    result-preserving (an Unsat short-circuit carries no payload), so
-    the toggle changes query cost, never a verdict, and is deliberately
-    absent from every cache key.  Enabled by default; turning it off
-    measures the full solves it saves. *)
-
-val set_fastpath_enabled : bool -> unit
-
-val fastpath_enabled : unit -> bool
-
-(** Total full DPLL(T) searches avoided ([smt.fastpath.saved], the sum
-    of the per-rung counters [smt.fastpath.interval] and
-    [smt.fastpath.bcp]). *)
-val fastpath_saved : Telemetry.Metrics.counter
-
-(** Full DPLL(T) searches actually run ([smt.full_solves]); the fast
-    path's reduction is this counter's delta with it on vs off. *)
+(** Full DPLL(T) searches actually run ([smt.full_solves]): every
+    {!solve} whose simplified formula is not [True] or [False]. *)
 val full_solve_count : unit -> int
-
-(** Does root BCP alone refute the formula?  Test hook for the qcheck
-    soundness suite; the solve path folds this into its fast path. *)
-val bcp_refutes : Formula.t -> bool
 
 (** Decide satisfiability.  A [Sat] model assigns a sign to each canonical
     atom of the (simplified) formula.  The search visits at most
     [node_budget] nodes (default {!default_node_budget}) and answers
-    [Unknown] past it.  The fast-path rungs run before the search and
-    spend no budget, so a formula they refute is [Unsat] at any budget
-    while the same formula with the fast path off may be [Unknown]. *)
+    [Unknown] past it.  Every search spends budget: only a formula that
+    simplifies to [True] or [False] is decided without one. *)
 val solve : ?node_budget:int -> Formula.t -> verdict
 
 val is_sat : Formula.t -> bool

@@ -184,9 +184,15 @@ let prop_memo_check_trace_agrees =
           in
           same (Solver.check_trace ~pc ~checker) (Memo.check_trace ~pc ~checker)))
 
+(* run [f] with the SMT verdict cache off *)
+let without_memo f =
+  Memo.set_enabled false;
+  Fun.protect ~finally:(fun () -> Memo.set_enabled true) f
+
 let test_memo_disabled_passthrough () =
   Memo.reset ();
-  Alcotest.(check bool) "cache off by default" false (Memo.enabled ());
+  Alcotest.(check bool) "cache on by default" true (Memo.enabled ());
+  without_memo @@ fun () ->
   ignore (Memo.solve Formula.tru);
   ignore (Memo.solve Formula.tru);
   Alcotest.(check int) "no entries when disabled" 0 (Memo.size ());
@@ -238,36 +244,11 @@ let test_memo_shared_across_domains () =
       Alcotest.(check int) "one entry" 1 (Memo.size ());
       Memo.reset ())
 
-(* restore seeds the store in one lock hold: entries round-trip,
-   duplicates are skipped, counters stay untouched *)
-let test_memo_restore_round_trip () =
-  with_memo (fun () ->
-      Memo.reset ();
-      let mk i = Formula.gt (Formula.tvar "memo_restore_x") (Formula.tint i) in
-      for i = 0 to 19 do
-        ignore (Memo.solve (mk i))
-      done;
-      let entries = Memo.entries () in
-      Alcotest.(check int) "20 entries captured" 20 (List.length entries);
-      Memo.reset ();
-      Alcotest.(check int) "reset emptied the store" 0 (Memo.size ());
-      Alcotest.(check int) "all 20 restored" 20 (Memo.restore entries);
-      Alcotest.(check int) "restore adds no duplicates" 0 (Memo.restore entries);
-      Alcotest.(check int) "size matches" 20 (Memo.size ());
-      Alcotest.(check int) "restore records no hits" 0 (Telemetry.Metrics.value Memo.hits);
-      Alcotest.(check int) "restore records no misses" 0 (Telemetry.Metrics.value Memo.misses);
-      ignore (Memo.solve (mk 7));
-      Alcotest.(check int) "a warm query hits" 1 (Telemetry.Metrics.value Memo.hits);
-      Memo.reset ())
-
 (* ------------------------------------------------------------------ *)
 (* The scheduler: equivalence across pool widths and the verdict cache *)
 (* ------------------------------------------------------------------ *)
 
 let zk_book = lazy (Lisa.System_scan.learn_system_book "zookeeper")
-
-(* the engine with the SMT verdict cache off *)
-let uncached = { Engine.Scheduler.default_config with Engine.Scheduler.smt_cache = false }
 
 (* The zookeeper slice of E11 through one engine; per-version report
    summaries are the strongest stable output to compare across modes. *)
@@ -287,18 +268,21 @@ let scan config =
   Memo.reset ();
   (summaries, Engine.Scheduler.stats engine)
 
+(* the same slice with the SMT verdict cache off *)
+let scan_uncached config = without_memo (fun () -> scan config)
+
 let test_jobs1_equals_jobs4 () =
-  let serial, _ = scan uncached in
+  let serial, _ = scan_uncached Engine.Scheduler.default_config in
   let parallel, _ =
-    scan { uncached with Engine.Scheduler.jobs = 4 }
+    scan_uncached { Engine.Scheduler.default_config with Engine.Scheduler.jobs = 4 }
   in
   Alcotest.(check (list string)) "identical reports, jobs=1 vs jobs=4" serial parallel
 
 (* the byte-identity pin at the width the sharded stores target *)
 let test_jobs1_equals_jobs8 () =
-  let serial, _ = scan uncached in
+  let serial, _ = scan_uncached Engine.Scheduler.default_config in
   let parallel, _ =
-    scan { uncached with Engine.Scheduler.jobs = 8 }
+    scan_uncached { Engine.Scheduler.default_config with Engine.Scheduler.jobs = 8 }
   in
   Alcotest.(check (list string)) "identical reports, jobs=1 vs jobs=8" serial
     parallel;
@@ -309,7 +293,7 @@ let test_jobs1_equals_jobs8 () =
     serial warm
 
 let test_caches_preserve_reports () =
-  let cold, cold_stats = scan uncached in
+  let cold, cold_stats = scan_uncached Engine.Scheduler.default_config in
   let cached, cached_stats = scan Engine.Scheduler.default_config in
   Alcotest.(check (list string)) "identical reports, cold vs cached" cold cached;
   Alcotest.(check bool)
@@ -322,7 +306,7 @@ let test_caches_preserve_reports () =
     cached_stats.Engine.Stats.jobs_run
 
 let test_parallel_cached_equals_serial_cold () =
-  let cold, _ = scan uncached in
+  let cold, _ = scan_uncached Engine.Scheduler.default_config in
   let full, _ =
     scan { Engine.Scheduler.default_config with Engine.Scheduler.jobs = 4 }
   in
@@ -404,91 +388,16 @@ let test_one_index_per_enforcement () =
       (Semantics.Rulebook.rules book)
   in
   Alcotest.(check bool) "book has >= 2 guard rules" true (List.length guards >= 2);
-  let engine = Engine.Scheduler.create ~config:uncached () in
+  let engine = Engine.Scheduler.create () in
   let p = Corpus.Registry.program_of Corpus.Registry.builtin "zookeeper" ~version:2 in
-  ignore (Engine.Scheduler.enforce engine p book);
+  without_memo (fun () -> ignore (Engine.Scheduler.enforce engine p book));
   Alcotest.(check (option int)) "one index build" (Some 1)
     (List.assoc_opt "oracle.test_index.builds"
        (Engine.Stats.counters (Engine.Scheduler.stats engine)))
 
-(* ------------------------------------------------------------------ *)
-(* Pre-solver fast path: byte-identical reports, on vs off             *)
-(* ------------------------------------------------------------------ *)
-
-let with_fastpath enabled f =
-  let was = Smt.Solver.fastpath_enabled () in
-  Smt.Solver.set_fastpath_enabled enabled;
-  Fun.protect ~finally:(fun () -> Smt.Solver.set_fastpath_enabled was) f
-
-(* The fast-path ladder (abstract domain, root BCP) may only change
-   cost, never answers: whole-scan reports must be byte-identical with
-   it pinned off, at both pool widths. *)
-let test_fastpath_equals_full_jobs1 () =
-  let off =
-    with_fastpath false (fun () -> fst (scan Engine.Scheduler.default_config))
-  in
-  let on_ =
-    with_fastpath true (fun () -> fst (scan Engine.Scheduler.default_config))
-  in
-  Alcotest.(check (list string))
-    "identical reports, fast path on vs off, jobs=1" off on_
-
-let test_fastpath_equals_full_jobs4 () =
-  let jobs4 =
-    { Engine.Scheduler.default_config with Engine.Scheduler.jobs = 4 }
-  in
-  let off = with_fastpath false (fun () -> fst (scan jobs4)) in
-  let on_ = with_fastpath true (fun () -> fst (scan jobs4)) in
-  Alcotest.(check (list string))
-    "identical reports, fast path on vs off, jobs=4" off on_
-
 let isolated f () =
   Lisa.Chaos.reset_shared_state ();
   Fun.protect ~finally:Lisa.Chaos.reset_shared_state f
-
-(* Full DPLL(T) searches run and ladder retirements for [f], counted
-   from cold solver stores so neither leg inherits the other's work. *)
-let count_solves enabled f =
-  Smt.Solver.reset_theory_memo ();
-  Smt.Absdom.reset_memo ();
-  let f0 = Smt.Solver.full_solve_count ()
-  and s0 = Telemetry.Metrics.value Smt.Solver.fastpath_saved in
-  let r = with_fastpath enabled f in
-  ( r,
-    Smt.Solver.full_solve_count () - f0,
-    Telemetry.Metrics.value Smt.Solver.fastpath_saved - s0 )
-
-(* The ladder must actually retire searches, not merely agree: on the
-   builtin zookeeper scan it answers some queries itself and full
-   solves fall. *)
-let test_fastpath_retires_searches () =
-  let _, full_off, _ =
-    count_solves false (fun () -> scan Engine.Scheduler.default_config)
-  in
-  let _, full_on, saved =
-    count_solves true (fun () -> scan Engine.Scheduler.default_config)
-  in
-  Alcotest.(check bool) (Printf.sprintf "ladder retired %d queries" saved) true
-    (saved > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "full solves fall (%d -> %d)" full_off full_on)
-    true (full_on < full_off)
-
-(* On the 1x seed-42 synthetic corpus the ladder cuts full solves by at
-   least a quarter, on byte-identical scan output. *)
-let test_fastpath_synth_reduction () =
-  let registry = Corpus.Synth.registry ~seed:42 ~scale:1 () in
-  let synth_scan () =
-    Lisa.Chaos.reset_shared_state ();
-    Lisa.System_scan.print (fst (Lisa.System_scan.run_engine ~registry ()))
-  in
-  let out_off, full_off, _ = count_solves false synth_scan in
-  let out_on, full_on, _ = count_solves true synth_scan in
-  Alcotest.(check string) "scan output, fast path on vs off" out_off out_on;
-  Alcotest.(check bool)
-    (Printf.sprintf ">= 25%% fewer full solves (%d -> %d)" full_off full_on)
-    true
-    (float_of_int full_on <= 0.75 *. float_of_int full_off)
 
 (* The evidence-loss contract must survive the default checker, which
    judges each trace on its own: the one-system chaos smoke, all
@@ -528,8 +437,6 @@ let suite =
         Alcotest.test_case "hit counting" `Quick test_memo_hit_counting;
         Alcotest.test_case "shared store across domains" `Quick
           test_memo_shared_across_domains;
-        Alcotest.test_case "restore round-trips the store" `Quick
-          test_memo_restore_round_trip;
         Alcotest.test_case "id-keyed hit on fresh construction" `Quick
           test_memo_id_keyed_hit_on_fresh_construction;
       ] );
@@ -549,16 +456,5 @@ let suite =
       [
         Alcotest.test_case "chaos smoke invariants" `Slow
           test_chaos_smoke_invariants;
-      ] );
-    ( "engine.fastpath",
-      [
-        Alcotest.test_case "fast path == full search, jobs=1" `Quick
-          test_fastpath_equals_full_jobs1;
-        Alcotest.test_case "fast path == full search, jobs=4" `Quick
-          test_fastpath_equals_full_jobs4;
-        Alcotest.test_case "fast path retires searches" `Slow
-          (isolated test_fastpath_retires_searches);
-        Alcotest.test_case "synth 1x: >= 25% fewer full solves" `Slow
-          (isolated test_fastpath_synth_reduction);
       ] );
   ]

@@ -114,10 +114,10 @@ let test_unknown_is_not_unsat () =
   Lisa.Chaos.reset_shared_state ();
   Alcotest.(check bool) "sat at the stock budget" true (Solver.is_sat two_atom_f)
 
-(* DESIGN §7: the fast-path rungs run before the search and spend no
-   node budget, so a formula they refute is Unsat at budget 1 while the
-   search alone answers Unknown *)
-let test_fastpath_spends_no_budget () =
+(* DESIGN §7: every verdict is a search, so every verdict spends node
+   budget — even a formula a single theory check refutes is Unknown at
+   budget 1, and Unsat at the stock budget *)
+let test_every_verdict_spends_budget () =
   let x = Formula.tvar "fx" in
   let interval =
     Formula.conj [ Formula.eq x (Formula.tint 1); Formula.eq x (Formula.tint 2) ]
@@ -126,19 +126,17 @@ let test_fastpath_spends_no_budget () =
   let clausal =
     Formula.conj [ Formula.disj [ a; b ]; Formula.negate a; Formula.negate b ]
   in
-  let answer ~fastpath f =
-    Solver.set_fastpath_enabled fastpath;
-    Fun.protect ~finally:(fun () -> Solver.set_fastpath_enabled true) @@ fun () ->
-    match Solver.solve ~node_budget:1 f with
+  let answer ?node_budget f =
+    match Solver.solve ?node_budget f with
     | Solver.Sat _ -> "sat"
     | Solver.Unsat -> "unsat"
     | Solver.Unknown _ -> "unknown"
   in
   List.iter
     (fun (name, f) ->
-      Alcotest.(check string) (name ^ ", fast path off") "unknown"
-        (answer ~fastpath:false f);
-      Alcotest.(check string) (name ^ ", fast path on") "unsat" (answer ~fastpath:true f))
+      Alcotest.(check string) (name ^ ", node budget 1") "unknown"
+        (answer ~node_budget:1 f);
+      Alcotest.(check string) (name ^ ", default budget") "unsat" (answer f))
     [ ("fx = 1 && fx = 2", interval); ("(fa || fb) && !fa && !fb", clausal) ]
 
 let test_memo_never_caches_unknown () =
@@ -156,31 +154,6 @@ let test_memo_never_caches_unknown () =
   | Solver.Sat _ -> ()
   | _ -> Alcotest.fail "healthy solver decides Sat");
   Alcotest.(check int) "real verdict stored" 1 (Memo.size ())
-
-let test_theory_memo_halving () =
-  let size0 = Solver.theory_memo_size () in
-  Solver.set_theory_memo_max 8;
-  Fun.protect ~finally:(fun () -> Solver.set_theory_memo_max (1 lsl 16))
-  @@ fun () ->
-  (* distinct variable pairs populate distinct theory-memo entries *)
-  for i = 0 to 63 do
-    ignore
-      (Solver.solve
-         (Formula.conj
-            [
-              Formula.eq (Formula.tvar (Fmt.str "tm_a%d" i)) (Formula.tint 1);
-              Formula.eq (Formula.tvar (Fmt.str "tm_b%d" i)) (Formula.tint 2);
-            ]))
-  done;
-  let size = Solver.theory_memo_size () in
-  Alcotest.(check bool)
-    (Fmt.str "size %d stays bounded by the max" size)
-    true (size <= 8);
-  (* halving keeps half the entries instead of clearing wholesale *)
-  Alcotest.(check bool)
-    (Fmt.str "size %d retains at least half the bound (started at %d)" size size0)
-    true
-    (size >= 4)
 
 (* ------------------------------------------------------------------ *)
 (* Checker degradation and engine quarantine                           *)
@@ -330,7 +303,7 @@ let test_starved_scan_same_at_every_width () =
     let checker = { Engine.Checker.default_config with fuel = 3 } in
     let engine =
       Engine.Scheduler.create
-        ~config:{ Engine.Scheduler.default_config with jobs; checker }
+        ~config:{ Engine.Scheduler.jobs; checker }
         ()
     in
     String.concat "\n"
@@ -495,12 +468,10 @@ let suite =
           (isolated test_solver_budget_boundary);
         Alcotest.test_case "Unknown is conservative" `Quick
           (isolated test_unknown_is_not_unsat);
-        Alcotest.test_case "fast path spends no budget" `Quick
-          (isolated test_fastpath_spends_no_budget);
+        Alcotest.test_case "every verdict spends budget" `Quick
+          (isolated test_every_verdict_spends_budget);
         Alcotest.test_case "memo never caches Unknown" `Quick
           (isolated test_memo_never_caches_unknown);
-        Alcotest.test_case "theory memo halves, not clears" `Quick
-          (isolated test_theory_memo_halving);
       ] );
     ( "resilience.engine",
       [

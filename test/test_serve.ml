@@ -342,53 +342,26 @@ let prop_snapshot_round_trip =
           | Error e -> QCheck.Test.fail_reportf "load failed: %s" e
           | Ok (got : (string * int list) list) -> got = payload))
 
-(* random formulas through the full persistence pipe: formula → wire →
-   marshal → disk → load → wire → formula must land on the *same
-   interned node* (physical equality), so restored SMT memo entries are
-   indistinguishable from natively-built ones *)
-let gen_wire_formula : Smt.Formula.t QCheck.arbitrary =
-  let open QCheck in
-  let module F = Smt.Formula in
-  let term =
-    Gen.oneof
-      [
-        Gen.map F.tvar (Gen.oneofl [ "x"; "y"; "z" ]);
-        Gen.map (fun n -> F.tint (n mod 8)) Gen.small_int;
-        Gen.map F.tbool Gen.bool;
-        Gen.map F.tstr (Gen.oneofl [ "a"; "b" ]);
-        Gen.return F.tnull;
-      ]
+(* Marshal records physical sharing; the snapshot must not: a table
+   whose values share one string and an equal table of copies write
+   byte-equal files *)
+let test_snapshot_bytes_ignore_sharing () =
+  let findings = [ "ZK-1208.g41.gen"; "ZK-2201.l0.gen" ] in
+  let shared = [ ("k1", findings); ("k2", findings) ] in
+  let copies =
+    [ ("k1", List.map (fun f -> String.sub f 0 (String.length f)) findings);
+      ("k2", List.map (fun f -> String.sub f 0 (String.length f)) findings) ]
   in
-  let rel = Gen.oneofl F.[ Req; Rneq; Rlt; Rle; Rgt; Rge ] in
-  let leaf = Gen.map3 (fun r l rh -> F.atom r l rh) rel term term in
-  let rec go n =
-    if n <= 0 then leaf
-    else
-      Gen.oneof
-        [
-          leaf;
-          Gen.return F.tru;
-          Gen.return F.fls;
-          Gen.map F.negate (go (n - 1));
-          Gen.map2 (fun a b -> F.conj [ a; b ]) (go (n / 2)) (go (n / 2));
-          Gen.map2 (fun a b -> F.disj [ a; b ]) (go (n / 2)) (go (n / 2));
-        ]
+  let bytes payload =
+    let path = snap_path () in
+    (match Serve.Snapshot.save ~path ~kind:"test" payload with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "save failed: %s" e);
+    In_channel.with_open_bin path In_channel.input_all
   in
-  make ~print:F.to_string (Gen.sized (fun n -> go (min n 6)))
-
-let prop_wire_snapshot_reinterns =
-  QCheck.Test.make ~count:200
-    ~name:"formula -> wire -> disk -> formula is physical identity"
-    gen_wire_formula
-    (fun f ->
-      let path = snap_path () in
-      let w = Smt.Wire.of_formula f in
-      match Serve.Snapshot.save ~path ~kind:"wire" w with
-      | Error e -> QCheck.Test.fail_reportf "save failed: %s" e
-      | Ok () -> (
-          match Serve.Snapshot.load ~path ~kind:"wire" with
-          | Error e -> QCheck.Test.fail_reportf "load failed: %s" e
-          | Ok (w' : Smt.Wire.wformula) -> Smt.Wire.to_formula w' == f))
+  Alcotest.(check bool) "the two tables are equal" true (shared = copies);
+  Alcotest.(check string) "equal tables, byte-equal snapshots" (bytes copies)
+    (bytes shared)
 
 let expect_cold what r =
   match r with
@@ -508,13 +481,10 @@ let test_daemon_corrupt_snapshot_cold_start () =
   let d1 = Serve.Daemon.create ~config () in
   let cold = signature d1 line in
   ignore (Serve.Daemon.save d1);
-  (* stomp both snapshots with garbage *)
-  List.iter
-    (fun f ->
-      let oc = open_out_bin (Filename.concat dir f) in
-      output_string oc "LISA-SNAP but then garbage\nxxxx";
-      close_out oc)
-    [ "responses.snap"; "smt.snap" ];
+  (* stomp the snapshot with garbage *)
+  let oc = open_out_bin (Filename.concat dir "responses.snap") in
+  output_string oc "LISA-SNAP but then garbage\nxxxx";
+  close_out oc;
   let d2 = Serve.Daemon.create ~config () in
   List.iter
     (fun (k, v) ->
@@ -951,7 +921,8 @@ let suite =
     ( "serve.snapshot",
       [
         QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
-        QCheck_alcotest.to_alcotest prop_wire_snapshot_reinterns;
+        Alcotest.test_case "equal tables write equal bytes" `Quick
+          test_snapshot_bytes_ignore_sharing;
         Alcotest.test_case "every corruption shape starts cold" `Quick
           test_snapshot_corruption_shapes;
       ] );

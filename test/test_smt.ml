@@ -355,59 +355,6 @@ let test_atoms_first_occurrence_order () =
   Alcotest.(check bool) "atoms memoized per node" true
     (Formula.atoms f == Formula.atoms f)
 
-let render_verdict = function
-  | Solver.Sat m -> "sat " ^ Solver.model_to_string m
-  | Solver.Unsat -> "unsat"
-  | Solver.Unknown reason -> "unknown " ^ reason
-
-(* ------------------------------------------------------------------ *)
-(* Pre-solver fast path: abstract domain + BCP soundness                *)
-(* ------------------------------------------------------------------ *)
-
-(* Run [f] with the fast path pinned off, so a property checks against
-   the genuine DPLL(T) search rather than Absdom agreeing with itself. *)
-let with_fastpath_off f =
-  Solver.set_fastpath_enabled false;
-  Fun.protect ~finally:(fun () -> Solver.set_fastpath_enabled true) f
-
-(* Absdom.refute is the Unsat-only entry the solver drives: a refuted
-   formula is also unsat by brute force over the generator's domain. *)
-let prop_absdom_refute_sound =
-  QCheck.Test.make ~count:500 ~name:"Absdom.refute only refutes unsat formulas"
-    gen_formula (fun f ->
-      (not (Absdom.refute f)) || not (brute_force_sat f))
-
-(* The root-BCP rung: if unit propagation alone closes the root, the
-   formula really is unsat. *)
-let prop_bcp_refutes_sound =
-  QCheck.Test.make ~count:500 ~name:"root BCP only refutes unsat formulas"
-    gen_formula (fun f ->
-      (not (Solver.bcp_refutes f)) || not (brute_force_sat f))
-
-(* The whole ladder is invisible in answers: verdict and model rendered
-   byte-identical with the fast path on vs off. *)
-let prop_fastpath_verdicts_identical =
-  QCheck.Test.make ~count:500
-    ~name:"fast path on vs off: byte-identical verdicts" gen_formula (fun f ->
-      let off = with_fastpath_off (fun () -> Solver.solve f) in
-      Solver.set_fastpath_enabled true;
-      let on_ = Solver.solve f in
-      render_verdict off = render_verdict on_)
-
-let test_absdom_interval_conflict () =
-  (* x > 5 && x < 3: empty interval, refuted without any search *)
-  let f = Formula.(conj [ gt (v "x") (i 5); lt (v "x") (i 3) ]) in
-  Alcotest.(check bool) "empty interval refuted" true (Absdom.refute f);
-  (* x > 3 && x < 5: the interval {4} is not empty *)
-  let g = Formula.(conj [ gt (v "x") (i 3); lt (v "x") (i 5) ]) in
-  Alcotest.(check bool) "non-empty interval not refuted" false (Absdom.refute g)
-
-let test_absdom_var_var_unknown () =
-  (* x < y constrains two unbounded variables: out of the domain's
-     reach, so it must not claim a refutation *)
-  let f = Formula.(lt (v "x") (v "y")) in
-  Alcotest.(check bool) "var-var order not refuted" false (Absdom.refute f)
-
 let suite =
   [
     ( "smt.formula",
@@ -441,16 +388,6 @@ let suite =
         Alcotest.test_case "validity" `Quick test_solver_validity;
         Alcotest.test_case "entailment" `Quick test_solver_entails;
         Alcotest.test_case "equivalence" `Quick test_solver_equivalence;
-      ] );
-    ( "smt.fastpath",
-      [
-        Alcotest.test_case "interval conflict refuted" `Quick
-          test_absdom_interval_conflict;
-        Alcotest.test_case "var-var order stays unknown" `Quick
-          test_absdom_var_var_unknown;
-        QCheck_alcotest.to_alcotest prop_absdom_refute_sound;
-        QCheck_alcotest.to_alcotest prop_bcp_refutes_sound;
-        QCheck_alcotest.to_alcotest prop_fastpath_verdicts_identical;
       ] );
     ( "smt.paper_example",
       [

@@ -279,17 +279,17 @@ let zk_book = lazy (Lisa.System_scan.learn_system_book "zookeeper")
    across pool widths, because workers count their own reads. *)
 let scan_job_times ~jobs () =
   Smt.Memo.reset ();
-  (* verdict cache off: which job pays a shared query's solve would
-     depend on the schedule *)
-  let config =
-    { Engine.Scheduler.default_config with Engine.Scheduler.jobs; smt_cache = false }
-  in
+  let config = { Engine.Scheduler.default_config with Engine.Scheduler.jobs } in
   let engine = Engine.Scheduler.create ~config () in
   let book = Lazy.force zk_book in
   Trace.reset ();
   Trace.set_enabled true;
+  (* verdict cache off: which job pays a shared query's solve would
+     depend on the schedule *)
+  Smt.Memo.set_enabled false;
   Fun.protect
     ~finally:(fun () ->
+      Smt.Memo.set_enabled true;
       Trace.set_enabled false;
       Trace.reset ())
     (fun () ->
