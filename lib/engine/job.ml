@@ -33,78 +33,12 @@ let make (pr : Checker.prepared) : t =
     prepared = pr;
   }
 
-(* [a] schedules before [b]? — higher priority first, rule id tie-break *)
-let before (a : t) (b : t) : bool =
-  a.priority > b.priority || (a.priority = b.priority && a.rule_id < b.rule_id)
-(** {1 Priority queue} — array-backed binary max-heap. *)
-
-module Heap = struct
-  type job = t
-
-  type t = { mutable items : job array; mutable size : int }
-
-  let create () = { items = [||]; size = 0 }
-
-  let length h = h.size
-
-  let is_empty h = h.size = 0
-
-  let swap h i j =
-    let tmp = h.items.(i) in
-    h.items.(i) <- h.items.(j);
-    h.items.(j) <- tmp
-
-  let rec sift_up h i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before h.items.(i) h.items.(parent) then begin
-        swap h i parent;
-        sift_up h parent
-      end
-    end
-
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let best = ref i in
-    if l < h.size && before h.items.(l) h.items.(!best) then best := l;
-    if r < h.size && before h.items.(r) h.items.(!best) then best := r;
-    if !best <> i then begin
-      swap h i !best;
-      sift_down h !best
-    end
-
-  let push h job =
-    if h.size = Array.length h.items then begin
-      let grown = Array.make (max 8 (2 * h.size)) job in
-      Array.blit h.items 0 grown 0 h.size;
-      h.items <- grown
-    end;
-    h.items.(h.size) <- job;
-    h.size <- h.size + 1;
-    sift_up h (h.size - 1)
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.items.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.items.(0) <- h.items.(h.size);
-        sift_down h 0
-      end;
-      Some top
-    end
-
-  let of_list jobs =
-    let h = create () in
-    List.iter (push h) jobs;
-    h
-end
-
-(** Jobs in scheduling order (highest priority first, deterministic). *)
+(** Jobs in scheduling order: higher priority first, rule-id tie-break.
+    Rule ids are unique, so the order is total and deterministic. *)
 let schedule (jobs : t list) : t list =
-  let h = Heap.of_list jobs in
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some j -> drain (j :: acc)
-  in
-  drain []
+  List.stable_sort
+    (fun a b ->
+      match Int.compare b.priority a.priority with
+      | 0 -> String.compare a.rule_id b.rule_id
+      | c -> c)
+    jobs

@@ -15,27 +15,6 @@ val estimate_cost : Checker.prepared -> int
 
 val make : Checker.prepared -> t
 
-(** Strict scheduling order: higher priority first, rule-id tie-break. *)
-val before : t -> t -> bool
-
-(** Array-backed binary max-heap over {!before}. *)
-module Heap : sig
-  type job = t
-
-  type t
-
-  val create : unit -> t
-
-  val length : t -> int
-
-  val is_empty : t -> bool
-
-  val push : t -> job -> unit
-
-  val pop : t -> job option
-
-  val of_list : job list -> t
-end
-
-(** Jobs in scheduling order (heap drain; deterministic). *)
+(** Jobs in scheduling order: higher priority first, rule-id tie-break
+    (deterministic, since rule ids are unique). *)
 val schedule : t list -> t list

@@ -54,15 +54,7 @@ let row_of_reports ?(triage : Triage.config option) ~(program : Minilang.Ast.pro
     match triage with
     | Some tcfg ->
         let violating = List.filter Engine.Checker.has_violations reports in
-        Triage.triage_reports ~config:tcfg program violating
-        |> List.filter_map (fun t ->
-               match Triage.rule_tier t with
-               | Some tier ->
-                   Some
-                     ( t.Triage.t_report.Engine.Checker.rep_rule
-                         .Semantics.Rule.rule_id,
-                       Triage.tier_to_string tier )
-               | None -> None)
+        Triage.rule_tiers (Triage.triage_reports ~config:tcfg program violating)
     | None -> []
   in
   {

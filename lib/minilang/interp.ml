@@ -10,8 +10,8 @@
     - a *lock set* tracking the objects held by enclosing [synchronized]
       blocks, so that blocking builtins can report the locks they block
       under (the signal behind the paper's Figure 6 rules);
-    - an event trace, fed through an optional hook so callers (tests,
-      witness-replay triage) can observe execution.
+    - an event trace, fed through an optional hook so callers (tests)
+      can observe execution.
 
     The evaluator is a functor over a {!SHADOW} layer: every value carries
     a shadow, boolean evaluations yield facts, and execution calls the
@@ -87,6 +87,8 @@ module type SHADOW = sig
 
   type frame
 
+  val input : run -> tagged -> tagged
+
   val enter : run -> string -> frame
 
   val leave : run -> unit
@@ -128,6 +130,8 @@ module No_shadow = struct
   type run = unit
 
   type frame = unit
+
+  let input () t = t
 
   let enter () _ = ()
 
@@ -354,7 +358,8 @@ module Make (S : SHADOW) = struct
             match Value.heap_get st.heap addr with
             | Some (Value.C_obj obj) -> (
                 match Value.obj_get obj f with
-                | Some v -> { S.v; sym = S.field ~cls:obj.Value.o_class f }
+                | Some v ->
+                    S.input st.shadow { S.v; sym = S.field ~cls:obj.Value.o_class f }
                 | None -> runtime_error loc "object %s has no field %s" obj.Value.o_class f)
             | Some _ -> runtime_error loc "field access %s on non-object" f
             | None -> runtime_error loc "dangling reference")
@@ -581,12 +586,15 @@ module Make (S : SHADOW) = struct
     if List.length args <> List.length m.Ast.m_params then
       runtime_error loc "%s expects %d args, got %d" qname
         (List.length m.Ast.m_params) (List.length args);
+    (* the call begins before its parameters bind: they are its inputs *)
+    let sh = S.enter st.shadow qname in
     let vars = Hashtbl.create 16 in
     List.iter2
       (fun (p, ty) (t : S.tagged) ->
-        Hashtbl.replace vars p (reshadow t (S.param st.program p ty t.S.sym)))
+        Hashtbl.replace vars p
+          (S.input st.shadow (reshadow t (S.param st.program p ty t.S.sym))))
       m.Ast.m_params args;
-    let frame = { vars; self; sh = S.enter st.shadow qname } in
+    let frame = { vars; self; sh } in
     st.depth <- st.depth + 1;
     let finish () =
       S.leave st.shadow;
@@ -652,68 +660,6 @@ let run_function ?config (program : Ast.program) (name : string) (args : Value.t
 
 let run_test ?config (program : Ast.program) (name : string) : test_outcome =
   test (create ?config program) name
-
-(* ------------------------------------------------------------------ *)
-(* Bounded replay entry points                                         *)
-(* ------------------------------------------------------------------ *)
-
-type call_outcome =
-  | Call_returned of Value.t
-  | Call_threw of string  (** a MiniJava [throw] escaped the call *)
-  | Call_error of string  (** runtime error or assertion failure *)
-  | Call_exhausted  (** fuel or call-depth budget spent: inconclusive *)
-
-let call_outcome_to_string = function
-  | Call_returned v -> Fmt.str "returned %s" (Value.to_string v)
-  | Call_threw m -> Fmt.str "threw %s" m
-  | Call_error m -> Fmt.str "error: %s" m
-  | Call_exhausted -> "budget exhausted"
-
-(* The depth limiter raises through [runtime_error]; recognize it so the
-   structured outcome reads "budget", not "program bug". *)
-let depth_limit_prefix = "call depth limit"
-
-let starts_with ~prefix s =
-  String.length prefix <= String.length s
-  && String.sub s 0 (String.length prefix) = prefix
-
-let bounded (st : state) ?fuel (run : unit -> Value.t) : call_outcome =
-  (match fuel with Some n -> st.fuel_left <- n | None -> ());
-  match run () with
-  | v -> Call_returned v
-  | exception Out_of_fuel -> Call_exhausted
-  | exception Mini_throw v -> Call_threw (Value.to_string ~heap:st.heap v)
-  | exception Assertion_failure (msg, sid) ->
-      Call_error (Fmt.str "assertion: %s (stmt %d)" msg sid)
-  | exception Runtime_error (msg, _) ->
-      if starts_with ~prefix:depth_limit_prefix msg then Call_exhausted
-      else Call_error msg
-
-(** Allocate a default-initialized object of a class without running its
-    [init] method: field initializers are evaluated in an empty frame
-    (falling back to the type default if they need context), so witness
-    replay can build receivers and subjects field by field. *)
-let alloc_object (st : state) (cls_name : string) : Value.t =
-  match Ast.find_class st.program cls_name with
-  | None -> runtime_error Loc.dummy "unknown class %s" cls_name
-  | Some cls ->
-      let scratch = { vars = Hashtbl.create 4; self = untagged Value.V_null; sh = () } in
-      new_object st cls (fun (fd : Ast.field_decl) e ->
-          try (eval st scratch e).v with _ -> default_of_type st.heap fd.Ast.f_typ)
-
-(** Call a top-level function under a structured budget: exhaustion (fuel
-    or depth) is an outcome, never a hang; exceptions are outcomes, not
-    host-level raises. *)
-let call_bounded ?fuel (st : state) (name : string) (args : Value.t list) :
-    call_outcome =
-  bounded st ?fuel (fun () -> call st name args)
-
-(** Call a method on a receiver under the same structured budget; the
-    class is resolved from the receiver's runtime object. *)
-let method_call_bounded ?fuel (st : state) ~(recv : Value.t) ~(meth : string)
-    (args : Value.t list) : call_outcome =
-  bounded st ?fuel (fun () ->
-      (invoke_method st ~loc:Loc.dummy (untagged recv) meth (List.map untagged args)).v)
 
 (** Names of all [test_*] top-level functions of a program. *)
 let test_names (program : Ast.program) : string list =

@@ -45,8 +45,9 @@ type test_outcome =
 
 (** {2 The shadow seam} *)
 
-(** A layer computed alongside concrete execution.  It observes; it never
-    changes what the program does. *)
+(** A layer computed alongside concrete execution.  It observes; apart
+    from pinning symbolic inputs ([input]), it never changes what the
+    program does. *)
 module type SHADOW = sig
   type sym
   (** a value's shadow *)
@@ -88,8 +89,15 @@ module type SHADOW = sig
   type frame
   (** per-call state *)
 
+  val input : run -> tagged -> tagged
+  (** a field read or a bound parameter, shadow attached: the layer may
+      replace the concrete value of a symbolic input (the concolic
+      engine's replay under a model); every other layer returns it
+      unchanged *)
+
   val enter : run -> string -> frame
-  (** a call of the qualified method begins *)
+  (** a call of the qualified method begins (before its parameters
+      bind) *)
 
   val leave : run -> unit
   (** the innermost call returns or unwinds *)
@@ -161,34 +169,6 @@ val run_function :
 (** Run a [test_*] function in a fresh state and classify the outcome like
     a CI job. *)
 val run_test : ?config:config -> Ast.program -> string -> test_outcome
-
-(** {2 Bounded replay entry points}
-
-    Structured-outcome wrappers used by witness-replay triage (and usable
-    by any harness that must never hang): fuel or call-depth exhaustion is
-    an explicit [Call_exhausted] outcome rather than a host exception. *)
-
-type call_outcome =
-  | Call_returned of Value.t
-  | Call_threw of string  (** a MiniJava [throw] escaped the call *)
-  | Call_error of string  (** runtime error or assertion failure *)
-  | Call_exhausted  (** fuel or call-depth budget spent: inconclusive *)
-
-val call_outcome_to_string : call_outcome -> string
-
-(** Allocate a default-initialized object of a class without running its
-    [init] method, so callers can populate fields explicitly. *)
-val alloc_object : state -> string -> Value.t
-
-(** Call a top-level function under a structured budget.  [?fuel] resets
-    the state's remaining fuel before the call. *)
-val call_bounded : ?fuel:int -> state -> string -> Value.t list -> call_outcome
-
-(** Call [meth] on receiver [recv] (class resolved from the runtime
-    object) under the same structured budget. *)
-val method_call_bounded :
-  ?fuel:int -> state -> recv:Value.t -> meth:string -> Value.t list ->
-  call_outcome
 
 (** Names of the program's [test_*] top-level functions. *)
 val test_names : Ast.program -> string list

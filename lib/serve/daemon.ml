@@ -97,11 +97,19 @@ let event ?(id = "-") ?(tenant = "-") sev fmt =
 
 let responses_path dir = Filename.concat dir "responses.snap"
 
+(* The triage harness behind every tier the daemon serves (the driving
+   test replayed under the concolic engine): part of the response key,
+   so a tier computed by another harness never answers a request. *)
+let triage_harness = "test-replay"
+
 (* the summary record is marshalled raw, so its wire kind carries the
    protocol version: a snapshot written by an older (or newer) summary
    layout fails the kind check and degrades to a cold start instead of
-   unmarshalling garbage *)
-let responses_kind = Printf.sprintf "responses/v%d" Protocol.version
+   unmarshalling garbage.  It names the triage harness too: entries
+   keyed under another harness's tag could never hit, so their snapshot
+   starts cold rather than being reloaded and saved again *)
+let responses_kind =
+  Printf.sprintf "responses/v%d/%s" Protocol.version triage_harness
 
 (* ------------------------------------------------------------------ *)
 (* Warm start                                                          *)
@@ -119,17 +127,14 @@ let load_caches (t : t) (dir : string) : unit =
   t.warm <- [ ("responses", text) ]
 
 (* the engine runs the default checker, so its tag is fixed for the
-   daemon's life; triage knobs are part of the key: a summary with
+   daemon's life; the triage harness is part of the key: a summary with
    tiers must never answer a request from a daemon running without
-   triage (or with different replay budgets), and vice versa *)
+   triage (or with another harness), and vice versa *)
 let key_tags_of (config : config) : string list =
   let triage_tag =
     match config.triage with
-    | None -> "triage:off"
-    | Some c when not c.Triage.enabled -> "triage:off"
-    | Some c ->
-        Printf.sprintf "triage:%d:%d:%d"
-          c.Triage.replay_fuel c.Triage.max_attempts c.Triage.max_nodes
+    | Some c when c.Triage.enabled -> "triage:" ^ triage_harness
+    | Some _ | None -> "triage:off"
   in
   [
     Engine.Checker.config_tag
@@ -380,15 +385,8 @@ let enforce_uncached (t : t) ~(queue_ms : float) (req : Protocol.request)
             let violating =
               List.filter Engine.Checker.has_violations reports
             in
-            Triage.triage_reports ~config:tcfg rv.rv_program violating
-            |> List.filter_map (fun tr ->
-                   match Triage.rule_tier tr with
-                   | Some tier ->
-                       Some
-                         ( tr.Triage.t_report.Engine.Checker.rep_rule
-                             .Semantics.Rule.rule_id,
-                           Triage.tier_to_string tier )
-                   | None -> None)
+            Triage.rule_tiers
+              (Triage.triage_reports ~config:tcfg rv.rv_program violating)
         | _ -> []
       in
       let summary =

@@ -39,6 +39,11 @@ type config = {
 
 val default_config : config
 
+(** The wire kind of [responses.snap]: the protocol version and the
+    triage harness.  A snapshot saved under any other kind starts
+    cold. *)
+val responses_kind : string
+
 type t
 
 (** Create the daemon; when [cache_dir] is set, warm the response cache

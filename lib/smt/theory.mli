@@ -20,3 +20,11 @@ val consistent : lit list -> bool
     conjunction holding one of its atoms, in either polarity, is
     inconsistent, so a complement check over it proves nothing. *)
 val ill_sorted : Formula.t -> Formula.atom list
+
+(** One valuation of the variables of [lits] under which every literal
+    holds (ints within their difference bounds, every value clear of
+    the classes it must differ from, found by a bounded depth-first
+    search over a few candidates per equality class): [None] when
+    [lits] is inconsistent or the search finds none.  A returned
+    valuation is checked literal by literal. *)
+val valuation : lit list -> (string * Formula.value) list option

@@ -61,6 +61,11 @@ type config = {
   capture_vars : string list;
       (** rule-vocabulary variables (e.g. ["Snapshot.ttl"; "nowTs"]) whose
           concrete values are snapshotted into [h_state] at each hit *)
+  inputs : (string * Smt.Formula.value) list;
+      (** symbolic inputs pinned to model values: while a method holding
+          a target is on the call stack, every read of a [Class.field]
+          path or binding of a scalar parameter named here yields the
+          value *)
 }
 
 let default_config =
@@ -71,6 +76,7 @@ let default_config =
     fuel = 200_000;
     max_call_depth = 400;
     capture_vars = [];
+    inputs = [];
   }
 
 type lost = Fuel
@@ -96,6 +102,10 @@ type run = {
   mutable branches_recorded : int;
   mutable pc_cache : (Smt.Formula.t list * Smt.Formula.t list) option;
       (** memoized (pruned, full) snapshot; None when stale *)
+  scope : string list;
+      (** qualified methods holding a target, when [config.inputs] pins
+          anything *)
+  mutable scope_depth : int;  (** live frames of [scope] methods *)
 }
 
 (* The path condition at a program point is the concatenation of the facts
@@ -215,6 +225,22 @@ let value_of_concrete : Value.t -> Smt.Formula.value = function
   | Value.V_null -> Smt.Formula.V_null
   | Value.V_ref _ -> Smt.Formula.V_str "<ref>"
 
+(* The value input [var] reads as inside the scope: the model's value
+   when it has the concrete value's kind (a reference field may read as
+   [null]; a class root is not an input).  Anything else keeps the
+   concrete value. *)
+let pinned (r : run) (var : string) (v : Value.t) : Value.t =
+  if r.scope_depth = 0 then v
+  else
+    match (List.assoc_opt var r.config.inputs, v) with
+    | Some (Smt.Formula.V_int n), Value.V_int _ -> Value.V_int n
+    | Some (Smt.Formula.V_bool b), Value.V_bool _ -> Value.V_bool b
+    | Some (Smt.Formula.V_str s), Value.V_str _ -> Value.V_str s
+    | Some Smt.Formula.V_null, (Value.V_ref _ | Value.V_null)
+      when String.contains var '.' ->
+        Value.V_null
+    | _ -> v
+
 (* Resolve one rule-vocabulary variable against the current frame.  A
    dotted path "C.f" reads field [f] of an object of runtime class [C]
    (self first, then frame locals in name order — deterministic); a bare
@@ -257,7 +283,8 @@ let capture_state (r : run) (heap : Value.heap) ~(self : tagged)
               match Value.heap_get heap addr with
               | Some (Value.C_obj obj) -> (
                   match Value.obj_get obj fld with
-                  | Some v -> Some (var, value_of_concrete v)
+                  | Some v ->
+                      Some (var, value_of_concrete (pinned r var v))
                   | None -> None)
               | Some _ | None -> None)
           | Some _ | None -> None)
@@ -324,13 +351,27 @@ module Shadow = struct
 
   type nonrec frame = frame
 
+  let input (r : run) (t : tagged) : tagged =
+    if r.scope_depth = 0 then t
+    else
+      match Option.bind t.sym Sym.as_var with
+      | Some x ->
+          let v = pinned r x t.v in
+          if v == t.v then t else { t with v }
+      | None -> t
+
   let enter (r : run) (qname : string) : frame =
+    if List.mem qname r.scope then r.scope_depth <- r.scope_depth + 1;
     let frame = { qname; decisions = []; f_pc = []; f_full_pc = [] } in
     r.stack <- frame :: r.stack;
     r.pc_cache <- None;
     frame
 
   let leave (r : run) =
+    (match r.stack with
+    | f :: _ when List.mem f.qname r.scope ->
+        r.scope_depth <- r.scope_depth - 1
+    | _ -> ());
     r.stack <- (match r.stack with _ :: rest -> rest | [] -> []);
     r.pc_cache <- None
 
@@ -405,6 +446,17 @@ let run ?(config = default_config) (program : Ast.program) (entry : string) :
       branches_total = 0;
       branches_recorded = 0;
       pc_cache = None;
+      scope =
+        (if config.inputs = [] then []
+         else
+           List.filter_map
+             (fun sid ->
+               match Ast.enclosing_method program sid with
+               | Some (Some cls, md) -> Some (cls ^ "." ^ md.Ast.m_name)
+               | Some (None, md) -> Some md.Ast.m_name
+               | None -> None)
+             config.targets);
+      scope_depth = 0;
     }
   in
   let st =

@@ -45,7 +45,16 @@ type config = {
   max_call_depth : int;
   capture_vars : string list;
       (** rule-vocabulary variables whose concrete values are snapshotted
-          into [h_state] at each hit (used by witness-replay triage) *)
+          into [h_state] at each hit *)
+  inputs : (string * Smt.Formula.value) list;
+      (** symbolic inputs pinned to model values (witness-replay triage):
+          while a method holding one of [targets] is on the call stack,
+          every read of a [Class.field] path named here — by the program
+          or by the [h_state] capture — and every binding of a scalar
+          parameter named here yields the value, when it has the
+          concrete value's kind ([null] for a reference field).  The code
+          that runs before that call (a test's set-up) reads the real
+          state.  Empty by default. *)
 }
 
 val default_config : config

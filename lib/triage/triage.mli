@@ -1,26 +1,27 @@
 (** Witness-replay triage: self-validating verdict tiers over checker
     findings (the Hitchhiker's-Guide second pass).
 
-    For each violating trace the checker reports, triage synthesizes
-    concrete inputs from the SMT model of [pc /\ !checker] (bounded
-    case-split over unconstrained atoms), replays them through the real
-    MiniJava interpreter under a fuel budget, and fuses the replay
-    outcome with two consistency signals (does the rule contradict
-    concretely-observed passing state? does it have any verified trace?)
-    into a tier.  Tiers rank findings — triage never deletes a report —
-    so disabling it leaves all downstream output byte-identical. *)
+    For each violating trace the checker reports, triage turns the SMT
+    model of [pc /\ !checker] into concrete values, replays the trace's
+    driving test under the concolic engine with those values pinned as
+    its symbolic inputs, and checks whether the condition fails on the
+    state read at the target.  A hallucination signal (the rule
+    contradicts concretely-observed passing state and has no verified
+    trace) ranks first.  Tiers rank findings — triage never deletes a
+    report — so disabling it leaves all downstream output
+    byte-identical. *)
 
 (** Verdict tiers, strongest first. *)
 type tier =
   | Witnessed
-      (** a concrete replay reproduces the violation, and the rule is
+      (** the replayed test reproduces the violation, and the rule is
           consistent with observed passing behaviour *)
   | Consistent
-      (** a model exists but replay was inconclusive or the budget ran
-          out: plausible, unproven *)
+      (** a model exists but the replay did not reproduce it: plausible,
+          unproven *)
   | Likely_fp
-      (** replay refutes the finding, or the rule condemns states the
-          system's own green tests produce and has no verified trace *)
+      (** the rule condemns states the system's own green tests produce
+          and has no verified trace *)
 
 val tier_to_string : tier -> string
 (** ["witnessed"] / ["consistent"] / ["likely-fp"] — the wire spelling
@@ -28,12 +29,7 @@ val tier_to_string : tier -> string
 
 val tier_of_string : string -> tier option
 
-type config = {
-  enabled : bool;
-  replay_fuel : int;  (** interpreter fuel per replay attempt *)
-  max_attempts : int;  (** witness valuations replayed per finding *)
-  max_nodes : int;  (** case-split search nodes per finding *)
-}
+type config = { enabled : bool }
 
 val default_config : config
 
@@ -53,24 +49,16 @@ type triaged = {
           disabled or the report is clean *)
 }
 
-(** {2 Witness synthesis (exposed for property tests)} *)
+(** {2 The witness (exposed for property tests)} *)
 
-type hint = H_int | H_bool | H_str | H_obj
-
-(** Bounded enumeration of concrete valuations satisfying the formula,
-    pruned by three-valued partial evaluation and seeded by the SMT
-    model.  Enumeration runs over [Smt.Formula.simplify f], and every
-    returned valuation satisfies
-    [Smt.Formula.eval valuation (simplify f) = Some true]; the flag is
-    [true] iff the whole candidate space was explored within
-    [max_nodes] / [max_attempts]. *)
-val synthesize :
-  ?model:(Smt.Formula.atom * bool) list ->
-  ?hints:(string -> hint option) ->
-  max_nodes:int ->
-  max_attempts:int ->
+(** One concrete valuation from a [Sat] model of the formula: the
+    model's literals valued by {!Smt.Theory.valuation}, kept only if the
+    valuation satisfies [Smt.Formula.simplify f].  [None] when the theory
+    finds no valuation or the check fails. *)
+val witness :
   Smt.Formula.t ->
-  (string * Smt.Formula.value) list list * bool
+  (Smt.Formula.atom * bool) list ->
+  (string * Smt.Formula.value) list option
 
 (** {2 Triage} *)
 
@@ -92,11 +80,13 @@ val triage_reports :
     ([None] for a clean report). *)
 val rule_tier : triaged -> tier option
 
+(** [(rule id, tier)] for every rule with findings, in input order: the
+    tier column of scan rows and serve summaries. *)
+val rule_tiers : triaged list -> (string * string) list
+
 (** A rule blocks the gate iff at least one finding survived triage
     (Witnessed or Consistent). *)
 val blocking : triaged -> bool
-
-val has_blocking_findings : triaged list -> bool
 
 (** Rule ids with findings, all of which triage ranked Likely-FP. *)
 val demoted_ids : triaged list -> string list

@@ -74,20 +74,6 @@ let test_schedule_tie_break () =
     (List.map (fun (j : Engine.Job.t) -> j.Engine.Job.rule_id)
        (Engine.Job.schedule jobs))
 
-let test_heap_push_pop () =
-  let h = Engine.Job.Heap.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Engine.Job.Heap.is_empty h);
-  List.iter (Engine.Job.Heap.push h)
-    [ job ~id:"x" ~priority:2; job ~id:"y" ~priority:7 ];
-  Alcotest.(check int) "two jobs" 2 (Engine.Job.Heap.length h);
-  (match Engine.Job.Heap.pop h with
-  | Some j -> Alcotest.(check string) "max first" "y" j.Engine.Job.rule_id
-  | None -> Alcotest.fail "expected a job");
-  ignore (Engine.Job.Heap.pop h);
-  Alcotest.(check (option string)) "drained" None
-    (Option.map (fun (j : Engine.Job.t) -> j.Engine.Job.rule_id)
-       (Engine.Job.Heap.pop h))
-
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -421,7 +407,6 @@ let suite =
       [
         Alcotest.test_case "priority order" `Quick test_schedule_priority_order;
         Alcotest.test_case "deterministic tie break" `Quick test_schedule_tie_break;
-        Alcotest.test_case "heap push/pop" `Quick test_heap_push_pop;
       ] );
     ( "engine.fingerprint",
       [

@@ -498,6 +498,41 @@ let test_daemon_corrupt_snapshot_cold_start () =
   Alcotest.(check int) "nothing pre-cached after corruption" 0
     (List.assoc "cache_hits" (Serve.Daemon.counters d2))
 
+(* a snapshot saved under the kind daemons used before the test-replay
+   triage harness ("responses/v<protocol>") holds keys that can never
+   hit: it must load cold, not be reloaded and saved again *)
+let test_daemon_old_kind_cold_start () =
+  let dir = temp_dir () in
+  let config =
+    { Serve.Daemon.default_config with Serve.Daemon.cache_dir = Some dir }
+  in
+  let line = req_line ~id:"v1" 1 in
+  let d1 = Serve.Daemon.create ~config () in
+  let cold = signature d1 line in
+  ignore (Serve.Daemon.save d1);
+  let path = Filename.concat dir "responses.snap" in
+  (match Serve.Snapshot.load ~path ~kind:Serve.Daemon.responses_kind with
+  | Ok (entries : (string * Serve.Protocol.summary) list) -> (
+      match
+        Serve.Snapshot.save ~path
+          ~kind:(Printf.sprintf "responses/v%d" Serve.Protocol.version)
+          entries
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "re-save under the old kind: %s" e)
+  | Error e -> Alcotest.failf "responses snapshot: %s" e);
+  let d2 = Serve.Daemon.create ~config () in
+  Alcotest.(check (list string)) "old-kind snapshot loads cold" [ "responses" ]
+    (List.filter_map
+       (fun (k, v) ->
+         if String.length v >= 4 && String.sub v 0 4 = "cold" then Some k
+         else None)
+       (Serve.Daemon.warm_report d2));
+  Alcotest.(check string) "cold start serves the same verdict" cold
+    (signature d2 line);
+  Alcotest.(check int) "nothing pre-cached from the old kind" 0
+    (List.assoc "cache_hits" (Serve.Daemon.counters d2))
+
 (* a violating release gets a tier per violating rule; a triage-off
    daemon answers the same request with the v1 tier-less summary *)
 let test_daemon_tiers_on_findings () =
@@ -850,8 +885,9 @@ let test_daemon_livelock_stays_in_its_request () =
     (Serve.Protocol.verdict_signature fresh)
     (Serve.Protocol.verdict_signature after_livelock)
 
-(* response-cache keys as computed before the key memo existed: snapshots
-   written by earlier daemons must keep warm-starting this one *)
+(* response-cache keys as computed before the key memo existed (under the
+   test-replay triage tag): snapshots written by earlier daemons of the
+   same kind must keep warm-starting this one *)
 let test_daemon_keys_pinned () =
   let dir = temp_dir () in
   let d =
@@ -867,18 +903,18 @@ let test_daemon_keys_pinned () =
     match
       Serve.Snapshot.load
         ~path:(Filename.concat dir "responses.snap")
-        ~kind:(Printf.sprintf "responses/v%d" Serve.Protocol.version)
+        ~kind:Serve.Daemon.responses_kind
     with
     | Ok (entries : (string * Serve.Protocol.summary) list) ->
         List.sort compare (List.map fst entries)
     | Error e -> Alcotest.failf "responses snapshot: %s" e
   in
   Alcotest.(check (list string))
-    "zookeeper v1" [ "9dfe3bad74c32ac8d31c99c631961a96" ]
+    "zookeeper v1" [ "fc4aac64798442ba0e5f48f316890035" ]
     (keys_after (req_line 1));
   Alcotest.(check (list string))
     "zk-ephemeral ticket 0 v2"
-    [ "2e26eb93d7d601f92a9d3e2d1cfb663b"; "9dfe3bad74c32ac8d31c99c631961a96" ]
+    [ "c61fc5b27565cd359e328e6cb0104149"; "fc4aac64798442ba0e5f48f316890035" ]
     (keys_after (case_line c.Corpus.Case.case_id 2))
 
 let suite =
@@ -932,6 +968,8 @@ let suite =
           (isolated test_daemon_warm_restart_byte_identical);
         Alcotest.test_case "corrupt snapshots fall back to cold start" `Slow
           (isolated test_daemon_corrupt_snapshot_cold_start);
+        Alcotest.test_case "old-kind snapshot starts cold" `Slow
+          (isolated test_daemon_old_kind_cold_start);
         Alcotest.test_case "findings carry triage tiers; off renders v1" `Slow
           (isolated test_daemon_tiers_on_findings);
         Alcotest.test_case "breaker rejects a failing tenant" `Slow
