@@ -9,9 +9,7 @@
       builtins) used by [now()];
     - a *lock set* tracking the objects held by enclosing [synchronized]
       blocks, so that blocking builtins can report the locks they block
-      under (the signal behind the paper's Figure 6 rules);
-    - an event trace, fed through an optional hook so callers (tests)
-      can observe execution.
+      under (the signal behind the paper's Figure 6 rules).
 
     The evaluator is a functor over a {!SHADOW} layer: every value carries
     a shadow, boolean evaluations yield facts, and execution calls the
@@ -25,12 +23,6 @@
     as {!Out_of_fuel} (the interpreter is deliberately total given finite
     fuel — subject systems contain intentional livelocks). *)
 
-type event =
-  | Ev_stmt of int  (** statement [sid] about to execute *)
-  | Ev_lock of { sid : int; addr : int }
-  | Ev_unlock of { sid : int; addr : int }
-  | Ev_blocking of { sid : int; op : string; locks_held : int list }
-
 exception Mini_throw of Value.t
 
 exception Runtime_error of string * Loc.t
@@ -41,11 +33,10 @@ exception Assertion_failure of string * int  (** message, sid *)
 
 type config = {
   fuel : int;  (** maximum number of statements to execute *)
-  on_event : (event -> unit) option;
   max_call_depth : int;
 }
 
-let default_config = { fuel = 200_000; on_event = None; max_call_depth = 400 }
+let default_config = { fuel = 200_000; max_call_depth = 400 }
 
 type test_outcome =
   | Passed
@@ -87,9 +78,9 @@ module type SHADOW = sig
 
   type frame
 
-  val input : run -> tagged -> tagged
+  val enter : run -> Value.heap -> string -> frame
 
-  val enter : run -> string -> frame
+  val input : run -> frame -> tagged -> tagged
 
   val leave : run -> unit
 
@@ -131,9 +122,9 @@ module No_shadow = struct
 
   type frame = unit
 
-  let input () t = t
+  let enter () _ _ = ()
 
-  let enter () _ = ()
+  let input () () t = t
 
   let leave () = ()
 
@@ -213,8 +204,6 @@ module Make (S : SHADOW) = struct
       shadow;
     }
 
-  let emit st ev = match st.config.on_event with None -> () | Some f -> f ev
-
   let tick st =
     st.clock <- st.clock + 1;
     st.fuel_left <- st.fuel_left - 1;
@@ -236,7 +225,6 @@ module Make (S : SHADOW) = struct
 
   let call_builtin st frame ~sid ~loc name (args : Value.t list) : Value.t =
     let blocking op =
-      emit st (Ev_blocking { sid; op; locks_held = st.locks });
       S.blocking st.shadow frame.sh ~sid op ~locks:st.locks;
       (* blocking ops consume extra logical time *)
       st.clock <- st.clock + 10
@@ -358,8 +346,7 @@ module Make (S : SHADOW) = struct
             match Value.heap_get st.heap addr with
             | Some (Value.C_obj obj) -> (
                 match Value.obj_get obj f with
-                | Some v ->
-                    S.input st.shadow { S.v; sym = S.field ~cls:obj.Value.o_class f }
+                | Some v -> { S.v; sym = S.field ~cls:obj.Value.o_class f }
                 | None -> runtime_error loc "object %s has no field %s" obj.Value.o_class f)
             | Some _ -> runtime_error loc "field access %s on non-object" f
             | None -> runtime_error loc "dangling reference")
@@ -494,7 +481,6 @@ module Make (S : SHADOW) = struct
   and exec_stmt st frame (stmt : Ast.stmt) : flow =
     let sid = stmt.Ast.sid in
     tick st;
-    (match st.config.on_event with Some f -> f (Ev_stmt sid) | None -> ());
     S.arrive st.shadow frame.sh st.heap ~sid ~locks:st.locks ~self:frame.self
       frame.vars;
     let loc = stmt.Ast.sloc in
@@ -547,13 +533,11 @@ module Make (S : SHADOW) = struct
           | Value.V_ref a -> a
           | v -> runtime_error loc "synchronized on %s, not an object" (Value.type_name v)
         in
-        emit st (Ev_lock { sid; addr });
         st.locks <- addr :: st.locks;
         let release () =
-          (match st.locks with
+          match st.locks with
           | a :: rest when a = addr -> st.locks <- rest
-          | _ -> st.locks <- List.filter (fun a -> a <> addr) st.locks);
-          emit st (Ev_unlock { sid; addr })
+          | _ -> st.locks <- List.filter (fun a -> a <> addr) st.locks
         in
         match exec_block st frame body with
         | f ->
@@ -587,12 +571,12 @@ module Make (S : SHADOW) = struct
       runtime_error loc "%s expects %d args, got %d" qname
         (List.length m.Ast.m_params) (List.length args);
     (* the call begins before its parameters bind: they are its inputs *)
-    let sh = S.enter st.shadow qname in
+    let sh = S.enter st.shadow st.heap qname in
     let vars = Hashtbl.create 16 in
     List.iter2
       (fun (p, ty) (t : S.tagged) ->
         Hashtbl.replace vars p
-          (S.input st.shadow (reshadow t (S.param st.program p ty t.S.sym))))
+          (S.input st.shadow sh (reshadow t (S.param st.program p ty t.S.sym))))
       m.Ast.m_params args;
     let frame = { vars; self; sh } in
     st.depth <- st.depth + 1;

@@ -3,22 +3,15 @@
     (builtins, runtime type errors, the clock, fuel, call depth,
     [throw]/[try], [synchronized], calls).
 
-    Maintains a heap, a logical clock, the set of monitors held by
-    enclosing [synchronized] blocks, and an event stream delivered through
-    an optional hook.  Execution is deterministic and total given finite
-    fuel.
+    Maintains a heap, a logical clock and the set of monitors held by
+    enclosing [synchronized] blocks.  Execution is deterministic and
+    total given finite fuel.
 
     The evaluator is {!Make}, a functor over a {!SHADOW} layer that rides
     along with execution: values carry shadows, guard evaluations yield
     facts, and statements, branches, calls and blocking builtins call the
     layer's hooks.  This module is [Make (No_shadow)]; the concolic engine
     ({!Symexec.Concolic}) is [Make] over symbolic shadows. *)
-
-type event =
-  | Ev_stmt of int  (** statement [sid] about to execute *)
-  | Ev_lock of { sid : int; addr : int }
-  | Ev_unlock of { sid : int; addr : int }
-  | Ev_blocking of { sid : int; op : string; locks_held : int list }
 
 exception Mini_throw of Value.t
 (** a MiniJava [throw] that escaped to the host *)
@@ -32,7 +25,6 @@ exception Assertion_failure of string * int
 
 type config = {
   fuel : int;  (** maximum number of statements to execute *)
-  on_event : (event -> unit) option;
   max_call_depth : int;
 }
 
@@ -46,8 +38,8 @@ type test_outcome =
 (** {2 The shadow seam} *)
 
 (** A layer computed alongside concrete execution.  It observes; apart
-    from pinning symbolic inputs ([input]), it never changes what the
-    program does. *)
+    from seeding symbolic inputs when a call begins ([enter], [input]),
+    it never changes what the program does. *)
 module type SHADOW = sig
   type sym
   (** a value's shadow *)
@@ -89,15 +81,15 @@ module type SHADOW = sig
   type frame
   (** per-call state *)
 
-  val input : run -> tagged -> tagged
-  (** a field read or a bound parameter, shadow attached: the layer may
-      replace the concrete value of a symbolic input (the concolic
-      engine's replay under a model); every other layer returns it
-      unchanged *)
+  val enter : run -> Value.heap -> string -> frame
+  (** a call of the qualified method begins, before its parameters
+      bind; the layer may write starting values into the heap's object
+      fields (the concolic engine's replay under a model) *)
 
-  val enter : run -> string -> frame
-  (** a call of the qualified method begins (before its parameters
-      bind) *)
+  val input : run -> frame -> tagged -> tagged
+  (** a parameter bound on entry to [frame], shadow attached: the layer
+      may replace its concrete value (the same replay); every other
+      layer returns it unchanged *)
 
   val leave : run -> unit
   (** the innermost call returns or unwinds *)

@@ -327,7 +327,7 @@ let candidate (s : sort) (k : int) : Formula.value option =
     one at a time, depth first, from a few candidates each: an int
     within its closed difference bounds (each fixed value re-closing the
     bounds of the rest), and every value clear of the classes it must
-    differ from.  Checked literal by literal before it is returned. *)
+    differ from. *)
 let valuation (lits : lit list) : (string * Formula.value) list option =
   match close lits with
   | exception Inconsistent -> None
@@ -428,17 +428,10 @@ let valuation (lits : lit list) : (string * Formula.value) list option =
       let unvalued = List.filter (fun i -> rep i = i && value.(i) = None) (List.init n Fun.id) in
       if not (assign c.c_dist unvalued) then None
       else
-        let vals =
-          List.filter_map
-            (fun i ->
-              match Formula.term_view (node_term c.c_tbl i) with
-              | Formula.T_var x -> Option.map (fun v -> (x, v)) value.(rep i)
-              | _ -> None)
-            (List.init n Fun.id)
-        in
-        let holds (l, _, _) =
-          Formula.eval vals
-            (Formula.atom l.atom.Formula.rel l.atom.Formula.lhs l.atom.Formula.rhs)
-          = Some l.sign
-        in
-        if List.for_all holds c.c_lits then Some vals else None)
+        Some
+          (List.filter_map
+             (fun i ->
+               match Formula.term_view (node_term c.c_tbl i) with
+               | Formula.T_var x -> Option.map (fun v -> (x, v)) value.(rep i)
+               | _ -> None)
+             (List.init n Fun.id)))

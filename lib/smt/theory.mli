@@ -25,6 +25,7 @@ val ill_sorted : Formula.t -> Formula.atom list
     holds (ints within their difference bounds, every value clear of
     the classes it must differ from, found by a bounded depth-first
     search over a few candidates per equality class): [None] when
-    [lits] is inconsistent or the search finds none.  A returned
-    valuation is checked literal by literal. *)
+    [lits] is inconsistent or the search finds none.  Not re-checked
+    here: a caller that needs certainty evaluates its formula under the
+    valuation, as triage's witness does. *)
 val valuation : lit list -> (string * Formula.value) list option

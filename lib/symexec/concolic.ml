@@ -62,10 +62,9 @@ type config = {
       (** rule-vocabulary variables (e.g. ["Snapshot.ttl"; "nowTs"]) whose
           concrete values are snapshotted into [h_state] at each hit *)
   inputs : (string * Smt.Formula.value) list;
-      (** symbolic inputs pinned to model values: while a method holding
-          a target is on the call stack, every read of a [Class.field]
-          path or binding of a scalar parameter named here yields the
-          value *)
+      (** symbolic inputs' starting values from a model: written into
+          the [Class.field] paths and scalar parameters named here when
+          the outermost call of a method holding a target begins *)
 }
 
 let default_config =
@@ -86,6 +85,7 @@ let lost_to_string = function Fuel -> "out of fuel"
 (* the shadow side of one call *)
 type frame = {
   qname : string;
+  seeded : bool;  (** this call seeded [config.inputs] *)
   mutable decisions : (int * bool) list;  (** reversed *)
   mutable f_pc : Smt.Formula.t list;  (** pruned facts of this frame, newest first *)
   mutable f_full_pc : Smt.Formula.t list;
@@ -103,7 +103,7 @@ type run = {
   mutable pc_cache : (Smt.Formula.t list * Smt.Formula.t list) option;
       (** memoized (pruned, full) snapshot; None when stale *)
   scope : string list;
-      (** qualified methods holding a target, when [config.inputs] pins
+      (** qualified methods holding a target, when [config.inputs] seeds
           anything *)
   mutable scope_depth : int;  (** live frames of [scope] methods *)
 }
@@ -225,21 +225,41 @@ let value_of_concrete : Value.t -> Smt.Formula.value = function
   | Value.V_null -> Smt.Formula.V_null
   | Value.V_ref _ -> Smt.Formula.V_str "<ref>"
 
-(* The value input [var] reads as inside the scope: the model's value
-   when it has the concrete value's kind (a reference field may read as
-   [null]; a class root is not an input).  Anything else keeps the
-   concrete value. *)
-let pinned (r : run) (var : string) (v : Value.t) : Value.t =
-  if r.scope_depth = 0 then v
-  else
-    match (List.assoc_opt var r.config.inputs, v) with
-    | Some (Smt.Formula.V_int n), Value.V_int _ -> Value.V_int n
-    | Some (Smt.Formula.V_bool b), Value.V_bool _ -> Value.V_bool b
-    | Some (Smt.Formula.V_str s), Value.V_str _ -> Value.V_str s
-    | Some Smt.Formula.V_null, (Value.V_ref _ | Value.V_null)
-      when String.contains var '.' ->
-        Value.V_null
-    | _ -> v
+(* The starting value of input [var] in place of [v]: the model's value
+   when it has the concrete value's kind (a reference field may start
+   [null]; a class root is not an input).  Anything else keeps [v]. *)
+let seed_value (r : run) (var : string) (v : Value.t) : Value.t =
+  match (List.assoc_opt var r.config.inputs, v) with
+  | Some (Smt.Formula.V_int n), Value.V_int _ -> Value.V_int n
+  | Some (Smt.Formula.V_bool b), Value.V_bool _ -> Value.V_bool b
+  | Some (Smt.Formula.V_str s), Value.V_str _ -> Value.V_str s
+  | Some Smt.Formula.V_null, (Value.V_ref _ | Value.V_null)
+    when String.contains var '.' ->
+      Value.V_null
+  | _ -> v
+
+(* Write the starting value of every [C.f] input into field [f] of every
+   object of class [C] on the heap (class-canonical naming: the path
+   stands for any such object).  The program's own writes then take
+   over. *)
+let seed_fields (r : run) (heap : Value.heap) : unit =
+  List.iter
+    (fun (var, _) ->
+      match String.index_opt var '.' with
+      | None -> ()
+      | Some i ->
+          let cls = String.sub var 0 i in
+          let fld = String.sub var (i + 1) (String.length var - i - 1) in
+          Hashtbl.iter
+            (fun _ cell ->
+              match cell with
+              | Value.C_obj o when o.Value.o_class = cls -> (
+                  match Value.obj_get o fld with
+                  | Some v -> Value.obj_set o fld (seed_value r var v)
+                  | None -> ())
+              | Value.C_obj _ | Value.C_map _ | Value.C_list _ -> ())
+            heap.Value.cells)
+    r.config.inputs
 
 (* Resolve one rule-vocabulary variable against the current frame.  A
    dotted path "C.f" reads field [f] of an object of runtime class [C]
@@ -283,8 +303,7 @@ let capture_state (r : run) (heap : Value.heap) ~(self : tagged)
               match Value.heap_get heap addr with
               | Some (Value.C_obj obj) -> (
                   match Value.obj_get obj fld with
-                  | Some v ->
-                      Some (var, value_of_concrete (pinned r var v))
+                  | Some v -> Some (var, value_of_concrete v)
                   | None -> None)
               | Some _ | None -> None)
           | Some _ | None -> None)
@@ -351,21 +370,25 @@ module Shadow = struct
 
   type nonrec frame = frame
 
-  let input (r : run) (t : tagged) : tagged =
-    if r.scope_depth = 0 then t
-    else
-      match Option.bind t.sym Sym.as_var with
-      | Some x ->
-          let v = pinned r x t.v in
-          if v == t.v then t else { t with v }
-      | None -> t
-
-  let enter (r : run) (qname : string) : frame =
-    if List.mem qname r.scope then r.scope_depth <- r.scope_depth + 1;
-    let frame = { qname; decisions = []; f_pc = []; f_full_pc = [] } in
+  (* the outermost call of a scope method seeds the inputs *)
+  let enter (r : run) (heap : Value.heap) (qname : string) : frame =
+    let in_scope = List.mem qname r.scope in
+    if in_scope then r.scope_depth <- r.scope_depth + 1;
+    let seeded = in_scope && r.scope_depth = 1 in
+    if seeded then seed_fields r heap;
+    let frame = { qname; seeded; decisions = []; f_pc = []; f_full_pc = [] } in
     r.stack <- frame :: r.stack;
     r.pc_cache <- None;
     frame
+
+  let input (r : run) (frame : frame) (t : tagged) : tagged =
+    if not frame.seeded then t
+    else
+      match Option.bind t.sym Sym.as_var with
+      | Some x ->
+          let v = seed_value r x t.v in
+          if v == t.v then t else { t with v }
+      | None -> t
 
   let leave (r : run) =
     (match r.stack with
@@ -462,11 +485,7 @@ let run ?(config = default_config) (program : Ast.program) (entry : string) :
   let st =
     Eval.create
       ~config:
-        {
-          Interp.fuel = config.fuel;
-          on_event = None;
-          max_call_depth = config.max_call_depth;
-        }
+        { Interp.fuel = config.fuel; max_call_depth = config.max_call_depth }
       ~shadow program
   in
   let outcome = Eval.test st entry in

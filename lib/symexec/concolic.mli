@@ -47,14 +47,15 @@ type config = {
       (** rule-vocabulary variables whose concrete values are snapshotted
           into [h_state] at each hit *)
   inputs : (string * Smt.Formula.value) list;
-      (** symbolic inputs pinned to model values (witness-replay triage):
-          while a method holding one of [targets] is on the call stack,
-          every read of a [Class.field] path named here — by the program
-          or by the [h_state] capture — and every binding of a scalar
-          parameter named here yields the value, when it has the
-          concrete value's kind ([null] for a reference field).  The code
-          that runs before that call (a test's set-up) reads the real
-          state.  Empty by default. *)
+      (** symbolic inputs' starting values from a model (witness-replay
+          triage): each time the outermost call of a method holding one
+          of [targets] begins, field [f] of every heap object of class
+          [C] takes the value of ["C.f"], and the call's scalar
+          parameters named here bind to theirs, when the value has the
+          concrete value's kind ([null] for a reference field).  From
+          there the program runs on its own state: its writes stick,
+          and [h_state] reads the real heap.  The code before that call
+          (a test's set-up) is untouched.  Empty by default. *)
 }
 
 val default_config : config

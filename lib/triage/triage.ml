@@ -11,10 +11,11 @@
        [pc /\ !checker] into concrete values, kept only if they satisfy
        the formula ({!witness});
     2. the finding's driving test is replayed once through
-       {!Symexec.Concolic.run} with those values pinned as its symbolic
-       inputs (scalar parameters and [Class.field] reads), and the
-       checker condition is re-evaluated on the state captured at each
-       arrival at the target statement;
+       {!Symexec.Concolic.run} with those values as its symbolic
+       inputs' starting state (scalar parameters and [Class.field]
+       paths, written when the finding's method is entered), and the
+       checker condition is re-evaluated on the real state captured at
+       each arrival at the target statement;
     3. the hallucination signal decides first: a rule that condemns a
        state the system's own passing tests concretely produced, with no
        verified trace to its name (the paper's §3.2 sanity requirement).
@@ -100,9 +101,10 @@ let env_to_string (env : (string * Smt.Formula.value) list) : string =
            | Smt.Formula.V_null -> "null"))
        env)
 
-(* Replay the finding's driving test with the witness pinned as its
-   symbolic inputs: reproduced when an arrival at the target, in the
-   finding's method, reads a state on which the condition is false. *)
+(* Replay the finding's driving test with the witness as its symbolic
+   inputs' starting values: reproduced when an arrival at the target, in
+   the finding's method, reads a state on which the condition is
+   false. *)
 let replay (p : Minilang.Ast.program) (tv : Engine.Checker.trace_verdict)
     ~(condition : Smt.Formula.t) (inputs : (string * Smt.Formula.value) list)
     : ((string * Smt.Formula.value) list, string) result =

@@ -3,9 +3,9 @@
 
     For each violating trace the checker reports, triage turns the SMT
     model of [pc /\ !checker] into concrete values, replays the trace's
-    driving test under the concolic engine with those values pinned as
-    its symbolic inputs, and checks whether the condition fails on the
-    state read at the target.  A hallucination signal (the rule
+    driving test under the concolic engine with those values as its
+    symbolic inputs' starting state, and checks whether the condition
+    fails on the program's own state at the target.  A hallucination signal (the rule
     contradicts concretely-observed passing state and has no verified
     trace) ranks first.  Tiers rank findings — triage never deletes a
     report — so disabling it leaves all downstream output

@@ -340,17 +340,12 @@ method main() {
 |}
   in
   let p = Parser.program src in
-  let events = ref [] in
-  let config =
-    { Interp.default_config with Interp.on_event = Some (fun e -> events := e :: !events) }
-  in
-  ignore (Interp.run_function ~config p "main" []);
+  let run = Symexec.Concolic.run p "main" in
   let blocking =
-    List.filter_map
-      (function
-        | Interp.Ev_blocking { op; locks_held; _ } -> Some (op, List.length locks_held)
-        | _ -> None)
-      !events
+    List.map
+      (fun (e : Symexec.Concolic.blocking_event) ->
+        (e.Symexec.Concolic.be_op, e.Symexec.Concolic.be_locks))
+      run.Symexec.Concolic.r_blocking
   in
   Alcotest.(check (list (pair string int)))
     "blocking under one lock"
@@ -371,27 +366,14 @@ method main(): int {
   var s: Store = new Store();
   try { s.bad(); } catch (e) { }
   // if the lock leaked, a second sync would still work (reentrant model),
-  // so instead we observe the unlock event count
+  // so instead we observe the monitors held afterwards
   return 0;
 }
 |}
   in
   let p = Parser.program src in
-  let locks = ref 0 and unlocks = ref 0 in
-  let config =
-    {
-      Interp.default_config with
-      Interp.on_event =
-        Some
-          (function
-          | Interp.Ev_lock _ -> incr locks
-          | Interp.Ev_unlock _ -> incr unlocks
-          | _ -> ());
-    }
-  in
-  ignore (Interp.run_function ~config p "main" []);
-  Alcotest.(check int) "locks" 1 !locks;
-  Alcotest.(check int) "unlocks match locks" !locks !unlocks
+  let st, _ = Interp.run_function p "main" [] in
+  Alcotest.(check (list int)) "no monitor held after the throw" [] st.Interp.locks
 
 let test_interp_deterministic () =
   let p = parse_sample () in

@@ -1,6 +1,7 @@
 (* lib/triage: witness-replay triage.  The witness as qcheck properties
-   (a Sat model yields a valuation satisfying its formula; an Unsat
-   formula yields none), tier codec round-trip, determinism of tier
+   (a Sat model yields a valuation satisfying its formula; a literal set
+   the theory rejects yields none, and a returned valuation satisfies
+   every literal), tier codec round-trip, determinism of tier
    assignment across pool widths and repeated runs under a fixed noise
    seed, the zero-loss guarantee (with the real, no-noise oracle no
    seed-corpus finding is ever demoted to Likely-FP), and the pinned
@@ -77,25 +78,33 @@ let prop_sat_model_witnessed =
           | Some v -> Smt.Formula.eval v (Smt.Formula.simplify f) = Some true
           | None -> false))
 
-(* whatever literal set stands in for a model, an unsatisfiable formula
-   gets no witness *)
-let prop_unsat_no_witness =
+(* literal sets over a guard's atoms, signs drawn at random: one the
+   theory rejects gets no valuation, and a valuation it returns makes
+   every literal hold (it is not re-checked before [Triage.witness]
+   evaluates the whole formula) *)
+let prop_valuation =
   QCheck.Test.make ~count:300
-    ~name:"an Unsat formula yields no witness"
+    ~name:"valuation: none if inconsistent, else every literal holds"
     QCheck.(pair gen_guard (list bool))
     (fun (f, signs) ->
-      match Smt.Solver.solve f with
-      | Smt.Solver.Unsat ->
-          let atoms = Smt.Formula.atoms (Smt.Formula.simplify f) in
-          let sign i = match List.nth_opt signs i with Some b -> b | None -> i mod 2 = 0 in
-          List.for_all
-            (fun lits -> Triage.witness f lits = None)
-            [
-              List.map (fun a -> (a, true)) atoms;
-              List.map (fun a -> (a, false)) atoms;
-              List.mapi (fun i a -> (a, sign i)) atoms;
-            ]
-      | _ -> true)
+      let atoms = Smt.Formula.atoms f in
+      let sign i = match List.nth_opt signs i with Some b -> b | None -> i mod 2 = 0 in
+      let holds v (a : Smt.Formula.atom) b =
+        Smt.Formula.eval v (Smt.Formula.atom a.Smt.Formula.rel a.lhs a.rhs) = Some b
+      in
+      List.for_all
+        (fun lits ->
+          let theory_lits = List.map (fun (a, b) -> Smt.Theory.lit b a) lits in
+          match Smt.Theory.valuation theory_lits with
+          | None -> true
+          | Some v ->
+              Smt.Theory.consistent theory_lits
+              && List.for_all (fun (a, b) -> holds v a b) lits)
+        [
+          List.map (fun a -> (a, true)) atoms;
+          List.map (fun a -> (a, false)) atoms;
+          List.mapi (fun i a -> (a, sign i)) atoms;
+        ])
 
 let test_tier_codec () =
   List.iter
@@ -350,12 +359,74 @@ let test_synth_1x_witnessed () =
         "static lock-scope finding; not dynamically observed" f.Triage.f_reason)
     (tier Triage.Consistent)
 
+(* The replay judges the program's own state at the target: the model
+   only seeds the inputs when the finding's method is entered.  [reopen]
+   overwrites the guarded field before the target, so no starting value
+   reaches it and the finding must stay Consistent; [save] leaves the
+   field alone, so the seeded value reaches the target and the finding
+   is Witnessed. *)
+let test_overwritten_input_not_witnessed () =
+  let p =
+    Minilang.Parser.program
+      {|
+class Store {
+  field closed: bool = false;
+  field writes: int = 0;
+  method reopen(x: int) {
+    this.closed = false;
+    this.writes = this.writes + 1;
+    writeRecord(x);
+  }
+  method save(x: int) {
+    this.writes = this.writes + 1;
+    writeRecord(x);
+  }
+}
+method test_reopen() {
+  var s: Store = new Store();
+  s.reopen(1);
+}
+method test_save() {
+  var s: Store = new Store();
+  s.save(1);
+}
+|}
+  in
+  let finding in_method =
+    let rule =
+      Semantics.Rule.make ~rule_id:in_method ~description:"d" ~high_level:"h"
+        ~origin:"o"
+        (Semantics.Rule.State_guard
+           {
+             target =
+               Semantics.Rule.Call_to
+                 { callee = "writeRecord"; in_method = Some in_method };
+             condition =
+               Smt.Formula.eq (Smt.Formula.tvar "Store.closed")
+                 (Smt.Formula.tbool false);
+           })
+    in
+    match
+      (Triage.triage_report p (Engine.Checker.check_rule p rule)).Triage.t_findings
+    with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "%s: %d findings, expected 1" in_method (List.length fs)
+  in
+  let reopen = finding "Store.reopen" and save = finding "Store.save" in
+  Alcotest.(check string) "overwritten before the target" "consistent"
+    (Triage.tier_to_string reopen.Triage.f_tier);
+  Alcotest.(check string) "why"
+    "model exists; replay inconclusive: checker holds at every target arrival"
+    reopen.Triage.f_reason;
+  Alcotest.(check string) "seeded value reaches the target" "witnessed"
+    (Triage.tier_to_string save.Triage.f_tier)
+
 let suite =
   [
     ( "triage.synthesis",
       [
         QCheck_alcotest.to_alcotest prop_sat_model_witnessed;
-        QCheck_alcotest.to_alcotest prop_unsat_no_witness;
+        QCheck_alcotest.to_alcotest prop_valuation;
         Alcotest.test_case "tier codec round-trips" `Quick test_tier_codec;
         Alcotest.test_case "known witness synthesized" `Quick
           test_known_witness;
@@ -377,5 +448,7 @@ let suite =
           (isolated test_replayed_guards_witnessed);
         Alcotest.test_case "1x synth: 12 of 20 witnessed" `Slow
           (isolated test_synth_1x_witnessed);
+        Alcotest.test_case "an overwritten input is not witnessed" `Quick
+          (isolated test_overwritten_input_not_witnessed);
       ] );
   ]
